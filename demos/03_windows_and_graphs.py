@@ -63,10 +63,14 @@ print(f"\nflooded window {flooded.window_index}: hub id "
       f"0x{flooded.node_ids[hub]:03x} has degree {flooded.in_degree[hub]} "
       f"of {flooded.window_size - 1}")
 
-# Batching stacks adjacencies block-diagonally so one dense pass runs many
-# isolated graphs; entries between different graphs are exactly zero.
-batch = batch_graphs(graphs[:5])
-n0 = graphs[0].num_nodes
-print(f"\nbatch of 5: adjacency {batch.adjacency.shape}, "
-      f"off-block zero: {not batch.adjacency[:n0, n0:].any()}")
+# Batching zero-pads every graph to the largest node count in the batch and
+# stacks them, so one batched pass runs many isolated graphs. The flooded
+# window has one node more (the DoS id), so the clean window gets padded.
+batch = batch_graphs([graphs[0], flooded])
+n0 = int(batch.num_nodes[0])
+print(f"\nbatch of 2: adjacency {batch.adjacency.shape}, "
+      f"node counts {batch.num_nodes.tolist()}")
+print(f"graph 0 padding is zero: {not batch.adjacency[0, n0:].any()} "
+      f"(rows), {not batch.adjacency[0, :, n0:].any()} (columns), "
+      f"{not batch.features[0, n0:].any()} (features)")
 print(f"labels: {batch.labels.tolist()}")

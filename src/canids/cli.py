@@ -312,15 +312,16 @@ def cmd_train(args: argparse.Namespace) -> int:
     train_graphs, val_graphs = stratified_split(graphs, cfg.train_fraction, cfg.split_seed)
 
     train_config = TrainConfig(
-        learning_rate=opt.get("learning_rate", 0.01),
+        learning_rate=opt.get("learning_rate", TrainConfig.learning_rate),
         epochs=opt.get("epochs", TrainConfig.epochs),
-        batch_size=opt.get("batch_size", 64),
-        optimizer=opt.get("optimizer", "adam"),
+        batch_size=opt.get("batch_size", TrainConfig.batch_size),
+        optimizer=opt.get("optimizer", TrainConfig.optimizer),
         seed=cfg.seed,
-        dropout_p=opt.get("dropout", 0.5),
+        dropout_p=opt.get("dropout", TrainConfig.dropout_p),
         adjacency_mode=cfg.adjacency_mode,
-        patience=opt.get("patience", None, convert=int),
-        allow_single_class=opt.get("allow_single_class", False),
+        patience=opt.get("patience", TrainConfig.patience, convert=int),
+        allow_single_class=opt.get("allow_single_class",
+                                   TrainConfig.allow_single_class),
     )
     params, history = gcn.train(train_graphs, train_config, val_graphs=val_graphs)
     gcn.save_params(params, model_path)

@@ -1,7 +1,8 @@
 """Two-layer graph convolution classifier with hand-derived backprop.
 
-Forward pass over a (possibly block-diagonal batched) normalized adjacency A
-with node features X:
+Forward pass over a batch of normalized adjacencies A and node features X,
+each graph zero-padded to the batch's largest node count (graph_builder's
+GraphBatch); every product below is batched over graphs:
 
     H1 = act(A @ X @ W1)           2 -> 8
     H2 = act(A @ H1 @ W2)          8 -> 8
@@ -15,6 +16,10 @@ strongly correlated (a message window is one long walk, so every node's in
 and out degree differ by at most 1), which makes plain-ReLU units with
 bias-free layers live or die wholesale on the sign of one weight sum; the
 leaky slope keeps dead units trainable.
+
+Padded rows of A and X are zero and the conv layers have no bias, so padded
+rows of H1 and H2 stay exactly zero: the readout is the row sum divided by
+the graph's true node count, and padding adds nothing to any gradient.
 
 Class 1 is "attacked"; the loss is mean binary cross-entropy on the class-1
 probability, which for a 2-way softmax gives the usual (probs - onehot) / B
@@ -116,9 +121,6 @@ class GcnParams:
                 raise ShapeMismatch(f"{name} has shape {arr.shape}, expected {shape}")
             kernel.check_finite(arr.reshape(1, -1), name)
 
-    def copy(self) -> "GcnParams":
-        return GcnParams(self.w1.copy(), self.w2.copy(), self.wc.copy(), self.bc.copy())
-
     def arrays(self) -> list[np.ndarray]:
         return [self.w1, self.w2, self.wc, self.bc]
 
@@ -140,7 +142,7 @@ class ForwardCache:
 
     adjacency: Matrix
     features: Matrix
-    segments: np.ndarray
+    num_nodes: np.ndarray
     m0: Matrix           # A @ X
     z1: Matrix
     h1: Matrix
@@ -231,14 +233,19 @@ def forward(
     """
     adj = batch.adjacency
     x = batch.features
-    n = adj.shape[0]
-    if adj.ndim != 2 or adj.shape[1] != n:
-        raise ShapeMismatch(f"adjacency must be square, got {adj.shape}")
-    if x.shape != (n, IN_FEATURES):
-        raise ShapeMismatch(f"features shape {x.shape}, expected ({n}, {IN_FEATURES})")
+    num_nodes = batch.num_nodes
+    if adj.ndim != 3 or adj.shape[1] != adj.shape[2]:
+        raise ShapeMismatch(f"adjacency must be (B, n, n), got {adj.shape}")
+    num_graphs, n = adj.shape[:2]
+    if x.shape != (num_graphs, n, IN_FEATURES):
+        raise ShapeMismatch(
+            f"features shape {x.shape}, expected ({num_graphs}, {n}, {IN_FEATURES})"
+        )
+    fits = (1 <= num_nodes) & (num_nodes <= n)
+    if num_nodes.shape != (num_graphs,) or not np.all(fits):
+        raise ShapeMismatch(f"num_nodes {num_nodes} do not fit adjacency {adj.shape}")
     kernel.check_finite(adj, "adjacency")
     kernel.check_finite(x, "features")
-    num_graphs = batch.num_graphs
 
     m0 = adj @ x
     z1 = m0 @ params.w1
@@ -246,7 +253,7 @@ def forward(
     m1 = adj @ h1
     z2 = m1 @ params.w2
     h2 = np.where(z2 > 0.0, z2, LEAKY_SLOPE * z2)
-    readout = kernel.segment_mean(h2, batch.graph_of_node, num_graphs)
+    readout = h2.sum(axis=1) / num_nodes[:, None]
 
     if rng is None:
         logits = readout @ params.wc + params.bc
@@ -258,7 +265,7 @@ def forward(
     logits = dropped @ params.wc + params.bc
     probs = kernel.softmax_rows(logits)
     cache = ForwardCache(
-        adjacency=adj, features=x, segments=batch.graph_of_node,
+        adjacency=adj, features=x, num_nodes=num_nodes,
         m0=m0, z1=z1, h1=h1, m1=m1, z2=z2, h2=h2,
         readout=readout, mask=mask, readout_dropped=dropped,
         logits=logits, probs=probs, params=params,
@@ -311,14 +318,15 @@ def backward(cache: ForwardCache, labels) -> Gradients:
     dbc = dlogits.sum(axis=0)
     dreadout = (dlogits @ cache.params.wc.T) * cache.mask
 
-    counts = np.bincount(cache.segments, minlength=b)
-    dh2 = (dreadout / counts[:, None])[cache.segments]
+    # Padded rows of dz2 take the leaky slope (z2 is 0 there), but they meet
+    # only zero rows of m1 and zero columns of A^T, so they add nothing.
+    dh2 = (dreadout / cache.num_nodes[:, None])[:, None, :]
     dz2 = np.where(cache.z2 > 0.0, dh2, LEAKY_SLOPE * dh2)
-    dw2 = cache.m1.T @ dz2
+    dw2 = cache.m1.reshape(-1, HIDDEN).T @ dz2.reshape(-1, HIDDEN)
 
-    dh1 = cache.adjacency.T @ (dz2 @ cache.params.w2.T)
+    dh1 = cache.adjacency.transpose(0, 2, 1) @ (dz2 @ cache.params.w2.T)
     dz1 = np.where(cache.z1 > 0.0, dh1, LEAKY_SLOPE * dh1)
-    dw1 = cache.m0.T @ dz1
+    dw1 = cache.m0.reshape(-1, IN_FEATURES).T @ dz1.reshape(-1, HIDDEN)
 
     return Gradients(w1=dw1, w2=dw2, wc=dwc, bc=dbc)
 
@@ -368,9 +376,10 @@ def train(
 ) -> tuple[GcnParams, list[EpochRecord]]:
     """Mini-batch training loop; returns final params and per-epoch history.
 
-    Graphs are reshuffled every epoch with a seeded generator, batched
-    block-diagonally, and pushed through forward/backward with the configured
-    optimizer. Deterministic: same data, same config, bit-identical params.
+    Graphs are reshuffled every epoch with a seeded generator, zero-padded
+    into batches of batch_size graphs, and pushed through forward/backward
+    with the configured optimizer. Deterministic: same data, same config,
+    bit-identical params.
     """
     config = config or TrainConfig()
     if not graphs:
@@ -404,7 +413,6 @@ def train(
     else:
         opt = _Sgd(config.learning_rate)
 
-    adj_buffer: Matrix | None = None
     history: list[EpochRecord] = []
     best_val = np.inf
     stale = 0
@@ -414,11 +422,9 @@ def train(
         loss_sum = 0.0
         correct = 0
         for lo in range(0, len(order), config.batch_size):
-            chunk = [prepared[i] for i in order[lo:lo + config.batch_size]]
-            need = sum(adj.shape[0] for adj, _, _ in chunk)
-            if adj_buffer is None or adj_buffer.shape[0] < need:
-                adj_buffer = np.zeros((need, need))
-            batch = assemble_batch(chunk, out=adj_buffer)
+            batch = assemble_batch(
+                [prepared[i] for i in order[lo:lo + config.batch_size]]
+            )
             y = batch.labels
 
             probs, cache = forward(batch, params, rng=dropout_rng,
@@ -427,13 +433,6 @@ def train(
             correct += int(np.sum((probs[:, 1] >= 0.5) == (y == 1)))
             grads = backward(cache, y)
             opt.step(params.arrays(), grads.arrays())
-
-            # re-zero only the diagonal blocks so the buffer can be reused
-            offset = 0
-            for adj, _, _ in chunk:
-                n = adj.shape[0]
-                adj_buffer[offset:offset + n, offset:offset + n] = 0.0
-                offset += n
 
         record = EpochRecord(
             epoch=epoch,

@@ -11,8 +11,8 @@ A window is labeled attacked iff it contains at least one injected frame.
 
 For the convolution, the adjacency can be taken raw (binary, directed) or in
 the default form: symmetrized, self-loops added, then symmetrically
-degree-normalized. Batches stack per-graph adjacencies block-diagonally so a
-single dense pass never mixes nodes across graphs.
+degree-normalized. Batches pad every graph to the largest node count in the
+batch and stack them, so one batched pass never mixes nodes across graphs.
 """
 
 from __future__ import annotations
@@ -69,16 +69,17 @@ class MessageGraph:
 
 @dataclass
 class GraphBatch:
-    """Several graphs stacked for one dense forward pass.
+    """Several graphs padded to one node count for a batched forward pass.
 
-    adjacency is block-diagonal (entries between different graphs are exactly
-    zero); features are row-stacked; graph_of_node maps each node row to its
-    graph index (non-decreasing); labels has one entry per graph.
+    adjacency is (B, n, n) and features (B, n, 2), with n the largest node
+    count in the batch. Graph b fills the leading num_nodes[b] rows and
+    columns of its slice; every padded entry is exactly zero. labels has one
+    entry per graph.
     """
 
     adjacency: Matrix
     features: Matrix
-    graph_of_node: np.ndarray
+    num_nodes: np.ndarray
     labels: np.ndarray
 
     @property
@@ -227,35 +228,22 @@ def prepare_graph(
     return conv_adjacency(graph, mode), node_features(graph, normalize_features), graph.label
 
 
-def assemble_batch(
-    prepared: Sequence[tuple[Matrix, Matrix, int]],
-    out: Matrix | None = None,
-) -> GraphBatch:
-    """Stack prepared graphs into one block-diagonal batch.
-
-    ``out`` may supply a reusable zeroed square buffer at least as large as
-    the total node count; only the diagonal blocks are written.
-    """
+def assemble_batch(prepared: Sequence[tuple[Matrix, Matrix, int]]) -> GraphBatch:
+    """Pad prepared graphs with zeros to the largest node count and stack
+    them, in the given order."""
     if not prepared:
         raise EmptyBatch("cannot batch zero graphs")
-    sizes = [adj.shape[0] for adj, _, _ in prepared]
-    total = sum(sizes)
-    if out is not None and out.shape[0] >= total:
-        adjacency = out[:total, :total]
-    else:
-        adjacency = np.zeros((total, total), dtype=np.float64)
-    features = np.empty((total, prepared[0][1].shape[1]), dtype=np.float64)
-    segments = np.empty(total, dtype=np.int64)
-    labels = np.empty(len(prepared), dtype=np.int64)
-    offset = 0
+    num_nodes = np.array([adj.shape[0] for adj, _, _ in prepared], dtype=np.int64)
+    b, n = len(prepared), int(num_nodes.max())
+    adjacency = np.zeros((b, n, n), dtype=np.float64)
+    features = np.zeros((b, n, prepared[0][1].shape[1]), dtype=np.float64)
+    labels = np.empty(b, dtype=np.int64)
     for g, (adj, feats, label) in enumerate(prepared):
-        n = adj.shape[0]
-        adjacency[offset:offset + n, offset:offset + n] = adj
-        features[offset:offset + n] = feats
-        segments[offset:offset + n] = g
+        k = adj.shape[0]
+        adjacency[g, :k, :k] = adj
+        features[g, :k] = feats
         labels[g] = label
-        offset += n
-    return GraphBatch(adjacency, features, segments, labels)
+    return GraphBatch(adjacency, features, num_nodes, labels)
 
 
 def batch_graphs(
@@ -263,7 +251,7 @@ def batch_graphs(
     mode: str = ADJ_SYM_NORM,
     normalize_features: bool = False,
 ) -> GraphBatch:
-    """Block-diagonal batch of the given graphs under one adjacency mode."""
+    """Padded batch of the given graphs under one adjacency mode."""
     if not graphs:
         raise EmptyBatch("cannot batch zero graphs")
     return assemble_batch(

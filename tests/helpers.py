@@ -24,7 +24,6 @@ from __future__ import annotations
 import numpy as np
 
 from canids.can_log import AttackKind, CanFrame
-from canids.cli import stratified_split
 from canids.traffic_synth import (
     AttackSpec,
     LabeledStream,
@@ -122,10 +121,6 @@ def make_scenario_stream(scenario: str, base: LabeledStream, switch_us: int,
     duration = base.frames[-1].timestamp_us + 1
     return mix_attacks(base, scenario_specs(scenario, duration, switch_us),
                        seed=seed)
-
-
-def split_scenario_graphs(graphs, train_fraction=0.8, split_seed=7):
-    return stratified_split(graphs, train_fraction, split_seed)
 
 
 def brute_force_graph(ids):

@@ -161,13 +161,13 @@ def test_criterion_05_permutation_invariance():
         params = init_params(trial)
         batch = batch_graphs([g])
         base, _ = forward(batch, params)
-        n = batch.features.shape[0]
+        n = batch.features.shape[1]
         for _ in range(20):
             perm = rng.permutation(n)
             permuted = GraphBatch(
-                adjacency=batch.adjacency[np.ix_(perm, perm)],
-                features=batch.features[perm],
-                graph_of_node=batch.graph_of_node,
+                adjacency=batch.adjacency[0][np.ix_(perm, perm)][None],
+                features=batch.features[0][perm][None],
+                num_nodes=batch.num_nodes,
                 labels=batch.labels,
             )
             probs, _ = forward(permuted, params)

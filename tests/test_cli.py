@@ -340,3 +340,19 @@ def test_end_to_end_pipeline_determinism(tmp_path):
         results.append((log.read_bytes(), dump.read_bytes(),
                         model.read_bytes(), report.read_bytes()))
     assert results[0] == results[1]
+
+
+def test_default_training_separates_dos(tmp_path):
+    """The README pipeline with every training default must detect DoS and
+    still call attack-free windows attack-free."""
+    log, dump = tmp_path / "dos.log", tmp_path / "dos.jsonl"
+    model, report = tmp_path / "dos.bin", tmp_path / "dos.json"
+    assert main(["synth", "--normal", "100000", "--dos", "1.0", "--seed", "7",
+                 "--out", str(log)]) == EXIT_OK
+    assert main(["graphs", "--log", str(log), "--out", str(dump)]) == EXIT_OK
+    assert main(["train", "--graphs", str(dump), "--model", str(model)]) == EXIT_OK
+    assert main(["eval", "--graphs", str(dump), "--model", str(model),
+                 "--scenario", "DoS", "--report", str(report)]) == EXIT_OK
+    payload = json.loads(report.read_text())
+    assert payload["confusion"]["tn"] > 0
+    assert payload["metrics"]["f1"] >= 0.95

@@ -23,7 +23,7 @@ from canids.gcn import (
     train,
 )
 from canids.graph_builder import GraphBatch, batch_graphs, graph_from_ids
-from canids.kernel import ShapeMismatch, make_rng
+from canids.kernel import FiniteViolation, ShapeMismatch, make_rng
 from helpers import random_id_window
 
 
@@ -88,17 +88,52 @@ def test_permutation_invariance():
     g = graph_from_ids(random_id_window(rng, 60, pool=10), attacked=False)
     batch = batch_graphs([g])
     base_probs, _ = forward(batch, params)
-    n = batch.features.shape[0]
+    n = batch.features.shape[1]
     for _ in range(10):
         perm = rng.permutation(n)
         permuted = GraphBatch(
-            adjacency=batch.adjacency[np.ix_(perm, perm)],
-            features=batch.features[perm],
-            graph_of_node=batch.graph_of_node,
+            adjacency=batch.adjacency[0][np.ix_(perm, perm)][None],
+            features=batch.features[0][perm][None],
+            num_nodes=batch.num_nodes,
             labels=batch.labels,
         )
         probs, _ = forward(permuted, params)
         np.testing.assert_allclose(probs, base_probs, atol=1e-9)
+
+
+def test_padding_invariance():
+    """Zero padding to a much larger batch-mate changes neither a graph's
+    probability nor the padded rows of the hidden layers."""
+    rng = make_rng(12)
+    params = init_params(5)
+    small = graph_from_ids(random_id_window(rng, 20, pool=4), attacked=False)
+    large = graph_from_ids(random_id_window(rng, 200, pool=80), attacked=True)
+    alone, _ = forward(batch_graphs([small]), params)
+    batch = batch_graphs([small, large])
+    k = small.num_nodes
+    assert batch.adjacency.shape[1] >= 10 * k
+    padded, _ = forward(batch, params)
+    assert abs(padded[0, 1] - alone[0, 1]) <= 1e-12
+    _, cache = forward(batch, params, rng=make_rng(0), dropout_p=0.5)
+    assert not cache.h1[0, k:].any()
+    assert not cache.h2[0, k:].any()
+
+
+def test_forward_rejects_malformed_batches():
+    rng = make_rng(13)
+    params = init_params(0)
+    batch = batch_graphs(random_graphs(rng, 2))
+    adj, x, k, y = batch.adjacency, batch.features, batch.num_nodes, batch.labels
+    nan_adj = adj.copy()
+    nan_adj[0, 0, 0] = np.nan
+    with pytest.raises(FiniteViolation):
+        forward(GraphBatch(nan_adj, x, k, y), params)
+    with pytest.raises(ShapeMismatch):
+        forward(GraphBatch(adj[0], x[0], k[:1], y[:1]), params)
+    with pytest.raises(ShapeMismatch):
+        forward(GraphBatch(adj, x[:, :-1], k, y), params)
+    with pytest.raises(ShapeMismatch):
+        forward(GraphBatch(adj, x, np.array([k[0], 0]), y), params)
 
 
 def test_bce_closed_forms():

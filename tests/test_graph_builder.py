@@ -177,22 +177,25 @@ def test_conv_adjacency_unknown_mode():
 def test_batch_single_graph_equals_graph():
     g = graph_from_ids([1, 2, 3, 1], attacked=True)
     batch = batch_graphs([g])
-    np.testing.assert_array_equal(batch.adjacency, conv_adjacency(g))
-    np.testing.assert_array_equal(batch.features, node_features(g))
-    assert batch.graph_of_node.tolist() == [0, 0, 0]
+    np.testing.assert_array_equal(batch.adjacency, conv_adjacency(g)[None])
+    np.testing.assert_array_equal(batch.features, node_features(g)[None])
+    assert batch.num_nodes.tolist() == [3]
     assert batch.labels.tolist() == [ATTACKED]
 
 
-def test_batch_block_structure():
+def test_batch_padded_structure():
     g1 = graph_from_ids([1, 2, 3], attacked=False)   # 3 nodes
     g2 = graph_from_ids([4, 5, 4], attacked=True)    # 2 nodes
     batch = batch_graphs([g1, g2])
-    assert batch.adjacency.shape == (5, 5)
-    np.testing.assert_array_equal(batch.adjacency[:3, 3:], np.zeros((3, 2)))
-    np.testing.assert_array_equal(batch.adjacency[3:, :3], np.zeros((2, 3)))
-    np.testing.assert_array_equal(batch.adjacency[:3, :3], conv_adjacency(g1))
-    np.testing.assert_array_equal(batch.adjacency[3:, 3:], conv_adjacency(g2))
-    assert batch.graph_of_node.tolist() == [0, 0, 0, 1, 1]
+    assert batch.adjacency.shape == (2, 3, 3)
+    assert batch.features.shape == (2, 3, 2)
+    np.testing.assert_array_equal(batch.adjacency[0], conv_adjacency(g1))
+    np.testing.assert_array_equal(batch.adjacency[1, :2, :2], conv_adjacency(g2))
+    np.testing.assert_array_equal(batch.features[1, :2], node_features(g2))
+    assert not batch.adjacency[1, 2:, :].any()
+    assert not batch.adjacency[1, :, 2:].any()
+    assert not batch.features[1, 2:].any()
+    assert batch.num_nodes.tolist() == [3, 2]
     assert batch.labels.tolist() == [ATTACK_FREE, ATTACKED]
 
 

@@ -1,23 +1,21 @@
 """Streaming detection: rolling-window verdicts with bounded memory.
 
-The `canids detect` subcommand does exactly this over stdin or a file; here
-the same loop runs in-process. Memory stays at one window of frames no
-matter how long the stream runs.
+The `canids detect` subcommand drives the same Detector over stdin or a
+file; here it runs in-process. The Detector keeps one window of frames and
+its message graph, updated in O(1) per frame, so memory stays at one window
+no matter how long the stream runs.
 """
-
-from collections import deque
 
 from canids import (
     AttackKind,
     AttackSpec,
+    Detector,
     NormalTrafficSpec,
     TrainConfig,
-    build_graph,
     default_id_pool,
     generate_normal,
     graphs_from_frames,
     mix_attacks,
-    predict,
     train,
 )
 from canids.can_log import format_timestamp
@@ -38,29 +36,28 @@ stream = mix_attacks(
 )
 params, _ = train(graphs_from_frames(stream.frames), TrainConfig(seed=0))
 
-# Now watch a "live" stream: a rolling buffer of the last WINDOW frames,
-# one verdict every STRIDE frames once the buffer has filled.
-buffer: deque = deque(maxlen=WINDOW)
-frames_seen = 0
+# Now watch a "live" stream: one verdict every STRIDE frames once the first
+# WINDOW frames have arrived.
+detector = Detector(params, window_size=WINDOW, stride=STRIDE)
 verdicts = []
 for frame in stream.frames:
-    buffer.append(frame)
-    frames_seen += 1
-    if frames_seen >= WINDOW and (frames_seen - WINDOW) % STRIDE == 0:
-        graph = build_graph(buffer, window_index=len(verdicts))
-        label, prob = predict(graph, params)
-        verdicts.append((graph.window_index, buffer[0].timestamp_us,
-                         buffer[-1].timestamp_us, label, prob))
+    verdict = detector.push(frame)
+    if verdict is not None:
+        verdicts.append(verdict)
 
-print(f"{frames_seen} frames -> {len(verdicts)} verdicts "
-      f"(buffer never holds more than {WINDOW} frames)")
-print("\nindex  first_ts    last_ts     verdict      p(attacked)")
-for index, first_ts, last_ts, label, prob in verdicts[:: len(verdicts) // 12]:
-    kind = "attacked" if label else "attack_free"
-    print(f"{index:5d}  {format_timestamp(first_ts):>10s}  "
-          f"{format_timestamp(last_ts):>10s}  {kind:11s}  {prob:.4f}")
+print(f"{detector.frames_seen} frames -> {len(verdicts)} verdicts "
+      f"(the detector never holds more than {WINDOW} frames)")
+print("\nindex  first_ts    last_ts     verdict      p(attacked)  injected")
+for v in verdicts[:: len(verdicts) // 12]:
+    kind = "attacked" if v.label else "attack_free"
+    print(f"{v.window_index:5d}  {format_timestamp(v.first_timestamp_us):>10s}  "
+          f"{format_timestamp(v.last_timestamp_us):>10s}  {kind:11s}  "
+          f"{v.probability:.4f}       {'yes' if v.injected else 'no'}")
 
-flagged = sum(1 for v in verdicts if v[3])
-print(f"\nflagged {flagged}/{len(verdicts)} windows; attack ran from "
+flagged = sum(1 for v in verdicts if v.label)
+hits = sum(1 for v in verdicts if v.label and v.injected)
+injected = sum(1 for v in verdicts if v.injected)
+print(f"\nflagged {flagged}/{len(verdicts)} windows; {hits} of the {injected} "
+      f"windows holding injected frames; attack ran from "
       f"{0.3 * t / 1e6:.1f}s to {0.7 * t / 1e6:.1f}s")
 print("\nequivalent CLI: canids detect --model model.bin --log - < live.log")

@@ -5,7 +5,7 @@ into 200-message windows and build degree-featured message graphs
 (graph_builder), classify each window with a two-layer graph convolution
 network trained by hand-derived backprop (gcn, kernel), and report detection
 metrics per attack scenario (evaluate). The cli module wires the steps into
-the `canids` command.
+the `canids` command, and detect streams verdicts window by window.
 """
 
 from .can_log import (
@@ -15,9 +15,11 @@ from .can_log import (
     load_log,
     parse_line,
     parse_log,
+    read_frames,
     save_log,
     serialize_frame,
 )
+from .detect import Detector, Verdict
 from .evaluate import (
     PAPER_TARGETS,
     SCENARIOS,
@@ -49,6 +51,7 @@ from .graph_builder import (
     ATTACKED,
     GraphBatch,
     MessageGraph,
+    SlidingGraph,
     batch_graphs,
     build_graph,
     build_windows,

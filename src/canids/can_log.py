@@ -20,7 +20,7 @@ from __future__ import annotations
 import enum
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import IO, Iterable, Iterator
+from typing import IO, Callable, Iterable, Iterator
 
 STANDARD_ID_MAX = 0x7FF
 EXTENDED_ID_MAX = 0x1FFF_FFFF
@@ -182,17 +182,21 @@ def parse_line(text: str) -> CanFrame:
         raise PayloadLengthMismatch(
             f"dlc {dlc} but {len(byte_tokens)} payload bytes"
         )
-    payload = bytearray()
-    for tok in byte_tokens:
-        if len(tok) != 2:
-            raise BadHex(f"payload byte {tok!r} is not 2 hex digits")
-        payload.append(_parse_hex(tok, "payload byte"))
+    # fromhex reads two hex digits per byte and allows whitespace only
+    # between bytes, so dlc tokens that give dlc bytes are each 2 hex digits.
+    # A failed read with dlc > 0 leaves payload short.
+    try:
+        payload = bytes.fromhex(" ".join(byte_tokens))
+    except ValueError:
+        payload = b""
+    if len(payload) != dlc:
+        raise BadHex(f"payload {' '.join(byte_tokens)!r} is not {dlc} 2-digit hex bytes")
 
     return CanFrame(
         timestamp_us=timestamp_us,
         arbitration_id=arb_id,
         dlc=dlc,
-        payload=bytes(payload),
+        payload=payload,
         label=label,
         extended=extended,
     )
@@ -212,19 +216,20 @@ def serialize_frame(frame: CanFrame) -> str:
     return " ".join(parts)
 
 
-def parse_log(
+def read_frames(
     source: Iterable[str] | IO[str],
+    report: ParseReport,
     strict: bool = False,
-) -> tuple[list[CanFrame], ParseReport]:
-    """Parse a log stream line by line.
+    on_reject: Callable[[int, str], None] | None = None,
+) -> Iterator[CanFrame]:
+    """Yield the frames of a log stream as its lines are consumed.
 
-    Blank lines and comment lines are skipped. In lenient mode (default),
-    malformed lines are recorded in the report and skipped; in strict mode the
-    first error aborts with its line number. A timestamp running backwards
-    relative to the previous frame is reported as a warning, not an error.
+    Blank lines and comment lines are skipped. In lenient mode (default), a
+    malformed line is recorded in the report, handed to on_reject as (line
+    number, error kind) and skipped; in strict mode the first error aborts
+    with its line number. A timestamp running backwards relative to the
+    previous frame is reported as a warning, not an error.
     """
-    frames: list[CanFrame] = []
-    report = ParseReport()
     last_ts: int | None = None
     for line_no, line in enumerate(source, start=1):
         stripped = line.strip()
@@ -235,30 +240,29 @@ def parse_log(
         except CanLogError as err:
             if strict:
                 raise type(err)(f"line {line_no}: {err}") from err
-            report.errors.append((line_no, type(err).__name__, stripped))
+            kind = type(err).__name__
+            report.errors.append((line_no, kind, stripped))
+            if on_reject is not None:
+                on_reject(line_no, kind)
             continue
         if last_ts is not None and frame.timestamp_us < last_ts:
             report.warnings.append(
                 (line_no, f"timestamp decreases: {frame.timestamp_us} < {last_ts}")
             )
         last_ts = frame.timestamp_us
-        frames.append(frame)
         report.frames_ok += 1
+        yield frame
+
+
+def parse_log(
+    source: Iterable[str] | IO[str],
+    strict: bool = False,
+) -> tuple[list[CanFrame], ParseReport]:
+    """Parse a whole log stream with read_frames; returns the frames and the
+    report."""
+    report = ParseReport()
+    frames = list(read_frames(source, report, strict))
     return frames, report
-
-
-def iter_log(source: Iterable[str] | IO[str], strict: bool = False) -> Iterator[CanFrame]:
-    """Lazily yield frames from a log stream, skipping malformed lines
-    (lenient) or raising on the first (strict)."""
-    for line_no, line in enumerate(source, start=1):
-        stripped = line.strip()
-        if not stripped or stripped.startswith("#"):
-            continue
-        try:
-            yield parse_line(stripped)
-        except CanLogError as err:
-            if strict:
-                raise type(err)(f"line {line_no}: {err}") from err
 
 
 def load_log(path: str | Path, strict: bool = False) -> tuple[list[CanFrame], ParseReport]:

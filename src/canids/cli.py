@@ -23,7 +23,6 @@ import argparse
 import json
 import os
 import sys
-from collections import deque
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -31,6 +30,7 @@ import numpy as np
 
 from . import can_log, gcn, graph_builder, traffic_synth
 from .can_log import AttackKind, CanLogError, format_timestamp
+from .detect import Detector
 from .evaluate import PAPER_TARGETS, SCENARIOS, EvalError, scenario_report
 from .gcn import (
     EmptyDataset,
@@ -141,6 +141,8 @@ def _experiment_config(opt: _Options) -> ExperimentConfig:
         raise ConfigError("train_fraction must be strictly between 0 and 1")
     if cfg.adjacency_mode not in ADJACENCY_MODES:
         raise ConfigError(f"adjacency_mode must be one of {ADJACENCY_MODES}")
+    if not 0.0 <= cfg.threshold <= 1.0:  # also rejects nan
+        raise ConfigError("threshold must be in [0, 1]")
     return cfg
 
 
@@ -378,41 +380,24 @@ def cmd_detect(args: argparse.Namespace) -> int:
     if not model_path:
         raise ConfigError("detect needs --model")
     log_path = opt.get("log", "-")
-    stride = cfg.stride or cfg.window_size
-    if not 1 <= stride <= cfg.window_size:
-        raise ConfigError("stride must be in 1..window_size")
+    detector = Detector(gcn.load_params(model_path), cfg.window_size,
+                        cfg.stride or cfg.window_size, cfg.threshold,
+                        cfg.adjacency_mode)
 
-    params = gcn.load_params(model_path)
+    def warn(line_no: int, kind: str) -> None:
+        print(f"warning: line {line_no}: {kind}", file=sys.stderr)
 
     def run(source) -> int:
-        buffer: deque[can_log.CanFrame] = deque(maxlen=cfg.window_size)
-        frames_seen = 0
-        window_index = 0
-        for line_no, line in enumerate(source, start=1):
-            stripped = line.strip()
-            if not stripped or stripped.startswith("#"):
-                continue
-            try:
-                frame = can_log.parse_line(stripped)
-            except CanLogError as err:
-                if cfg.strict:
-                    raise type(err)(f"line {line_no}: {err}") from err
-                print(f"warning: line {line_no}: {type(err).__name__}", file=sys.stderr)
-                continue
-            buffer.append(frame)
-            frames_seen += 1
-            if frames_seen >= cfg.window_size and (frames_seen - cfg.window_size) % stride == 0:
-                graph = graph_builder.build_graph(buffer, window_index)
-                label, prob = gcn.predict(
-                    graph, params, threshold=cfg.threshold,
-                    adjacency_mode=cfg.adjacency_mode,
-                )
+        report = can_log.ParseReport()
+        for frame in can_log.read_frames(source, report, cfg.strict, warn):
+            verdict = detector.push(frame)
+            if verdict is not None:
                 print(
-                    f"{window_index} {format_timestamp(buffer[0].timestamp_us)} "
-                    f"{format_timestamp(buffer[-1].timestamp_us)} "
-                    f"{_LABEL_TEXT[label]} {prob:.6f}"
+                    f"{verdict.window_index} "
+                    f"{format_timestamp(verdict.first_timestamp_us)} "
+                    f"{format_timestamp(verdict.last_timestamp_us)} "
+                    f"{_LABEL_TEXT[verdict.label]} {verdict.probability:.6f}"
                 )
-                window_index += 1
         return EXIT_OK
 
     if log_path == "-":

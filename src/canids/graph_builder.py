@@ -9,6 +9,12 @@ degree sums and the total edge multiplicity all equal window_size - 1.
 
 A window is labeled attacked iff it contains at least one injected frame.
 
+Graphs are built incrementally: SlidingGraph keeps the last window_size ids,
+the edge multiset and each id's in-window positions, and updates them in O(1)
+per pushed id, so a stream scored at stride 1 never rebuilds a whole window.
+Its snapshot renders the window with node order, edges and degrees exactly as
+a from-scratch build; graph_from_ids is a push of every id then a snapshot.
+
 For the convolution, the adjacency can be taken raw (binary, directed) or in
 the default form: symmetrized, self-loops added, then symmetrically
 degree-normalized. Batches pad every graph to the largest node count in the
@@ -18,6 +24,7 @@ batch and stack them, so one batched pass never mixes nodes across graphs.
 from __future__ import annotations
 
 import json
+from collections import deque
 from dataclasses import dataclass
 from pathlib import Path
 from typing import IO, Iterable, Sequence
@@ -109,48 +116,89 @@ def build_windows(
     return windows
 
 
+class SlidingGraph:
+    """Message graph of the last window_size arbitration ids, updated in O(1)
+    per pushed id.
+
+    It keeps a ring of the ids in the window, the edge multiset keyed by
+    (src_id, dst_id), and one deque of in-window positions per id: the
+    deque's length is the id's occurrence count and its head the id's first
+    position. Pushing into a full ring drops the oldest id and its outgoing
+    edge before adding the new id and its incoming edge.
+    """
+
+    def __init__(self, window_size: int = DEFAULT_WINDOW_SIZE):
+        if window_size < 2:
+            raise WindowTooSmall(f"window_size {window_size} must be >= 2")
+        self.window_size = window_size
+        self.ids: deque[int] = deque(maxlen=window_size)
+        self.edges: dict[tuple[int, int], int] = {}
+        self.positions: dict[int, deque[int]] = {}
+        self.pushed = 0
+
+    def push(self, arb_id: int) -> None:
+        ids, edges, positions = self.ids, self.edges, self.positions
+        if len(ids) == self.window_size:
+            oldest = ids[0]
+            key = (oldest, ids[1])
+            mult = edges[key]
+            if mult == 1:
+                del edges[key]
+            else:
+                edges[key] = mult - 1
+            seen = positions[oldest]
+            seen.popleft()
+            if not seen:
+                del positions[oldest]
+        if ids:
+            key = (ids[-1], arb_id)
+            edges[key] = edges.get(key, 0) + 1
+        ids.append(arb_id)
+        seen = positions.get(arb_id)
+        if seen is None:
+            positions[arb_id] = deque((self.pushed,))
+        else:
+            seen.append(self.pushed)
+        self.pushed += 1
+
+    def snapshot(self, attacked: bool, window_index: int = 0) -> MessageGraph:
+        """The ids now in the ring as a MessageGraph: nodes in order of first
+        position, edges in node-index terms. Each id's occurrence count is
+        its degree, less one outgoing for the last frame's id and one
+        incoming for the first frame's id."""
+        ids, positions = self.ids, self.positions
+        if len(ids) < 2:
+            raise WindowTooSmall(f"window of {len(ids)} frames, need >= 2")
+        node_ids = sorted(positions, key=lambda arb_id: positions[arb_id][0])
+        index = {arb_id: k for k, arb_id in enumerate(node_ids)}
+        edges = {(index[src], index[dst]): mult
+                 for (src, dst), mult in self.edges.items()}
+        in_deg = np.array([len(positions[arb_id]) for arb_id in node_ids],
+                          dtype=np.int64)
+        out_deg = in_deg.copy()
+        in_deg[index[ids[0]]] -= 1
+        out_deg[index[ids[-1]]] -= 1
+        return MessageGraph(
+            window_index=window_index,
+            node_ids=node_ids,
+            edges=edges,
+            in_degree=in_deg,
+            out_degree=out_deg,
+            label=ATTACKED if attacked else ATTACK_FREE,
+            window_size=len(ids),
+        )
+
+
 def graph_from_ids(
     ids: Sequence[int],
     attacked: bool,
     window_index: int = 0,
 ) -> MessageGraph:
     """Build a MessageGraph from a window's arbitration-id sequence."""
-    w = len(ids)
-    if w < 2:
-        raise WindowTooSmall(f"window of {w} frames, need >= 2")
-
-    node_index: dict[int, int] = {}
-    node_ids: list[int] = []
-    dense: list[int] = []
+    sliding = SlidingGraph(len(ids))
     for arb_id in ids:
-        idx = node_index.get(arb_id)
-        if idx is None:
-            idx = len(node_ids)
-            node_index[arb_id] = idx
-            node_ids.append(arb_id)
-        dense.append(idx)
-
-    edges: dict[tuple[int, int], int] = {}
-    n = len(node_ids)
-    in_deg = np.zeros(n, dtype=np.int64)
-    out_deg = np.zeros(n, dtype=np.int64)
-    prev = dense[0]
-    for nxt in dense[1:]:
-        key = (prev, nxt)
-        edges[key] = edges.get(key, 0) + 1
-        out_deg[prev] += 1
-        in_deg[nxt] += 1
-        prev = nxt
-
-    return MessageGraph(
-        window_index=window_index,
-        node_ids=node_ids,
-        edges=edges,
-        in_degree=in_deg,
-        out_degree=out_deg,
-        label=ATTACKED if attacked else ATTACK_FREE,
-        window_size=w,
-    )
+        sliding.push(arb_id)
+    return sliding.snapshot(attacked, window_index)
 
 
 def build_graph(window: Sequence[CanFrame], window_index: int = 0) -> MessageGraph:

@@ -71,6 +71,40 @@ def test_bad_hex():
         parse_line("10 100 1 a")
 
 
+@pytest.mark.parametrize("token", ["0g", "g0", "+1", "\u0660\u0660", "1", "123"])
+def test_bad_payload_hex(token):
+    with pytest.raises(BadHex):
+        parse_line(f"10 100 1 {token}")
+    # a bad byte among good ones, in any position
+    with pytest.raises(BadHex):
+        parse_line(f"10 100 3 aa {token} bb")
+    with pytest.raises(BadHex):
+        parse_line(f"10 100 2 {token} aa")
+
+
+def test_payload_tokens_must_be_two_digits_each():
+    # the digit count adds up to 2 per byte, but not token by token
+    with pytest.raises(BadHex):
+        parse_line("10 100 2 1 123")
+    with pytest.raises(BadHex):
+        parse_line("10 100 2 123 4")
+
+
+def test_upper_case_hex_parses():
+    frame = parse_line("10 1AF 3 DE aD Ff")
+    assert frame.arbitration_id == 0x1AF
+    assert frame.payload == bytes([0xDE, 0xAD, 0xFF])
+
+
+def test_strict_bad_hex_names_its_line():
+    text = "10 100 1 aa\n11 100 1 0g\n"
+    with pytest.raises(BadHex, match="^line 2: "):
+        parse_log(io.StringIO(text), strict=True)
+    frames, report = parse_log(io.StringIO(text))
+    assert len(frames) == 1
+    assert report.errors == [(2, "BadHex", "11 100 1 0g")]
+
+
 def test_malformed_lines():
     with pytest.raises(MalformedLine):
         parse_line("10 100")

@@ -1,5 +1,6 @@
 import json
 
+import numpy as np
 import pytest
 
 from canids import can_log, gcn, graph_builder
@@ -264,6 +265,95 @@ def test_detect_skips_malformed_lines(tmp_path, capsys):
     captured = capsys.readouterr()
     assert "warning" in captured.err
     assert len(captured.out.strip().splitlines()) == (120 - 100) // 100 + 1
+
+
+def _dirty_log(tmp_path, normal=600):
+    """A small DoS capture with malformed, comment and blank lines mixed in."""
+    clean = tmp_path / "clean.log"
+    main(["synth", "--normal", str(normal), "--out", str(clean), "--seed", "4",
+          "--dos", "1.0"])
+    lines = clean.read_text().splitlines()
+    bad = ["bogus", "10 100 1 zz", "10 100 9 00", "10 100 2 aa",
+           "10 900000000 0", "10 100 1 0g", "10 100 0 #label=nope"]
+    for k, text in enumerate(bad):
+        lines.insert(40 + 61 * k, text)
+    lines.insert(5, "# comment")
+    lines.insert(9, "")
+    log = tmp_path / "dirty.log"
+    log.write_text("\n".join(lines) + "\n")
+    return log
+
+
+@pytest.mark.parametrize("stride", [1, 7])
+def test_detect_matches_library(tmp_path, capsys, stride):
+    """Every detect line equals graphs_from_frames + predict_many on the same
+    window; every rejected line gives one stable warning line."""
+    log = _dirty_log(tmp_path)
+    frames, report = can_log.load_log(log)
+    assert len(report.errors) == 7
+    params, _ = gcn.train(graph_builder.graphs_from_frames(frames, 20),
+                          gcn.TrainConfig(epochs=5, seed=0))
+    model = tmp_path / "model.bin"
+    gcn.save_params(params, model)
+    graphs = graph_builder.graphs_from_frames(frames, 20, stride)
+    # a threshold between two middle probabilities gives both labels
+    ordered = np.unique(gcn.predict_many(graphs, params)[1])
+    mid = len(ordered) // 2
+    assert ordered[mid] - ordered[mid - 1] > 1e-6
+    threshold = float(ordered[mid - 1] + ordered[mid]) / 2
+    labels, probs = gcn.predict_many(graphs, params, threshold=threshold)
+    capsys.readouterr()
+
+    assert main(["detect", "--model", str(model), "--log", str(log),
+                 "--window-size", "20", "--stride", str(stride),
+                 "--threshold", repr(threshold)]) == EXIT_OK
+    captured = capsys.readouterr()
+    assert captured.err.splitlines() == [
+        f"warning: line {line_no}: {kind}" for line_no, kind, _ in report.errors
+    ]
+    lines = captured.out.splitlines()
+    assert len(lines) == len(graphs) == (len(frames) - 20) // stride + 1
+    assert set(labels.tolist()) == {0, 1}
+    for k, line in enumerate(lines):
+        index, first_ts, last_ts, label, prob = line.split()
+        assert int(index) == graphs[k].window_index == k
+        assert first_ts == can_log.format_timestamp(frames[k * stride].timestamp_us)
+        assert last_ts == can_log.format_timestamp(frames[k * stride + 19].timestamp_us)
+        assert label == ("attacked" if labels[k] else "attack_free")
+        assert abs(float(prob) - probs[k]) <= 5e-7 + 1e-12
+
+
+@pytest.mark.parametrize("value", ["1.5", "-0.1", "nan", "inf"])
+def test_threshold_outside_unit_interval_rejected(tmp_path, capsys, value):
+    dump = _make_training_dump(tmp_path)
+    log = tmp_path / "t.log"
+    log.write_text("".join(f"{i} 100 0\n" for i in range(150)))
+    model = tmp_path / "model.bin"
+    gcn.save_params(gcn.init_params(0), model)
+    capsys.readouterr()
+    assert main(["eval", "--graphs", str(dump), "--model", str(model),
+                 "--scenario", "DoS", "--threshold", value]) == EXIT_CONFIG
+    assert main(["detect", "--model", str(model), "--log", str(log),
+                 "--window-size", "100", "--threshold", value]) == EXIT_CONFIG
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.count("threshold must be in [0, 1]") == 2
+    config = tmp_path / "exp.conf"
+    config.write_text(f"threshold = {value}\n")
+    assert main(["detect", "--model", str(model), "--log", str(log),
+                 "--config", str(config)]) == EXIT_CONFIG
+
+
+def test_threshold_bounds_accepted(tmp_path, capsys):
+    log = tmp_path / "t.log"
+    log.write_text("".join(f"{i} 100 0\n" for i in range(100)))
+    model = tmp_path / "model.bin"
+    gcn.save_params(gcn.init_params(0), model)
+    capsys.readouterr()
+    for value, verdict in (("0", "attacked"), ("1", "attack_free")):
+        assert main(["detect", "--model", str(model), "--log", str(log),
+                     "--window-size", "100", "--threshold", value]) == EXIT_OK
+        assert capsys.readouterr().out.split()[3] == verdict
 
 
 def test_config_file_and_env_seed(tmp_path, capsys, monkeypatch):

@@ -5,6 +5,7 @@ import pytest
 
 from canids.gcn import (
     BadMagic,
+    CacheMismatch,
     EmptyBatchLabels,
     EmptyDataset,
     GcnParams,
@@ -412,3 +413,22 @@ def test_load_rejects_wrong_shapes(tmp_path):
     path.write_bytes(blob)
     with pytest.raises(ShapeMismatch):
         load_params(path)
+
+
+def test_backward_without_training_cache():
+    rng = make_rng(12)
+    batch = batch_graphs(random_graphs(rng, 3))
+    _, cache = forward(batch, init_params(0))
+    assert cache is None
+    with pytest.raises(CacheMismatch, match="training-mode forward"):
+        backward(cache, batch.labels)
+
+
+def test_backward_rejects_mismatched_labels():
+    rng = make_rng(13)
+    batch = batch_graphs(random_graphs(rng, 3))
+    _, cache = forward(batch, init_params(0), rng=make_rng(0))
+    with pytest.raises(CacheMismatch, match="labels for a cache of 3 graphs"):
+        backward(cache, batch.labels[:2])
+    with pytest.raises(CacheMismatch):
+        backward(cache, batch.labels.reshape(3, 1))

@@ -12,6 +12,7 @@ from canids.graph_builder import (
     ATTACKED,
     EmptyBatch,
     GraphError,
+    SlidingGraph,
     WindowTooSmall,
     batch_graphs,
     build_graph,
@@ -90,6 +91,56 @@ def test_matches_brute_force_oracle():
         assert g.edges == edges
         assert g.in_degree.tolist() == [in_deg[i] for i in range(len(order))]
         assert g.out_degree.tolist() == [out_deg[i] for i in range(len(order))]
+
+
+@pytest.mark.parametrize("window_size", [2, 3, 7, 200])
+def test_sliding_graph_matches_oracle_at_every_push(window_size):
+    """Small id pools make ids leave the window and come back, so the edge
+    multiset, the per-id positions and the node order all get exercised
+    on eviction."""
+    rng = make_rng(window_size)
+    for pool in (1, 2, 3, 5, 12):
+        ids = random_id_window(rng, window_size + 300, pool=pool)
+        sliding = SlidingGraph(window_size)
+        for k, arb_id in enumerate(ids):
+            sliding.push(arb_id)
+            window = ids[max(0, k + 1 - window_size):k + 1]
+            if len(window) < 2:
+                with pytest.raises(WindowTooSmall):
+                    sliding.snapshot(False)
+                continue
+            g = sliding.snapshot(attacked=bool(k % 2), window_index=k)
+            order, edges, in_deg, out_deg = brute_force_graph(window)
+            assert g.node_ids == order
+            assert g.edges == edges
+            assert g.in_degree.tolist() == [in_deg[i] for i in range(len(order))]
+            assert g.out_degree.tolist() == [out_deg[i] for i in range(len(order))]
+            assert g.window_size == len(window)
+            assert (g.window_index, g.label) == (k, k % 2)
+
+
+def test_sliding_graph_ids_leave_and_return():
+    sliding = SlidingGraph(3)
+    for arb_id in (1, 2, 1, 3):  # window 2 1 3: id 2 is now first
+        sliding.push(arb_id)
+    g = sliding.snapshot(False)
+    assert g.node_ids == [2, 1, 3]
+    assert g.edges == {(0, 1): 1, (1, 2): 1}
+    for arb_id in (3, 3):  # window 3 3 3: ids 1 and 2 have left
+        sliding.push(arb_id)
+    g = sliding.snapshot(False)
+    assert g.node_ids == [3]
+    assert g.edges == {(0, 0): 2}
+    sliding.push(1)  # window 3 3 1: id 1 is back, as the last node
+    g = sliding.snapshot(False)
+    assert g.node_ids == [3, 1]
+    assert g.in_degree.tolist() == [1, 1]
+    assert g.out_degree.tolist() == [2, 0]
+
+
+def test_sliding_graph_window_too_small():
+    with pytest.raises(WindowTooSmall):
+        SlidingGraph(1)
 
 
 def test_window_too_small():

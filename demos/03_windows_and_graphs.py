@@ -2,8 +2,9 @@
 
 Every 200-message window becomes a directed multigraph: nodes are the
 distinct arbitration ids, and each consecutive frame pair contributes one
-edge. Node features are in/out degrees; the adjacency is symmetrized,
-self-looped, and degree-normalized before entering the network.
+edge. Node features are the in/out degrees, each column divided by its max
+within the window; the adjacency is symmetrized, self-looped, and
+degree-normalized before entering the network.
 """
 
 import numpy as np
@@ -47,9 +48,10 @@ assert sum(graph.edges.values()) == graph.window_size - 1
 assert graph.in_degree.sum() == graph.out_degree.sum() == graph.window_size - 1
 
 feats = node_features(graph)
-print("first nodes' (in, out) degrees:")
-for arb_id, row in list(zip(graph.node_ids, feats))[:4]:
-    print(f"  0x{arb_id:03x}: {row}")
+print("first nodes' (in, out) degrees -> features:")
+for k in range(4):
+    print(f"  0x{graph.node_ids[k]:03x}: ({graph.in_degree[k]}, "
+          f"{graph.out_degree[k]}) -> {feats[k]}")
 
 adjacency = conv_adjacency(graph)  # sym_norm_self_loop, the default
 print(f"\nnormalized adjacency is symmetric: "

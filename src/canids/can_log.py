@@ -115,9 +115,11 @@ class ParseReport:
 
 
 def _parse_timestamp(token: str) -> int:
-    """Decimal seconds (up to 6 fractional digits) to integer microseconds."""
+    """Decimal seconds (up to 6 fractional digits) to integer microseconds.
+    Digits are ASCII only: str.isdigit alone also accepts digits such as '²'
+    that int() rejects."""
     whole, dot, frac = token.partition(".")
-    if not whole.isdigit():
+    if not (token.isascii() and whole.isdigit()):
         raise MalformedLine(f"bad timestamp {token!r}")
     if dot:
         if not frac.isdigit() or len(frac) > 6:
@@ -171,7 +173,7 @@ def parse_line(text: str) -> CanFrame:
         raise IdOutOfRange(f"arbitration id 0x{arb_id:x} exceeds 29 bits")
     extended = len(tokens[1]) == 8 or arb_id > STANDARD_ID_MAX
 
-    if not tokens[2].isdigit():
+    if not (tokens[2].isascii() and tokens[2].isdigit()):
         raise MalformedLine(f"bad dlc {tokens[2]!r}")
     dlc = int(tokens[2])
     if dlc > MAX_DLC:

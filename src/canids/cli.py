@@ -109,11 +109,15 @@ class _Options:
             raw = self.file_values[name]
             if convert is bool or isinstance(default, bool):
                 return _as_bool(raw)
-            if convert is not None:
+            if convert is None:
+                if default is None:
+                    return raw
+                convert = type(default)
+            try:
                 return convert(raw)
-            if default is not None:
-                return type(default)(raw)
-            return raw
+            except ValueError:
+                raise ConfigError(f"config value {name}={raw!r} is not a valid "
+                                  f"{convert.__name__}") from None
         return default
 
     def seed(self) -> int:
@@ -121,7 +125,12 @@ class _Options:
         if value is not None:
             return value
         env = os.environ.get("CANIDS_SEED")
-        return int(env) if env else 0
+        if not env:
+            return 0
+        try:
+            return int(env)
+        except ValueError:
+            raise ConfigError(f"CANIDS_SEED={env!r} is not a valid int") from None
 
 
 def _experiment_config(opt: _Options) -> ExperimentConfig:

@@ -47,7 +47,6 @@ from .graph_builder import (
     GraphBatch,
     MessageGraph,
     assemble_batch,
-    batch_graphs,
     prepare_graph,
 )
 from .kernel import Matrix, ShapeMismatch, make_rng
@@ -61,6 +60,10 @@ _MAGIC_FAMILY = b"GCNIDS"
 
 PROB_CLAMP = 1e-12
 LEAKY_SLOPE = 0.01
+
+ADAM_BETA1 = 0.9
+ADAM_BETA2 = 0.999
+ADAM_EPS = 1e-8
 
 
 class ModelError(ValueError):
@@ -159,12 +162,15 @@ class ForwardCache:
 
 @dataclass
 class TrainConfig:
-    """Optimization schedule; everything is overridable, nothing is magic.
+    """Optimization schedule and adjacency mode; the one source of training
+    defaults, which the CLI reads too.
 
-    Defaults are tuned for this ~100-parameter model on degree features:
-    Adam at 0.05 with light readout dropout (0.1). Heavier dropout on an
-    8-wide readout drowns the gradient signal and caps accuracy well below
-    what the model can reach; 0.5 remains available for ablation.
+    Defaults are tuned for this ~100-parameter model on max-normalized
+    degree features: Adam at 0.05 with light readout dropout (0.1). Heavier
+    dropout on an 8-wide readout drowns the gradient signal and caps accuracy
+    well below what the model can reach; 0.5 remains available for ablation.
+    Adam's moment decays and epsilon are the module constants ADAM_BETA1,
+    ADAM_BETA2 and ADAM_EPS.
     """
 
     learning_rate: float = 0.05
@@ -174,10 +180,6 @@ class TrainConfig:
     seed: int = 0
     dropout_p: float = 0.1
     adjacency_mode: str = ADJ_SYM_NORM
-    normalize_features: bool = True
-    beta1: float = 0.9
-    beta2: float = 0.999
-    eps: float = 1e-8
     patience: int | None = None
     allow_single_class: bool = False
 
@@ -334,8 +336,8 @@ def backward(cache: ForwardCache, labels) -> Gradients:
 class _Adam:
     """Standard Adam with bias correction; update order is fixed."""
 
-    def __init__(self, shapes, lr, beta1, beta2, eps):
-        self.lr, self.beta1, self.beta2, self.eps = lr, beta1, beta2, eps
+    def __init__(self, shapes, lr):
+        self.lr = lr
         self.m = [np.zeros(s) for s in shapes]
         self.v = [np.zeros(s) for s in shapes]
         self.t = 0
@@ -343,11 +345,11 @@ class _Adam:
     def step(self, params: list[np.ndarray], grads: list[np.ndarray]) -> None:
         self.t += 1
         for i, (p, g) in enumerate(zip(params, grads)):
-            self.m[i] = self.beta1 * self.m[i] + (1 - self.beta1) * g
-            self.v[i] = self.beta2 * self.v[i] + (1 - self.beta2) * g * g
-            m_hat = self.m[i] / (1 - self.beta1 ** self.t)
-            v_hat = self.v[i] / (1 - self.beta2 ** self.t)
-            p -= self.lr * m_hat / (np.sqrt(v_hat) + self.eps)
+            self.m[i] = ADAM_BETA1 * self.m[i] + (1 - ADAM_BETA1) * g
+            self.v[i] = ADAM_BETA2 * self.v[i] + (1 - ADAM_BETA2) * g * g
+            m_hat = self.m[i] / (1 - ADAM_BETA1 ** self.t)
+            v_hat = self.v[i] / (1 - ADAM_BETA2 ** self.t)
+            p -= self.lr * m_hat / (np.sqrt(v_hat) + ADAM_EPS)
 
 
 class _Sgd:
@@ -397,19 +399,14 @@ def train(
     shuffle_rng = make_rng(shuffle_ss)
     dropout_rng = make_rng(dropout_ss)
 
-    prepared = [
-        prepare_graph(g, config.adjacency_mode, config.normalize_features)
-        for g in graphs
-    ]
+    prepared = [prepare_graph(g, config.adjacency_mode) for g in graphs]
     prepared_val = (
-        [prepare_graph(g, config.adjacency_mode, config.normalize_features)
-         for g in val_graphs]
+        [prepare_graph(g, config.adjacency_mode) for g in val_graphs]
         if val_graphs else None
     )
 
     if config.optimizer == "adam":
-        opt = _Adam([a.shape for a in params.arrays()],
-                    config.learning_rate, config.beta1, config.beta2, config.eps)
+        opt = _Adam([a.shape for a in params.arrays()], config.learning_rate)
     else:
         opt = _Sgd(config.learning_rate)
 
@@ -462,19 +459,10 @@ def predict(
     params: GcnParams,
     threshold: float = 0.5,
     adjacency_mode: str = ADJ_SYM_NORM,
-    normalize_features: bool = True,
 ) -> tuple[int, float]:
-    """Label one graph: (label, attacked probability).
-
-    Featurization flags must match the ones used at training time. The label
-    is attacked iff the probability is >= threshold, so an exact tie flags
-    the window (flagging is the safer failure for an IDS).
-    """
-    batch = batch_graphs([graph], mode=adjacency_mode,
-                         normalize_features=normalize_features)
-    probs, _ = forward(batch, params)
-    p_attacked = float(probs[0, 1])
-    return (1 if p_attacked >= threshold else 0), p_attacked
+    """Label one graph: (label, attacked probability); predict_many of one."""
+    labels, probs = predict_many([graph], params, threshold, adjacency_mode)
+    return int(labels[0]), float(probs[0])
 
 
 def predict_many(
@@ -482,11 +470,15 @@ def predict_many(
     params: GcnParams,
     threshold: float = 0.5,
     adjacency_mode: str = ADJ_SYM_NORM,
-    normalize_features: bool = True,
     batch_size: int = 256,
 ) -> tuple[np.ndarray, np.ndarray]:
-    """Vectorized predict over many graphs: (labels, attacked probabilities)."""
-    prepared = [prepare_graph(g, adjacency_mode, normalize_features) for g in graphs]
+    """Labels and attacked probabilities of many graphs, batch_size at a time.
+
+    The adjacency mode must be the one used at training time. A graph is
+    attacked iff its probability is >= threshold, so an exact tie flags the
+    window (flagging is the safer failure for an IDS).
+    """
+    prepared = [prepare_graph(g, adjacency_mode) for g in graphs]
     probs = _infer_on_prepared(prepared, params, batch_size)
     p_attacked = probs[:, 1]
     return (p_attacked >= threshold).astype(np.int64), p_attacked

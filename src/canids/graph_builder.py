@@ -4,8 +4,9 @@ A stream is sliced into fixed-size message windows (default 200 frames). Each
 window becomes a directed multigraph: nodes are the distinct arbitration ids
 in first-appearance order, and every consecutive frame pair contributes one
 edge from the earlier id to the later one (self-loops included when an id
-repeats). Node features are the multiplicity-counted in/out degrees, so the
-degree sums and the total edge multiplicity all equal window_size - 1.
+repeats). The multiplicity-counted in/out degrees are the node features, each
+max-normalized per graph; the raw degree sums and the total edge multiplicity
+all equal window_size - 1.
 
 A window is labeled attacked iff it contains at least one injected frame.
 
@@ -54,6 +55,10 @@ class WindowTooSmall(GraphError):
 
 
 class EmptyBatch(GraphError):
+    pass
+
+
+class MalformedGraphRecord(GraphError):
     pass
 
 
@@ -221,19 +226,15 @@ def graphs_from_frames(
     ]
 
 
-def node_features(graph: MessageGraph, normalize: bool = False) -> Matrix:
-    """n x 2 feature matrix: row i is (in_degree, out_degree) of node i.
-
-    With normalize=True each column is divided by its max (columns whose max
-    is 0 are left as zeros).
-    """
+def node_features(graph: MessageGraph) -> Matrix:
+    """n x 2 feature matrix: row i is (in_degree, out_degree) of node i, each
+    column divided by its max (a column whose max is 0 stays zero)."""
     feats = np.stack(
         [graph.in_degree, graph.out_degree], axis=1
     ).astype(np.float64)
-    if normalize:
-        col_max = feats.max(axis=0)
-        nonzero = col_max > 0
-        feats[:, nonzero] /= col_max[nonzero]
+    col_max = feats.max(axis=0)
+    nonzero = col_max > 0
+    feats[:, nonzero] /= col_max[nonzero]
     return feats
 
 
@@ -268,12 +269,10 @@ def conv_adjacency(graph: MessageGraph, mode: str = ADJ_SYM_NORM) -> Matrix:
 
 
 def prepare_graph(
-    graph: MessageGraph,
-    mode: str = ADJ_SYM_NORM,
-    normalize_features: bool = False,
+    graph: MessageGraph, mode: str = ADJ_SYM_NORM
 ) -> tuple[Matrix, Matrix, int]:
     """Precompute (adjacency, features, label) for repeated batching."""
-    return conv_adjacency(graph, mode), node_features(graph, normalize_features), graph.label
+    return conv_adjacency(graph, mode), node_features(graph), graph.label
 
 
 def assemble_batch(prepared: Sequence[tuple[Matrix, Matrix, int]]) -> GraphBatch:
@@ -294,17 +293,9 @@ def assemble_batch(prepared: Sequence[tuple[Matrix, Matrix, int]]) -> GraphBatch
     return GraphBatch(adjacency, features, num_nodes, labels)
 
 
-def batch_graphs(
-    graphs: Sequence[MessageGraph],
-    mode: str = ADJ_SYM_NORM,
-    normalize_features: bool = False,
-) -> GraphBatch:
+def batch_graphs(graphs: Sequence[MessageGraph], mode: str = ADJ_SYM_NORM) -> GraphBatch:
     """Padded batch of the given graphs under one adjacency mode."""
-    if not graphs:
-        raise EmptyBatch("cannot batch zero graphs")
-    return assemble_batch(
-        [prepare_graph(g, mode, normalize_features) for g in graphs]
-    )
+    return assemble_batch([prepare_graph(g, mode) for g in graphs])
 
 
 _LABEL_TEXT = {ATTACK_FREE: "attack_free", ATTACKED: "attacked"}
@@ -339,35 +330,45 @@ def dump_graphs(target: str | Path | IO[str], graphs: Iterable[MessageGraph]) ->
     return _write(target)
 
 
+def _graph_from_record(line: str) -> MessageGraph:
+    rec = json.loads(line)
+    node_ids = [int(s, 16) for s in rec["nodes"]]
+    n = len(node_ids)
+    edges = {(s, d): m for s, d, m in rec["edges"]}
+    in_deg = np.zeros(n, dtype=np.int64)
+    out_deg = np.zeros(n, dtype=np.int64)
+    for (s, d), m in edges.items():
+        if not (0 <= s < n and 0 <= d < n):
+            raise IndexError(f"edge {s}->{d} outside {n} nodes")
+        out_deg[s] += m
+        in_deg[d] += m
+    return MessageGraph(
+        window_index=rec["window_index"],
+        node_ids=node_ids,
+        edges=edges,
+        in_degree=in_deg,
+        out_degree=out_deg,
+        label=_TEXT_LABEL[rec["label"]],
+        window_size=rec["window_size"],
+    )
+
+
 def load_graphs(source: str | Path | IO[str]) -> list[MessageGraph]:
-    """Read a JSON-lines graph dump back into MessageGraph objects."""
+    """Read a JSON-lines graph dump back into MessageGraph objects; a line
+    that is not a valid record raises MalformedGraphRecord naming it."""
 
     def _read(fh) -> list[MessageGraph]:
         graphs = []
-        for line in fh:
+        for line_no, line in enumerate(fh, start=1):
             line = line.strip()
             if not line:
                 continue
-            rec = json.loads(line)
-            node_ids = [int(s, 16) for s in rec["nodes"]]
-            n = len(node_ids)
-            edges = {(s, d): m for s, d, m in rec["edges"]}
-            in_deg = np.zeros(n, dtype=np.int64)
-            out_deg = np.zeros(n, dtype=np.int64)
-            for (s, d), m in edges.items():
-                out_deg[s] += m
-                in_deg[d] += m
-            graphs.append(
-                MessageGraph(
-                    window_index=rec["window_index"],
-                    node_ids=node_ids,
-                    edges=edges,
-                    in_degree=in_deg,
-                    out_degree=out_deg,
-                    label=_TEXT_LABEL[rec["label"]],
-                    window_size=rec["window_size"],
-                )
-            )
+            try:
+                graphs.append(_graph_from_record(line))
+            except (ValueError, KeyError, IndexError, TypeError) as err:
+                raise MalformedGraphRecord(
+                    f"graph dump line {line_no}: {type(err).__name__}: {err}"
+                ) from err
         return graphs
 
     if isinstance(source, (str, Path)):

@@ -1,10 +1,9 @@
-"""Dense float64 matrix operations and seeded randomness.
+"""Numeric checks and seeded randomness for the GCN.
 
-Everything the GCN forward/backward pass needs: matmul, ReLU and its
-backward, row softmax, segment mean readout, inverted dropout masks, and the
-elementwise algebra used by backpropagation. Matrices are plain 2-D float64
-numpy arrays. Every public operation validates shapes and rejects NaN/Inf
-inputs instead of propagating them.
+What the GCN's forward pass does not inline: finiteness checks, row softmax
+and inverted dropout masks, plus a mean over sorted row segments. softmax_rows
+and segment_mean take plain 2-D float64 numpy arrays, validate their shapes
+and reject NaN/Inf inputs instead of propagating them.
 
 Randomness comes from numpy's PCG64 generator seeded with a 64-bit integer;
 the algorithm is pinned so seeded streams (and therefore test vectors and
@@ -61,85 +60,6 @@ def as_matrix(values, name: str = "matrix") -> Matrix:
 def check_finite(m: Matrix, name: str = "matrix") -> None:
     if not np.all(np.isfinite(m)):
         raise FiniteViolation(f"{name} contains NaN or Inf")
-
-
-def matmul(a, b) -> Matrix:
-    a = as_matrix(a, "a")
-    b = as_matrix(b, "b")
-    if a.shape[1] != b.shape[0]:
-        raise ShapeMismatch(f"cannot multiply {a.shape} by {b.shape}")
-    out = a @ b
-    check_finite(out, "matmul result")
-    return out
-
-
-def transpose(m) -> Matrix:
-    return as_matrix(m).T.copy()
-
-
-def add(a, b) -> Matrix:
-    a = as_matrix(a, "a")
-    b = as_matrix(b, "b")
-    if a.shape != b.shape:
-        raise ShapeMismatch(f"add shapes differ: {a.shape} vs {b.shape}")
-    out = a + b
-    check_finite(out, "add result")
-    return out
-
-
-def scale(m, c: float) -> Matrix:
-    m = as_matrix(m)
-    if not np.isfinite(c):
-        raise FiniteViolation("scale factor is not finite")
-    out = m * c
-    check_finite(out, "scale result")
-    return out
-
-
-def elementwise_mul(a, b) -> Matrix:
-    a = as_matrix(a, "a")
-    b = as_matrix(b, "b")
-    if a.shape != b.shape:
-        raise ShapeMismatch(f"elementwise_mul shapes differ: {a.shape} vs {b.shape}")
-    out = a * b
-    check_finite(out, "elementwise_mul result")
-    return out
-
-
-def relu(m) -> Matrix:
-    return np.maximum(as_matrix(m), 0.0)
-
-
-def relu_backward(m, upstream) -> Matrix:
-    """Pass upstream gradient where m > 0; the subgradient at 0 is 0."""
-    m = as_matrix(m, "m")
-    upstream = as_matrix(upstream, "upstream")
-    if m.shape != upstream.shape:
-        raise ShapeMismatch(
-            f"relu_backward shapes differ: {m.shape} vs {upstream.shape}"
-        )
-    return np.where(m > 0.0, upstream, 0.0)
-
-
-def leaky_relu(m, slope: float = 0.01) -> Matrix:
-    """max(x, slope * x). The graph layers use this rather than plain ReLU:
-    with bias-free layers and non-negative degree features, a plain-ReLU unit
-    whose weights start negative is dead for every input and can never
-    recover, so whole models are stillborn for unlucky seeds. The leaky slope
-    keeps a gradient path open."""
-    m = as_matrix(m)
-    return np.where(m > 0.0, m, slope * m)
-
-
-def leaky_relu_backward(m, upstream, slope: float = 0.01) -> Matrix:
-    """Upstream gradient where m > 0, slope-scaled elsewhere."""
-    m = as_matrix(m, "m")
-    upstream = as_matrix(upstream, "upstream")
-    if m.shape != upstream.shape:
-        raise ShapeMismatch(
-            f"leaky_relu_backward shapes differ: {m.shape} vs {upstream.shape}"
-        )
-    return np.where(m > 0.0, upstream, slope * upstream)
 
 
 def softmax_rows(m) -> Matrix:

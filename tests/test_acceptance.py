@@ -303,7 +303,7 @@ def test_criterion_09_determinism_and_persistence(tmp_path):
     assert path_a.read_bytes() == path_b.read_bytes()
 
     loaded = load_params(path_a)
-    batch = batch_graphs(graphs[:16], normalize_features=True)
+    batch = batch_graphs(graphs[:16])
     probs_orig, _ = forward(batch, params_a)
     probs_loaded, _ = forward(batch, loaded)
     np.testing.assert_array_equal(probs_orig, probs_loaded)

@@ -114,6 +114,16 @@ def test_malformed_lines():
         parse_line("10 100 0 #label=unknown")
 
 
+@pytest.mark.parametrize("line", ["10 100 \u00b2", "\u00b9 100 0", "1.\u00b2 100 0"],
+                         ids=["dlc", "seconds", "fraction"])
+def test_non_ascii_digits_are_malformed(line):
+    with pytest.raises(MalformedLine):
+        parse_line(line)
+    frames, report = parse_log(io.StringIO(f"10 100 0\n{line}\n11 100 0\n"))
+    assert len(frames) == 2
+    assert [(no, kind) for no, kind, _ in report.errors] == [(2, "MalformedLine")]
+
+
 def test_id_ranges():
     assert parse_line("0 7ff 0").extended is False
     # 4-digit token over 11 bits implies an extended frame

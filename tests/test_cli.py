@@ -77,6 +77,16 @@ def test_graphs_strict_mode_exit_code(tmp_path):
     assert main(["graphs", "--log", str(log), "--out", str(out)]) == EXIT_OK
 
 
+def test_graphs_warns_on_non_ascii_digits(tmp_path, capsys):
+    log = tmp_path / "sup.log"
+    log.write_text("10 100 0\n11 100 \u00b2\n12 100 0\n", encoding="utf-8")
+    out = tmp_path / "g.jsonl"
+    assert main(["graphs", "--log", str(log), "--out", str(out),
+                 "--window-size", "2"]) == EXIT_OK
+    assert capsys.readouterr().err == "warning: line 2: MalformedLine\n"
+    assert len(graph_builder.load_graphs(out)) == 1
+
+
 def test_missing_log_is_io_error(tmp_path):
     assert main(["graphs", "--log", str(tmp_path / "nope.log"),
                  "--out", str(tmp_path / "g.jsonl")]) == EXIT_IO
@@ -133,6 +143,18 @@ def test_train_fraction_validation(tmp_path):
     dump = _make_training_dump(tmp_path)
     assert main(["train", "--graphs", str(dump), "--model", str(tmp_path / "m.bin"),
                  "--train-fraction", "1.0"]) == EXIT_CONFIG
+
+
+def test_train_malformed_graph_dump_is_config_error(tmp_path, capsys):
+    dump = _make_training_dump(tmp_path)
+    lines = dump.read_text().splitlines()
+    dump.write_text("\n".join(lines[:4] + [lines[4][:20]]) + "\n")
+    for cmd in (["train"], ["eval", "--scenario", "DoS"]):
+        assert main([*cmd, "--graphs", str(dump),
+                     "--model", str(tmp_path / "m.bin")]) == EXIT_CONFIG
+        err = capsys.readouterr().err
+        assert err.startswith("error: graph dump line 5: JSONDecodeError")
+        assert err.count("\n") == 1
 
 
 def test_train_single_class_exit(tmp_path):
@@ -381,6 +403,18 @@ def test_config_file_and_env_seed(tmp_path, capsys, monkeypatch):
     out4 = tmp_path / "env_b.log"
     main(["synth", "--config", str(config2), "--out", str(out4)])
     assert out3.read_bytes() != out4.read_bytes()
+
+
+def test_config_value_that_does_not_convert(tmp_path, capsys, monkeypatch):
+    config = tmp_path / "exp.conf"
+    config.write_text("window_size=abc\n")
+    assert main(["graphs", "--config", str(config), "--log", "x.log",
+                 "--out", str(tmp_path / "g.jsonl")]) == EXIT_CONFIG
+    assert capsys.readouterr().err == (
+        "error: config value window_size='abc' is not a valid int\n")
+    monkeypatch.setenv("CANIDS_SEED", "seven")
+    assert main(["synth", "--normal", "100", "--out", str(tmp_path / "s.log")]) == EXIT_CONFIG
+    assert "CANIDS_SEED" in capsys.readouterr().err
 
 
 def test_load_config_file_rejects_garbage(tmp_path):

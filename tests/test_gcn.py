@@ -343,8 +343,7 @@ def test_predict_matches_batched_row():
     rng = make_rng(14)
     graphs = random_graphs(rng, 8)
     params = init_params(2)
-    # predict normalizes features by default (the training pipeline default)
-    batch_probs, _ = forward(batch_graphs(graphs, normalize_features=True), params)
+    batch_probs, _ = forward(batch_graphs(graphs), params)
     for i, g in enumerate(graphs):
         _, prob = predict(g, params)
         assert abs(prob - batch_probs[i, 1]) <= 1e-9

@@ -12,6 +12,7 @@ from canids.graph_builder import (
     ATTACKED,
     EmptyBatch,
     GraphError,
+    MalformedGraphRecord,
     SlidingGraph,
     WindowTooSmall,
     batch_graphs,
@@ -157,22 +158,14 @@ def test_label_rule():
     assert dirty.label == ATTACKED
 
 
-def test_node_features_abac():
-    g = graph_from_ids([10, 20, 10, 30], attacked=False)
-    np.testing.assert_array_equal(
-        node_features(g), [[1.0, 2.0], [1.0, 1.0], [1.0, 0.0]]
-    )
-
-
 def test_node_features_single_node():
     g = graph_from_ids([5] * 200, attacked=False)
-    np.testing.assert_array_equal(node_features(g), [[199.0, 199.0]])
-    np.testing.assert_array_equal(node_features(g, normalize=True), [[1.0, 1.0]])
+    np.testing.assert_array_equal(node_features(g), [[1.0, 1.0]])
 
 
 def test_node_features_normalization_zero_safe():
     g = graph_from_ids([10, 20, 10, 30], attacked=False)
-    feats = node_features(g, normalize=True)
+    feats = node_features(g)
     np.testing.assert_allclose(feats[:, 0], [1.0, 1.0, 1.0])
     np.testing.assert_allclose(feats[:, 1], [1.0, 0.5, 0.0])
 
@@ -288,3 +281,24 @@ def test_dump_load_file_round_trip(tmp_path):
     dump_graphs(path, [g])
     loaded = load_graphs(path)
     assert loaded[0].edges == g.edges and loaded[0].label == ATTACKED
+
+
+GOOD_RECORD = ('{"window_index":0,"window_size":3,"nodes":["0x1","0x2"],'
+               '"edges":[[0,1,1],[1,0,1]],"label":"attack_free"}')
+
+
+@pytest.mark.parametrize("bad", [
+    GOOD_RECORD[:-9],                                   # truncated JSON
+    GOOD_RECORD.replace('"window_size":3,', ""),        # missing field
+    GOOD_RECORD.replace('"0x2"', '"0xzz"'),             # node id not hex
+    GOOD_RECORD.replace("attack_free", "benign"),       # unknown label
+    GOOD_RECORD.replace("[1,0,1]", "[1,2,1]"),          # endpoint past the nodes
+    GOOD_RECORD.replace("[1,0,1]", "[-1,0,1]"),         # negative endpoint
+    GOOD_RECORD.replace("[1,0,1]", "[1,0]"),            # edge not a triple
+    "[1, 2, 3]",                                        # not an object
+], ids=["truncated", "missing-field", "non-hex-node", "unknown-label",
+        "endpoint-past-nodes", "negative-endpoint", "edge-pair", "not-object"])
+def test_load_graphs_rejects_malformed_record(bad):
+    with pytest.raises(MalformedGraphRecord, match="line 3"):
+        load_graphs(io.StringIO(f"{GOOD_RECORD}\n\n{bad}\n"))
+    assert len(load_graphs(io.StringIO(GOOD_RECORD))) == 1

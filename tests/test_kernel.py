@@ -12,87 +12,18 @@ from canids.kernel import (
 )
 
 
-def naive_matmul(a, b):
-    out = np.zeros((a.shape[0], b.shape[1]))
-    for i in range(a.shape[0]):
-        for j in range(b.shape[1]):
-            acc = 0.0
-            for k in range(a.shape[1]):
-                acc += a[i, k] * b[k, j]
-            out[i, j] = acc
-    return out
-
-
-def test_matmul_identity():
-    rng = make_rng(0)
-    m = rng.normal(size=(3, 5))
-    np.testing.assert_array_equal(kernel.matmul(np.eye(3), m), m)
-    np.testing.assert_array_equal(kernel.matmul(m, np.eye(5)), m)
-
-
-def test_matmul_hand_example():
-    out = kernel.matmul([[1, 2], [3, 4]], [[5], [6]])
-    np.testing.assert_array_equal(out, [[17], [39]])
-
-
-def test_matmul_against_triple_loop():
-    rng = make_rng(1)
-    a = rng.normal(size=(7, 5))
-    b = rng.normal(size=(5, 3))
-    expected = naive_matmul(a, b)
-    got = kernel.matmul(a, b)
-    np.testing.assert_allclose(got, expected, rtol=1e-12)
-
-
-def test_matmul_shape_mismatch():
-    with pytest.raises(ShapeMismatch):
-        kernel.matmul(np.eye(3), np.eye(4))
-
-
 def test_nan_inputs_rejected():
     bad = np.array([[1.0, np.nan]])
     with pytest.raises(FiniteViolation):
-        kernel.matmul(bad, np.ones((2, 1)))
+        kernel.softmax_rows(bad)
     with pytest.raises(FiniteViolation):
-        kernel.relu([[np.inf, 0.0]])
+        kernel.softmax_rows([[np.inf, 0.0]])
     with pytest.raises(FiniteViolation):
-        kernel.add(bad, bad)
-
-
-def test_relu():
-    np.testing.assert_array_equal(kernel.relu([[-1.0, 0.0, 2.0]]), [[0.0, 0.0, 2.0]])
-
-
-def test_relu_backward_zero_at_kink():
-    m = np.array([[-1.0, 0.0, 2.0]])
-    up = np.array([[10.0, 10.0, 10.0]])
-    np.testing.assert_array_equal(kernel.relu_backward(m, up), [[0.0, 0.0, 10.0]])
-
-
-def test_relu_gradient_matches_finite_differences():
-    rng = make_rng(3)
-    m = rng.normal(size=(4, 6))
-    m[np.abs(m) < 0.05] = 0.5  # stay away from the kink
-    up = rng.normal(size=(4, 6))
-    h = 1e-6
-    # d/dm sum(up * relu(m)) checked coordinate-wise
-    analytic = kernel.relu_backward(m, up)
-    for idx in np.ndindex(m.shape):
-        orig = m[idx]
-        m[idx] = orig + h
-        plus = float((up * kernel.relu(m)).sum())
-        m[idx] = orig - h
-        minus = float((up * kernel.relu(m)).sum())
-        m[idx] = orig
-        fd = (plus - minus) / (2 * h)
-        assert abs(fd - analytic[idx]) < 1e-6
-
-
-def test_leaky_relu_and_backward():
-    m = np.array([[-2.0, 0.0, 3.0]])
-    np.testing.assert_allclose(kernel.leaky_relu(m), [[-0.02, 0.0, 3.0]])
-    up = np.array([[5.0, 5.0, 5.0]])
-    np.testing.assert_allclose(kernel.leaky_relu_backward(m, up), [[0.05, 0.05, 5.0]])
+        kernel.segment_mean(bad, [0], 1)
+    with pytest.raises(FiniteViolation):
+        kernel.segment_mean([[0.0, 1.0], [-np.inf, 2.0]], [0, 0], 1)
+    with pytest.raises(FiniteViolation):
+        kernel.check_finite(np.array([[[0.0], [np.nan]]]))
 
 
 def test_softmax_symmetry_and_stability():
@@ -174,38 +105,6 @@ def test_dropout_mask_bad_probability():
         kernel.dropout_mask(rng, 2, 2, 1.0)
     with pytest.raises(BadProbability):
         kernel.dropout_mask(rng, 2, 2, -0.1)
-
-
-def test_transpose_involution():
-    rng = make_rng(12)
-    m = rng.normal(size=(4, 7))
-    np.testing.assert_array_equal(kernel.transpose(kernel.transpose(m)), m)
-
-
-def test_add_scale_cancel():
-    rng = make_rng(13)
-    m = rng.normal(size=(3, 3))
-    out = kernel.add(m, kernel.scale(m, -1.0))
-    np.testing.assert_array_equal(out, np.zeros((3, 3)))
-
-
-def test_elementwise_mul_matches_loop():
-    rng = make_rng(14)
-    a = rng.normal(size=(5, 4))
-    b = rng.normal(size=(5, 4))
-    out = kernel.elementwise_mul(a, b)
-    for i in range(5):
-        for j in range(4):
-            assert out[i, j] == a[i, j] * b[i, j]
-
-
-def test_elementwise_shape_checks():
-    with pytest.raises(ShapeMismatch):
-        kernel.add(np.ones((2, 2)), np.ones((3, 2)))
-    with pytest.raises(ShapeMismatch):
-        kernel.elementwise_mul(np.ones((2, 2)), np.ones((2, 3)))
-    with pytest.raises(ShapeMismatch):
-        kernel.relu_backward(np.ones((2, 2)), np.ones((2, 3)))
 
 
 def test_rng_is_reproducible():

@@ -53,7 +53,9 @@ for k in range(4):
     print(f"  0x{graph.node_ids[k]:03x}: ({graph.in_degree[k]}, "
           f"{graph.out_degree[k]}) -> {feats[k]}")
 
-adjacency = conv_adjacency(graph)  # sym_norm_self_loop, the default
+# The one adjacency form: edges symmetrized and binarized, self-loops added,
+# then D^-1/2 . D^-1/2 degree-normalized.
+adjacency = conv_adjacency(graph)
 print(f"\nnormalized adjacency is symmetric: "
       f"{np.allclose(adjacency, adjacency.T)}; shape {adjacency.shape}")
 

@@ -44,9 +44,6 @@ from .gcn import (
     train,
 )
 from .graph_builder import (
-    ADJ_RAW_DIRECTED,
-    ADJ_SYM_NORM,
-    ADJ_SYM_NORM_WEIGHTED,
     ATTACK_FREE,
     ATTACKED,
     GraphBatch,

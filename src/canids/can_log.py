@@ -268,8 +268,9 @@ def parse_log(
 
 
 def load_log(path: str | Path, strict: bool = False) -> tuple[list[CanFrame], ParseReport]:
-    """parse_log over a file on disk."""
-    with open(path, "r", encoding="utf-8") as fh:
+    """parse_log over a file on disk; undecodable bytes read as U+FFFD, so
+    their line fails like any other malformed line."""
+    with open(path, "r", encoding="utf-8", errors="replace") as fh:
         return parse_log(fh, strict=strict)
 
 

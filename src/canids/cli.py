@@ -9,9 +9,10 @@ the library modules, so whole pipelines are reproducible from a shell script:
     canids eval   --graphs graphs.jsonl --model model.bin --scenario DoS
     canids detect --model model.bin --log - < live.log
 
-Options can come from a flat key=value config file (--config); command-line
-flags override file values. CANIDS_SEED in the environment is the fallback
-seed when neither source sets one.
+Options can come from a flat key=value config file (--config) keyed by flag
+dest (window_size, epochs, ...); command-line flags override file values. A
+key that no subcommand has a flag for is a config error. CANIDS_SEED in the
+environment is the fallback seed when neither source sets one.
 
 Exit codes: 0 success, 2 configuration or parse error, 3 I/O error,
 4 data error (e.g. single-class training set), 5 model file error.
@@ -38,7 +39,7 @@ from .gcn import (
     SingleClassDataset,
     TrainConfig,
 )
-from .graph_builder import ADJ_SYM_NORM, ADJACENCY_MODES, GraphError
+from .graph_builder import GraphError
 from .kernel import KernelError, make_rng
 from .traffic_synth import AttackSpec, NormalTrafficSpec, SynthError
 
@@ -61,7 +62,6 @@ class ExperimentConfig:
 
     window_size: int = graph_builder.DEFAULT_WINDOW_SIZE
     stride: int | None = None
-    adjacency_mode: str = ADJ_SYM_NORM
     train_fraction: float = 0.8
     split_seed: int = 0
     seed: int = 0
@@ -94,12 +94,25 @@ def _as_bool(text: str) -> bool:
     raise ConfigError(f"not a boolean: {text!r}")
 
 
+def _flag_dests() -> set[str]:
+    """The dest of every flag of every subcommand: the keys a config file may
+    set. One file can serve several subcommands, each reading its own keys."""
+    subcommands = next(action.choices for action in build_parser()._actions
+                       if isinstance(action, argparse._SubParsersAction))
+    return {action.dest for sub in subcommands.values() for action in sub._actions
+            if not isinstance(action, argparse._HelpAction)}
+
+
 class _Options:
     """Resolution order: command-line flag, config file, environment, default."""
 
     def __init__(self, args: argparse.Namespace):
         self.args = args
         self.file_values = load_config_file(args.config) if args.config else {}
+        unknown = sorted(self.file_values.keys() - _flag_dests())
+        if unknown:
+            raise ConfigError(f"{args.config}: no canids flag sets "
+                              f"{', '.join(map(repr, unknown))}")
 
     def get(self, name: str, default, convert=None):
         cli_value = getattr(self.args, name, None)
@@ -137,7 +150,6 @@ def _experiment_config(opt: _Options) -> ExperimentConfig:
     cfg = ExperimentConfig(
         window_size=opt.get("window_size", graph_builder.DEFAULT_WINDOW_SIZE),
         stride=opt.get("stride", None, convert=int),
-        adjacency_mode=opt.get("adjacency_mode", ADJ_SYM_NORM),
         train_fraction=opt.get("train_fraction", 0.8),
         split_seed=opt.get("split_seed", 0),
         seed=opt.seed(),
@@ -148,8 +160,6 @@ def _experiment_config(opt: _Options) -> ExperimentConfig:
         raise ConfigError("window_size must be >= 2")
     if not 0.0 < cfg.train_fraction < 1.0:
         raise ConfigError("train_fraction must be strictly between 0 and 1")
-    if cfg.adjacency_mode not in ADJACENCY_MODES:
-        raise ConfigError(f"adjacency_mode must be one of {ADJACENCY_MODES}")
     if not 0.0 <= cfg.threshold <= 1.0:  # also rejects nan
         raise ConfigError("threshold must be in [0, 1]")
     return cfg
@@ -326,10 +336,8 @@ def cmd_train(args: argparse.Namespace) -> int:
         learning_rate=opt.get("learning_rate", TrainConfig.learning_rate),
         epochs=opt.get("epochs", TrainConfig.epochs),
         batch_size=opt.get("batch_size", TrainConfig.batch_size),
-        optimizer=opt.get("optimizer", TrainConfig.optimizer),
         seed=cfg.seed,
         dropout_p=opt.get("dropout", TrainConfig.dropout_p),
-        adjacency_mode=cfg.adjacency_mode,
         patience=opt.get("patience", TrainConfig.patience, convert=int),
         allow_single_class=opt.get("allow_single_class",
                                    TrainConfig.allow_single_class),
@@ -366,9 +374,7 @@ def cmd_eval(args: argparse.Namespace) -> int:
 
     graphs = _load_graphs_for(opt, cfg)
     params = gcn.load_params(model_path)
-    predictions, _ = gcn.predict_many(
-        graphs, params, threshold=cfg.threshold, adjacency_mode=cfg.adjacency_mode
-    )
+    predictions, _ = gcn.predict_many(graphs, params, threshold=cfg.threshold)
     labels = [g.label for g in graphs]
     report = scenario_report(
         scenario, predictions.tolist(), labels, PAPER_TARGETS.get(scenario)
@@ -390,8 +396,7 @@ def cmd_detect(args: argparse.Namespace) -> int:
         raise ConfigError("detect needs --model")
     log_path = opt.get("log", "-")
     detector = Detector(gcn.load_params(model_path), cfg.window_size,
-                        cfg.stride or cfg.window_size, cfg.threshold,
-                        cfg.adjacency_mode)
+                        cfg.stride or cfg.window_size, cfg.threshold)
 
     def warn(line_no: int, kind: str) -> None:
         print(f"warning: line {line_no}: {kind}", file=sys.stderr)
@@ -411,7 +416,7 @@ def cmd_detect(args: argparse.Namespace) -> int:
 
     if log_path == "-":
         return run(sys.stdin)
-    with open(log_path, "r", encoding="utf-8") as fh:
+    with open(log_path, "r", encoding="utf-8", errors="replace") as fh:
         return run(fh)
 
 
@@ -425,8 +430,6 @@ def _add_common(parser: argparse.ArgumentParser) -> None:
 def _add_window_opts(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--window-size", dest="window_size", type=int)
     parser.add_argument("--stride", type=int)
-    parser.add_argument("--adjacency-mode", dest="adjacency_mode",
-                        choices=ADJACENCY_MODES)
     parser.add_argument("--strict", action="store_const", const=True, default=None,
                         help="abort on the first malformed log line")
 
@@ -469,7 +472,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--epochs", type=int)
     p.add_argument("--learning-rate", dest="learning_rate", type=float)
     p.add_argument("--batch-size", dest="batch_size", type=int)
-    p.add_argument("--optimizer", choices=("adam", "sgd"))
     p.add_argument("--dropout", type=float)
     p.add_argument("--patience", type=int)
     p.add_argument("--allow-single-class", dest="allow_single_class",
@@ -512,7 +514,8 @@ def main(argv=None) -> int:
     except (ModelError, KernelError) as err:
         print(f"error: {err}", file=sys.stderr)
         return EXIT_MODEL
-    except (ConfigError, CanLogError, SynthError, GraphError, EvalError) as err:
+    except (ConfigError, CanLogError, SynthError, GraphError, EvalError,
+            UnicodeDecodeError) as err:
         print(f"error: {err}", file=sys.stderr)
         return EXIT_CONFIG
     except OSError as err:

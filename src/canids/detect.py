@@ -16,7 +16,7 @@ from dataclasses import dataclass
 from . import gcn
 from .can_log import CanFrame
 from .gcn import GcnParams
-from .graph_builder import ADJ_SYM_NORM, DEFAULT_WINDOW_SIZE, GraphError, SlidingGraph
+from .graph_builder import DEFAULT_WINDOW_SIZE, GraphError, SlidingGraph
 
 
 @dataclass(frozen=True)
@@ -43,7 +43,6 @@ class Detector:
         window_size: int = DEFAULT_WINDOW_SIZE,
         stride: int | None = None,
         threshold: float = 0.5,
-        adjacency_mode: str = ADJ_SYM_NORM,
     ):
         stride = window_size if stride is None else stride
         if not 1 <= stride <= window_size:
@@ -53,7 +52,6 @@ class Detector:
         self.window_size = window_size
         self.stride = stride
         self.threshold = threshold
-        self.adjacency_mode = adjacency_mode
         self.frames: deque[CanFrame] = deque(maxlen=window_size)
         self.injected_frames = 0
         self.frames_seen = 0
@@ -75,8 +73,7 @@ class Detector:
             return None
         injected = self.injected_frames > 0
         graph = self.graph.snapshot(injected, self.windows)
-        label, prob = gcn.predict(graph, self.params, threshold=self.threshold,
-                                  adjacency_mode=self.adjacency_mode)
+        label, prob = gcn.predict(graph, self.params, threshold=self.threshold)
         self.windows += 1
         return Verdict(graph.window_index, frames[0].timestamp_us,
                        frames[-1].timestamp_us, label, prob, injected)

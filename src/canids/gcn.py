@@ -42,13 +42,7 @@ from typing import Sequence
 import numpy as np
 
 from . import kernel
-from .graph_builder import (
-    ADJ_SYM_NORM,
-    GraphBatch,
-    MessageGraph,
-    assemble_batch,
-    prepare_graph,
-)
+from .graph_builder import GraphBatch, MessageGraph, assemble_batch, prepare_graph
 from .kernel import Matrix, ShapeMismatch, make_rng
 
 IN_FEATURES = 2
@@ -162,24 +156,23 @@ class ForwardCache:
 
 @dataclass
 class TrainConfig:
-    """Optimization schedule and adjacency mode; the one source of training
-    defaults, which the CLI reads too.
+    """Optimization schedule; the one source of training defaults, which the
+    CLI reads too.
 
-    Defaults are tuned for this ~100-parameter model on max-normalized
-    degree features: Adam at 0.05 with light readout dropout (0.1). Heavier
-    dropout on an 8-wide readout drowns the gradient signal and caps accuracy
-    well below what the model can reach; 0.5 remains available for ablation.
-    Adam's moment decays and epsilon are the module constants ADAM_BETA1,
-    ADAM_BETA2 and ADAM_EPS.
+    Training always uses Adam, and graphs always take graph_builder's one
+    convolution adjacency. Defaults are tuned for this ~100-parameter model
+    on max-normalized degree features: Adam at 0.05 with light readout
+    dropout (0.1). Heavier dropout on an 8-wide readout drowns the gradient
+    signal and caps accuracy well below what the model can reach; 0.5
+    remains available for ablation. Adam's moment decays and epsilon are the
+    module constants ADAM_BETA1, ADAM_BETA2 and ADAM_EPS.
     """
 
     learning_rate: float = 0.05
     epochs: int = 40
     batch_size: int = 64
-    optimizer: str = "adam"
     seed: int = 0
     dropout_p: float = 0.1
-    adjacency_mode: str = ADJ_SYM_NORM
     patience: int | None = None
     allow_single_class: bool = False
 
@@ -192,8 +185,6 @@ class TrainConfig:
             raise ModelError("epochs must be >= 1")
         if self.batch_size < 1:
             raise ModelError("batch_size must be >= 1")
-        if self.optimizer not in ("adam", "sgd"):
-            raise ModelError(f"unknown optimizer {self.optimizer!r}")
 
 
 @dataclass
@@ -352,15 +343,6 @@ class _Adam:
             p -= self.lr * m_hat / (np.sqrt(v_hat) + ADAM_EPS)
 
 
-class _Sgd:
-    def __init__(self, lr):
-        self.lr = lr
-
-    def step(self, params, grads) -> None:
-        for p, g in zip(params, grads):
-            p -= self.lr * g
-
-
 def _infer_on_prepared(prepared, params, batch_size) -> Matrix:
     """Inference probabilities over prepared graphs, chunked to bound memory."""
     probs_parts = []
@@ -380,8 +362,8 @@ def train(
 
     Graphs are reshuffled every epoch with a seeded generator, zero-padded
     into batches of batch_size graphs, and pushed through forward/backward
-    with the configured optimizer. Deterministic: same data, same config,
-    bit-identical params.
+    with Adam steps. Deterministic: same data, same config, bit-identical
+    params.
     """
     config = config or TrainConfig()
     if not graphs:
@@ -399,16 +381,9 @@ def train(
     shuffle_rng = make_rng(shuffle_ss)
     dropout_rng = make_rng(dropout_ss)
 
-    prepared = [prepare_graph(g, config.adjacency_mode) for g in graphs]
-    prepared_val = (
-        [prepare_graph(g, config.adjacency_mode) for g in val_graphs]
-        if val_graphs else None
-    )
-
-    if config.optimizer == "adam":
-        opt = _Adam([a.shape for a in params.arrays()], config.learning_rate)
-    else:
-        opt = _Sgd(config.learning_rate)
+    prepared = [prepare_graph(g) for g in graphs]
+    prepared_val = [prepare_graph(g) for g in val_graphs] if val_graphs else None
+    opt = _Adam([a.shape for a in params.arrays()], config.learning_rate)
 
     history: list[EpochRecord] = []
     best_val = np.inf
@@ -458,10 +433,9 @@ def predict(
     graph: MessageGraph,
     params: GcnParams,
     threshold: float = 0.5,
-    adjacency_mode: str = ADJ_SYM_NORM,
 ) -> tuple[int, float]:
     """Label one graph: (label, attacked probability); predict_many of one."""
-    labels, probs = predict_many([graph], params, threshold, adjacency_mode)
+    labels, probs = predict_many([graph], params, threshold)
     return int(labels[0]), float(probs[0])
 
 
@@ -469,16 +443,14 @@ def predict_many(
     graphs: Sequence[MessageGraph],
     params: GcnParams,
     threshold: float = 0.5,
-    adjacency_mode: str = ADJ_SYM_NORM,
     batch_size: int = 256,
 ) -> tuple[np.ndarray, np.ndarray]:
     """Labels and attacked probabilities of many graphs, batch_size at a time.
 
-    The adjacency mode must be the one used at training time. A graph is
-    attacked iff its probability is >= threshold, so an exact tie flags the
-    window (flagging is the safer failure for an IDS).
+    A graph is attacked iff its probability is >= threshold, so an exact tie
+    flags the window (flagging is the safer failure for an IDS).
     """
-    prepared = [prepare_graph(g, adjacency_mode) for g in graphs]
+    prepared = [prepare_graph(g) for g in graphs]
     probs = _infer_on_prepared(prepared, params, batch_size)
     p_attacked = probs[:, 1]
     return (p_attacked >= threshold).astype(np.int64), p_attacked

@@ -16,10 +16,10 @@ per pushed id, so a stream scored at stride 1 never rebuilds a whole window.
 Its snapshot renders the window with node order, edges and degrees exactly as
 a from-scratch build; graph_from_ids is a push of every id then a snapshot.
 
-For the convolution, the adjacency can be taken raw (binary, directed) or in
-the default form: symmetrized, self-loops added, then symmetrically
-degree-normalized. Batches pad every graph to the largest node count in the
-batch and stack them, so one batched pass never mixes nodes across graphs.
+The convolution sees one adjacency form: the edges symmetrized and binarized,
+self-loops added, then symmetrically degree-normalized. Batches pad every
+graph to the largest node count in the batch and stack them, so one batched
+pass never mixes nodes across graphs.
 """
 
 from __future__ import annotations
@@ -39,11 +39,6 @@ DEFAULT_WINDOW_SIZE = 200
 
 ATTACK_FREE = 0
 ATTACKED = 1
-
-ADJ_RAW_DIRECTED = "raw_directed"
-ADJ_SYM_NORM = "sym_norm_self_loop"
-ADJ_SYM_NORM_WEIGHTED = "sym_norm_weighted"
-ADJACENCY_MODES = (ADJ_RAW_DIRECTED, ADJ_SYM_NORM, ADJ_SYM_NORM_WEIGHTED)
 
 
 class GraphError(ValueError):
@@ -238,41 +233,25 @@ def node_features(graph: MessageGraph) -> Matrix:
     return feats
 
 
-def conv_adjacency(graph: MessageGraph, mode: str = ADJ_SYM_NORM) -> Matrix:
-    """Convolution-ready n x n adjacency.
-
-    raw_directed: binary, A[i, j] = 1 iff edge i->j was observed.
-    sym_norm_self_loop (default): symmetrize and binarize, add self-loops,
-    then normalize D^-1/2 (A~) D^-1/2 with D the row sums.
-    sym_norm_weighted: same, but A keeps edge multiplicities
-    (A~ = A + A^T + I), so repeated-transition frequencies survive into the
-    convolution.
-
-    Raw directed adjacency starves zero-in-degree nodes and scales with
-    degree, so the normalized forms are preferred; raw is kept for ablation.
-    """
-    if mode not in ADJACENCY_MODES:
-        raise GraphError(f"unknown adjacency mode {mode!r}")
+def conv_adjacency(graph: MessageGraph) -> Matrix:
+    """Convolution-ready n x n adjacency, the only form the model sees:
+    D^-1/2 (A~) D^-1/2, where A~ is the edge set symmetrized and binarized
+    (multiplicities dropped) plus self-loops, and D holds the row sums of A~.
+    The self-loops keep every node's own features in its update and the
+    normalization keeps high-degree hubs from scaling their neighbours."""
     n = graph.num_nodes
     a = np.zeros((n, n), dtype=np.float64)
-    for (src, dst), mult in graph.edges.items():
-        a[src, dst] = 1.0 if mode != ADJ_SYM_NORM_WEIGHTED else float(mult)
-    if mode == ADJ_RAW_DIRECTED:
-        return a
-    if mode == ADJ_SYM_NORM_WEIGHTED:
-        sym = a + a.T
-    else:
-        sym = ((a + a.T) > 0).astype(np.float64)
+    for src, dst in graph.edges:
+        a[src, dst] = 1.0
+    sym = ((a + a.T) > 0).astype(np.float64)
     sym += np.eye(n)
     inv_sqrt = 1.0 / np.sqrt(sym.sum(axis=1))
     return sym * inv_sqrt[:, None] * inv_sqrt[None, :]
 
 
-def prepare_graph(
-    graph: MessageGraph, mode: str = ADJ_SYM_NORM
-) -> tuple[Matrix, Matrix, int]:
+def prepare_graph(graph: MessageGraph) -> tuple[Matrix, Matrix, int]:
     """Precompute (adjacency, features, label) for repeated batching."""
-    return conv_adjacency(graph, mode), node_features(graph), graph.label
+    return conv_adjacency(graph), node_features(graph), graph.label
 
 
 def assemble_batch(prepared: Sequence[tuple[Matrix, Matrix, int]]) -> GraphBatch:
@@ -293,9 +272,9 @@ def assemble_batch(prepared: Sequence[tuple[Matrix, Matrix, int]]) -> GraphBatch
     return GraphBatch(adjacency, features, num_nodes, labels)
 
 
-def batch_graphs(graphs: Sequence[MessageGraph], mode: str = ADJ_SYM_NORM) -> GraphBatch:
-    """Padded batch of the given graphs under one adjacency mode."""
-    return assemble_batch([prepare_graph(g, mode) for g in graphs])
+def batch_graphs(graphs: Sequence[MessageGraph]) -> GraphBatch:
+    """Padded batch of the given graphs."""
+    return assemble_batch([prepare_graph(g) for g in graphs])
 
 
 _LABEL_TEXT = {ATTACK_FREE: "attack_free", ATTACKED: "attacked"}
@@ -330,32 +309,51 @@ def dump_graphs(target: str | Path | IO[str], graphs: Iterable[MessageGraph]) ->
     return _write(target)
 
 
+def _int_at_least(value, low: int, what: str) -> int:
+    if type(value) is not int or value < low:  # bools are not counts
+        raise ValueError(f"{what} {value!r} is not an int >= {low}")
+    return value
+
+
 def _graph_from_record(line: str) -> MessageGraph:
+    """One dump record as a MessageGraph; a record that no window could give
+    (bad counts, a repeated edge, multiplicities not summing to
+    window_size - 1) raises ValueError, KeyError, IndexError or TypeError."""
     rec = json.loads(line)
+    window_size = _int_at_least(rec["window_size"], 2, "window_size")
     node_ids = [int(s, 16) for s in rec["nodes"]]
     n = len(node_ids)
-    edges = {(s, d): m for s, d, m in rec["edges"]}
+    edges: dict[tuple[int, int], int] = {}
     in_deg = np.zeros(n, dtype=np.int64)
     out_deg = np.zeros(n, dtype=np.int64)
-    for (s, d), m in edges.items():
-        if not (0 <= s < n and 0 <= d < n):
+    for s, d, m in rec["edges"]:
+        _int_at_least(s, 0, "edge source")
+        _int_at_least(d, 0, "edge target")
+        if s >= n or d >= n:
             raise IndexError(f"edge {s}->{d} outside {n} nodes")
+        if (s, d) in edges:
+            raise ValueError(f"edge {s}->{d} repeated")
+        edges[s, d] = _int_at_least(m, 1, "multiplicity")
         out_deg[s] += m
         in_deg[d] += m
+    total = sum(edges.values())
+    if total != window_size - 1:
+        raise ValueError(f"multiplicities sum to {total}, not window_size - 1")
     return MessageGraph(
-        window_index=rec["window_index"],
+        window_index=_int_at_least(rec["window_index"], 0, "window_index"),
         node_ids=node_ids,
         edges=edges,
         in_degree=in_deg,
         out_degree=out_deg,
         label=_TEXT_LABEL[rec["label"]],
-        window_size=rec["window_size"],
+        window_size=window_size,
     )
 
 
 def load_graphs(source: str | Path | IO[str]) -> list[MessageGraph]:
     """Read a JSON-lines graph dump back into MessageGraph objects; a line
-    that is not a valid record raises MalformedGraphRecord naming it."""
+    that is not a valid record (undecodable bytes included) raises
+    MalformedGraphRecord naming it."""
 
     def _read(fh) -> list[MessageGraph]:
         graphs = []
@@ -372,6 +370,6 @@ def load_graphs(source: str | Path | IO[str]) -> list[MessageGraph]:
         return graphs
 
     if isinstance(source, (str, Path)):
-        with open(source, "r", encoding="utf-8") as fh:
+        with open(source, "r", encoding="utf-8", errors="replace") as fh:
             return _read(fh)
     return _read(source)

@@ -87,6 +87,40 @@ def test_graphs_warns_on_non_ascii_digits(tmp_path, capsys):
     assert len(graph_builder.load_graphs(out)) == 1
 
 
+def test_undecodable_log_bytes_warn_per_line(tmp_path, capsys):
+    log = tmp_path / "bad.log"
+    log.write_bytes(b"10 100 0\n11 1\xff0 0\n")
+    assert main(["graphs", "--log", str(log), "--out", str(tmp_path / "g.jsonl")]) == EXIT_OK
+    assert capsys.readouterr().err == "warning: line 2: BadHex\n"
+    model = tmp_path / "model.bin"
+    gcn.save_params(gcn.init_params(0), model)
+    assert main(["detect", "--model", str(model), "--log", str(log)]) == EXIT_OK
+    assert capsys.readouterr().err == "warning: line 2: BadHex\n"
+
+
+def test_undecodable_graph_dump_and_config_are_config_errors(tmp_path, capsys):
+    dump = _make_training_dump(tmp_path)
+    lines = dump.read_bytes().splitlines(keepends=True)
+    lines[2] = lines[2].replace(b'"0x', b'"0x\xff', 1)
+    dump.write_bytes(b"".join(lines))
+    assert main(["train", "--graphs", str(dump),
+                 "--model", str(tmp_path / "m.bin")]) == EXIT_CONFIG
+    err = capsys.readouterr().err
+    assert err.startswith("error: graph dump line 3: ") and err.count("\n") == 1
+    config = tmp_path / "exp.conf"
+    config.write_bytes(b"window_size=1\xff\n")
+    assert main(["graphs", "--config", str(config), "--log", "x.log",
+                 "--out", str(tmp_path / "g.jsonl")]) == EXIT_CONFIG
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and err.count("\n") == 1
+
+
+def test_removed_flags_are_rejected(capsys):
+    assert main(["graphs", "--adjacency-mode", "raw_directed"]) == EXIT_CONFIG
+    assert main(["train", "--optimizer", "sgd"]) == EXIT_CONFIG
+    assert "unrecognized arguments" in capsys.readouterr().err
+
+
 def test_missing_log_is_io_error(tmp_path):
     assert main(["graphs", "--log", str(tmp_path / "nope.log"),
                  "--out", str(tmp_path / "g.jsonl")]) == EXIT_IO
@@ -415,6 +449,32 @@ def test_config_value_that_does_not_convert(tmp_path, capsys, monkeypatch):
     monkeypatch.setenv("CANIDS_SEED", "seven")
     assert main(["synth", "--normal", "100", "--out", str(tmp_path / "s.log")]) == EXIT_CONFIG
     assert "CANIDS_SEED" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("line", ["windw_size=50", "adjacency_mode=raw_directed",
+                                  "optimizer=sgd"])
+def test_config_key_no_flag_sets_is_rejected(tmp_path, capsys, line):
+    dump = _make_training_dump(tmp_path)
+    config = tmp_path / "exp.conf"
+    config.write_text(f"epochs=2\n{line}\n")
+    assert main(["train", "--config", str(config), "--graphs", str(dump),
+                 "--model", str(tmp_path / "m.bin")]) == EXIT_CONFIG
+    key = line.partition("=")[0]
+    assert capsys.readouterr().err == f"error: {config}: no canids flag sets {key!r}\n"
+
+
+def test_config_file_shared_across_subcommands(tmp_path, capsys):
+    """train reads epochs, eval reads threshold and scenario; each ignores
+    the other's keys."""
+    dump = _make_training_dump(tmp_path)
+    model = tmp_path / "m.bin"
+    config = tmp_path / "exp.conf"
+    config.write_text("epochs=2\nthreshold=0.5\nscenario=DoS\n")
+    assert main(["train", "--config", str(config), "--graphs", str(dump),
+                 "--model", str(model)]) == EXIT_OK
+    assert main(["eval", "--config", str(config), "--graphs", str(dump),
+                 "--model", str(model)]) == EXIT_OK
+    assert "scenario: DoS" in capsys.readouterr().out
 
 
 def test_load_config_file_rejects_garbage(tmp_path):

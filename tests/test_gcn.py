@@ -320,15 +320,6 @@ def test_train_config_validation():
         TrainConfig(learning_rate=0.0)
     with pytest.raises(Exception):
         TrainConfig(dropout_p=1.0)
-    with pytest.raises(Exception):
-        TrainConfig(optimizer="rmsprop")
-
-
-def test_sgd_optimizer_runs():
-    graphs = separable_dataset(20)
-    config = TrainConfig(seed=0, epochs=20, optimizer="sgd", learning_rate=0.1)
-    params, history = train(graphs, config)
-    assert history[-1].train_loss < history[0].train_loss
 
 
 def test_predict_zero_params_ties_to_attacked():

@@ -5,9 +5,6 @@ import pytest
 
 from canids.can_log import AttackKind, CanFrame
 from canids.graph_builder import (
-    ADJ_RAW_DIRECTED,
-    ADJ_SYM_NORM,
-    ADJ_SYM_NORM_WEIGHTED,
     ATTACK_FREE,
     ATTACKED,
     EmptyBatch,
@@ -172,22 +169,13 @@ def test_node_features_normalization_zero_safe():
 
 def test_conv_adjacency_self_loop_singleton():
     g = graph_from_ids([5] * 200, attacked=False)
-    np.testing.assert_allclose(conv_adjacency(g, ADJ_SYM_NORM), [[1.0]])
-    np.testing.assert_allclose(conv_adjacency(g, ADJ_SYM_NORM_WEIGHTED), [[1.0]])
+    np.testing.assert_allclose(conv_adjacency(g), [[1.0]])
 
 
 def test_conv_adjacency_two_node_cycle():
     g = graph_from_ids([1, 2, 1], attacked=False)
-    adj = conv_adjacency(g, ADJ_SYM_NORM)
+    adj = conv_adjacency(g)
     np.testing.assert_allclose(adj, np.full((2, 2), 0.5))
-
-
-def test_conv_adjacency_raw_directed():
-    g = graph_from_ids([10, 20, 10, 30], attacked=False)
-    adj = conv_adjacency(g, ADJ_RAW_DIRECTED)
-    assert adj.sum() == 3
-    assert set(np.argwhere(adj == 1).flatten().tolist()) <= {0, 1, 2}
-    np.testing.assert_array_equal(adj, [[0, 1, 1], [1, 0, 0], [0, 0, 0]])
 
 
 def test_sym_norm_properties():
@@ -195,27 +183,17 @@ def test_sym_norm_properties():
     for _ in range(20):
         ids = random_id_window(rng, int(rng.integers(5, 300)), pool=12)
         g = graph_from_ids(ids, attacked=False)
-        for mode in (ADJ_SYM_NORM, ADJ_SYM_NORM_WEIGHTED):
-            adj = conv_adjacency(g, mode)
-            np.testing.assert_allclose(adj, adj.T, atol=1e-12)
-            # recover A~ and D~ and check A_ij = A~_ij / sqrt(d_i d_j)
-            n = g.num_nodes
-            a = np.zeros((n, n))
-            for (s, d), m in g.edges.items():
-                a[s, d] = 1.0 if mode == ADJ_SYM_NORM else m
-            if mode == ADJ_SYM_NORM:
-                tilde = ((a + a.T) > 0).astype(float) + np.eye(n)
-            else:
-                tilde = a + a.T + np.eye(n)
-            deg = tilde.sum(axis=1)
-            expected = tilde / np.sqrt(np.outer(deg, deg))
-            np.testing.assert_allclose(adj, expected, atol=1e-12)
-
-
-def test_conv_adjacency_unknown_mode():
-    g = graph_from_ids([1, 2], attacked=False)
-    with pytest.raises(GraphError):
-        conv_adjacency(g, "bogus")
+        adj = conv_adjacency(g)
+        np.testing.assert_allclose(adj, adj.T, atol=1e-12)
+        # recover A~ and D~ and check A_ij = A~_ij / sqrt(d_i d_j)
+        n = g.num_nodes
+        a = np.zeros((n, n))
+        for s, d in g.edges:
+            a[s, d] = 1.0
+        tilde = ((a + a.T) > 0).astype(float) + np.eye(n)
+        deg = tilde.sum(axis=1)
+        expected = tilde / np.sqrt(np.outer(deg, deg))
+        np.testing.assert_allclose(adj, expected, atol=1e-12)
 
 
 def test_batch_single_graph_equals_graph():
@@ -296,8 +274,20 @@ GOOD_RECORD = ('{"window_index":0,"window_size":3,"nodes":["0x1","0x2"],'
     GOOD_RECORD.replace("[1,0,1]", "[-1,0,1]"),         # negative endpoint
     GOOD_RECORD.replace("[1,0,1]", "[1,0]"),            # edge not a triple
     "[1, 2, 3]",                                        # not an object
+    GOOD_RECORD.replace("[1,0,1]", "[1,0,0]"),          # zero multiplicity
+    GOOD_RECORD.replace("[0,1,1],[1,0,1]", "[0,1,-5],[1,0,1.5]"),  # negative, float
+    GOOD_RECORD.replace("[1,0,1]", "[1,0,true]"),       # bool multiplicity
+    GOOD_RECORD.replace("[1,0,1]", "[0,1,1]"),          # repeated edge
+    GOOD_RECORD.replace('"window_index":0', '"window_index":-1'),
+    GOOD_RECORD.replace('"window_index":0', '"window_index":"0"'),
+    GOOD_RECORD.replace('"window_size":3', '"window_size":1'),
+    GOOD_RECORD.replace('"window_size":3', '"window_size":3.0'),
+    GOOD_RECORD.replace('"window_size":3', '"window_size":4'),  # sum is not 3
 ], ids=["truncated", "missing-field", "non-hex-node", "unknown-label",
-        "endpoint-past-nodes", "negative-endpoint", "edge-pair", "not-object"])
+        "endpoint-past-nodes", "negative-endpoint", "edge-pair", "not-object",
+        "zero-multiplicity", "negative-multiplicity", "bool-multiplicity",
+        "repeated-edge", "negative-window-index", "string-window-index",
+        "window-size-1", "float-window-size", "multiplicity-sum"])
 def test_load_graphs_rejects_malformed_record(bad):
     with pytest.raises(MalformedGraphRecord, match="line 3"):
         load_graphs(io.StringIO(f"{GOOD_RECORD}\n\n{bad}\n"))

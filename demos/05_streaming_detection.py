@@ -1,15 +1,15 @@
 """Streaming detection: rolling-window verdicts with bounded memory.
 
-The `canids detect` subcommand drives the same Detector over stdin or a
-file; here it runs in-process. The Detector keeps one window of frames and
-its message graph, updated in O(1) per frame, so memory stays at one window
-no matter how long the stream runs.
+The `canids detect` subcommand runs the same `verdicts` generator over stdin
+or a file; here it runs in-process. It slides one window over the frames and
+updates the window's message graph in O(1) per frame, so memory stays at one
+window no matter how long the stream runs. Training graphs come from the same
+window loop.
 """
 
 from canids import (
     AttackKind,
     AttackSpec,
-    Detector,
     NormalTrafficSpec,
     TrainConfig,
     default_id_pool,
@@ -17,6 +17,7 @@ from canids import (
     graphs_from_frames,
     mix_attacks,
     train,
+    verdicts,
 )
 from canids.can_log import format_timestamp
 
@@ -38,26 +39,21 @@ params, _ = train(graphs_from_frames(stream.frames), TrainConfig(seed=0))
 
 # Now watch a "live" stream: one verdict every STRIDE frames once the first
 # WINDOW frames have arrived.
-detector = Detector(params, window_size=WINDOW, stride=STRIDE)
-verdicts = []
-for frame in stream.frames:
-    verdict = detector.push(frame)
-    if verdict is not None:
-        verdicts.append(verdict)
+scored = list(verdicts(stream.frames, params, window_size=WINDOW, stride=STRIDE))
 
-print(f"{detector.frames_seen} frames -> {len(verdicts)} verdicts "
+print(f"{len(stream.frames)} frames -> {len(scored)} verdicts "
       f"(the detector never holds more than {WINDOW} frames)")
 print("\nindex  first_ts    last_ts     verdict      p(attacked)  injected")
-for v in verdicts[:: len(verdicts) // 12]:
+for v in scored[:: len(scored) // 12]:
     kind = "attacked" if v.label else "attack_free"
     print(f"{v.window_index:5d}  {format_timestamp(v.first_timestamp_us):>10s}  "
           f"{format_timestamp(v.last_timestamp_us):>10s}  {kind:11s}  "
           f"{v.probability:.4f}       {'yes' if v.injected else 'no'}")
 
-flagged = sum(1 for v in verdicts if v.label)
-hits = sum(1 for v in verdicts if v.label and v.injected)
-injected = sum(1 for v in verdicts if v.injected)
-print(f"\nflagged {flagged}/{len(verdicts)} windows; {hits} of the {injected} "
+flagged = sum(1 for v in scored if v.label)
+hits = sum(1 for v in scored if v.label and v.injected)
+injected = sum(1 for v in scored if v.injected)
+print(f"\nflagged {flagged}/{len(scored)} windows; {hits} of the {injected} "
       f"windows holding injected frames; attack ran from "
       f"{0.3 * t / 1e6:.1f}s to {0.7 * t / 1e6:.1f}s")
 print("\nequivalent CLI: canids detect --model model.bin --log - < live.log")

@@ -19,7 +19,7 @@ from .can_log import (
     save_log,
     serialize_frame,
 )
-from .detect import Detector, Verdict
+from .detect import Verdict, verdicts
 from .evaluate import (
     PAPER_TARGETS,
     SCENARIOS,
@@ -57,6 +57,7 @@ from .graph_builder import (
     graphs_from_frames,
     load_graphs,
     node_features,
+    sliding_windows,
 )
 from .kernel import make_rng
 from .traffic_synth import (

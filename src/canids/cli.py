@@ -24,6 +24,7 @@ import argparse
 import json
 import os
 import sys
+from contextlib import nullcontext
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -31,7 +32,7 @@ import numpy as np
 
 from . import can_log, gcn, graph_builder, traffic_synth
 from .can_log import AttackKind, CanLogError, format_timestamp
-from .detect import Detector
+from .detect import verdicts
 from .evaluate import PAPER_TARGETS, SCENARIOS, EvalError, scenario_report
 from .gcn import (
     EmptyDataset,
@@ -71,10 +72,12 @@ class ExperimentConfig:
 
 def load_config_file(path: str | Path) -> dict[str, str]:
     """Flat key=value lines; blank lines and # comments ignored."""
+    try:
+        text = Path(path).read_text(encoding="utf-8")
+    except UnicodeDecodeError as err:
+        raise ConfigError(f"{path}: not UTF-8 text: {err}") from None
     values: dict[str, str] = {}
-    for line_no, line in enumerate(
-        Path(path).read_text(encoding="utf-8").splitlines(), start=1
-    ):
+    for line_no, line in enumerate(text.splitlines(), start=1):
         stripped = line.strip()
         if not stripped or stripped.startswith("#"):
             continue
@@ -395,29 +398,23 @@ def cmd_detect(args: argparse.Namespace) -> int:
     if not model_path:
         raise ConfigError("detect needs --model")
     log_path = opt.get("log", "-")
-    detector = Detector(gcn.load_params(model_path), cfg.window_size,
-                        cfg.stride or cfg.window_size, cfg.threshold)
+    params = gcn.load_params(model_path)
 
     def warn(line_no: int, kind: str) -> None:
         print(f"warning: line {line_no}: {kind}", file=sys.stderr)
 
-    def run(source) -> int:
-        report = can_log.ParseReport()
-        for frame in can_log.read_frames(source, report, cfg.strict, warn):
-            verdict = detector.push(frame)
-            if verdict is not None:
-                print(
-                    f"{verdict.window_index} "
-                    f"{format_timestamp(verdict.first_timestamp_us)} "
-                    f"{format_timestamp(verdict.last_timestamp_us)} "
-                    f"{_LABEL_TEXT[verdict.label]} {verdict.probability:.6f}"
-                )
-        return EXIT_OK
-
-    if log_path == "-":
-        return run(sys.stdin)
-    with open(log_path, "r", encoding="utf-8", errors="replace") as fh:
-        return run(fh)
+    with (nullcontext(sys.stdin) if log_path == "-" else
+          open(log_path, "r", encoding="utf-8", errors="replace")) as source:
+        frames = can_log.read_frames(source, can_log.ParseReport(), cfg.strict, warn)
+        for verdict in verdicts(frames, params, cfg.window_size, cfg.stride,
+                                cfg.threshold):
+            print(
+                f"{verdict.window_index} "
+                f"{format_timestamp(verdict.first_timestamp_us)} "
+                f"{format_timestamp(verdict.last_timestamp_us)} "
+                f"{_LABEL_TEXT[verdict.label]} {verdict.probability:.6f}"
+            )
+    return EXIT_OK
 
 
 # ----------------------------------------------------------------- main ----

@@ -1,22 +1,20 @@
 """Streaming detection: one verdict per completed window, as frames arrive.
 
-A Detector keeps the last window_size frames and their message graph
-(graph_builder.SlidingGraph), updated in O(1) per frame. Once the window has
-filled, every stride-th frame completes a window, which is scored at once as
-a batch of one through gcn.predict; nothing waits for later windows, so a
-verdict's latency is one graph snapshot plus one forward pass. Memory stays
-at one window however long the stream runs.
+verdicts scores each window of graph_builder.sliding_windows, the loop that
+also builds training graphs, as a batch of one through gcn.predict as soon as
+its last frame arrives. Nothing waits for later windows, so a verdict costs
+one graph snapshot plus one forward pass, and memory stays at one window.
 """
 
 from __future__ import annotations
 
-from collections import deque
 from dataclasses import dataclass
+from typing import Iterable, Iterator
 
 from . import gcn
 from .can_log import CanFrame
 from .gcn import GcnParams
-from .graph_builder import DEFAULT_WINDOW_SIZE, GraphError, SlidingGraph
+from .graph_builder import DEFAULT_WINDOW_SIZE, sliding_windows
 
 
 @dataclass(frozen=True)
@@ -33,47 +31,16 @@ class Verdict:
     injected: bool
 
 
-class Detector:
-    """Windows of window_size frames starting every stride frames, each
-    scored by the model as soon as its last frame is pushed."""
-
-    def __init__(
-        self,
-        params: GcnParams,
-        window_size: int = DEFAULT_WINDOW_SIZE,
-        stride: int | None = None,
-        threshold: float = 0.5,
-    ):
-        stride = window_size if stride is None else stride
-        if not 1 <= stride <= window_size:
-            raise GraphError(f"stride {stride} must be in 1..window_size")
-        self.graph = SlidingGraph(window_size)
-        self.params = params
-        self.window_size = window_size
-        self.stride = stride
-        self.threshold = threshold
-        self.frames: deque[CanFrame] = deque(maxlen=window_size)
-        self.injected_frames = 0
-        self.frames_seen = 0
-        self.windows = 0
-
-    def push(self, frame: CanFrame) -> Verdict | None:
-        """Add one frame; returns the verdict of the window it completes, if
-        any."""
-        frames = self.frames
-        if len(frames) == self.window_size and frames[0].label is not None:
-            self.injected_frames -= 1
-        frames.append(frame)
-        if frame.label is not None:
-            self.injected_frames += 1
-        self.graph.push(frame.arbitration_id)
-        self.frames_seen += 1
-        filled = self.frames_seen - self.window_size
-        if filled < 0 or filled % self.stride:
-            return None
-        injected = self.injected_frames > 0
-        graph = self.graph.snapshot(injected, self.windows)
-        label, prob = gcn.predict(graph, self.params, threshold=self.threshold)
-        self.windows += 1
-        return Verdict(graph.window_index, frames[0].timestamp_us,
-                       frames[-1].timestamp_us, label, prob, injected)
+def verdicts(
+    frames: Iterable[CanFrame],
+    params: GcnParams,
+    window_size: int = DEFAULT_WINDOW_SIZE,
+    stride: int | None = None,
+    threshold: float = 0.5,
+) -> Iterator[Verdict]:
+    """Yield the verdict of each window of window_size frames starting every
+    stride frames, as soon as its last frame is read from frames."""
+    for graph, first, last in sliding_windows(frames, window_size, stride):
+        label, prob = gcn.predict(graph, params, threshold=threshold)
+        yield Verdict(graph.window_index, first.timestamp_us,
+                      last.timestamp_us, label, prob, bool(graph.label))

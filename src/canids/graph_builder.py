@@ -12,9 +12,11 @@ A window is labeled attacked iff it contains at least one injected frame.
 
 Graphs are built incrementally: SlidingGraph keeps the last window_size ids,
 the edge multiset and each id's in-window positions, and updates them in O(1)
-per pushed id, so a stream scored at stride 1 never rebuilds a whole window.
-Its snapshot renders the window with node order, edges and degrees exactly as
-a from-scratch build; graph_from_ids is a push of every id then a snapshot.
+per pushed id; its snapshot renders the window exactly as a from-scratch
+build. sliding_windows, one SlidingGraph pass snapshotting every stride-th
+window, is the one window loop behind graphs_from_frames and detect.verdicts,
+so both cost O(frames) at any stride. build_windows and build_graph slice and
+build from scratch: the reference the loop is tested against.
 
 The convolution sees one adjacency form: the edges symmetrized and binarized,
 self-loops added, then symmetrically degree-normalized. Batches pad every
@@ -28,7 +30,7 @@ import json
 from collections import deque
 from dataclasses import dataclass
 from pathlib import Path
-from typing import IO, Iterable, Sequence
+from typing import IO, Iterable, Iterator, Sequence
 
 import numpy as np
 
@@ -209,16 +211,42 @@ def build_graph(window: Sequence[CanFrame], window_index: int = 0) -> MessageGra
     return graph_from_ids(ids, attacked, window_index)
 
 
+def sliding_windows(
+    frames: Iterable[CanFrame],
+    window_size: int = DEFAULT_WINDOW_SIZE,
+    stride: int | None = None,
+) -> Iterator[tuple[MessageGraph, CanFrame, CanFrame]]:
+    """Yield (graph, first_frame, last_frame) for each window of build_windows
+    as soon as its last frame arrives, in one pass that pushes each frame once
+    into a SlidingGraph. Indices are consecutive, a graph is attacked iff any
+    of its frames is injected, and no partial window is yielded. A bad
+    window_size or stride raises on the first next(), before any frame is read."""
+    graph = SlidingGraph(window_size)
+    stride = window_size if stride is None else stride
+    if not 1 <= stride <= window_size:
+        raise GraphError(f"stride {stride} must be in 1..window_size")
+    window: deque[CanFrame] = deque(maxlen=window_size)
+    last_injected = -window_size  # position of the latest injected frame
+    for position, frame in enumerate(frames):
+        window.append(frame)
+        graph.push(frame.arbitration_id)
+        if frame.label is not None:
+            last_injected = position
+        start = position + 1 - window_size
+        if start >= 0 and start % stride == 0:
+            attacked = last_injected >= start
+            yield graph.snapshot(attacked, start // stride), window[0], frame
+            if stride == window_size:  # windows share no frame: skip evicting
+                graph = SlidingGraph(window_size)
+
+
 def graphs_from_frames(
-    frames: Sequence[CanFrame],
+    frames: Iterable[CanFrame],
     window_size: int = DEFAULT_WINDOW_SIZE,
     stride: int | None = None,
 ) -> list[MessageGraph]:
-    """build_windows + build_graph with consecutive window indices."""
-    return [
-        build_graph(window, window_index=i)
-        for i, window in enumerate(build_windows(frames, window_size, stride))
-    ]
+    """The graphs of build_windows + build_graph, from one sliding pass."""
+    return [graph for graph, _, _ in sliding_windows(frames, window_size, stride)]
 
 
 def node_features(graph: MessageGraph) -> Matrix:
@@ -317,12 +345,15 @@ def _int_at_least(value, low: int, what: str) -> int:
 
 def _graph_from_record(line: str) -> MessageGraph:
     """One dump record as a MessageGraph; a record that no window could give
-    (bad counts, a repeated edge, multiplicities not summing to
-    window_size - 1) raises ValueError, KeyError, IndexError or TypeError."""
+    (bad counts, a repeated node or edge, a node no edge touches,
+    multiplicities not summing to window_size - 1) raises ValueError,
+    KeyError, IndexError or TypeError."""
     rec = json.loads(line)
     window_size = _int_at_least(rec["window_size"], 2, "window_size")
     node_ids = [int(s, 16) for s in rec["nodes"]]
     n = len(node_ids)
+    if len(set(node_ids)) != n:
+        raise ValueError("repeated node id")
     edges: dict[tuple[int, int], int] = {}
     in_deg = np.zeros(n, dtype=np.int64)
     out_deg = np.zeros(n, dtype=np.int64)
@@ -339,6 +370,8 @@ def _graph_from_record(line: str) -> MessageGraph:
     total = sum(edges.values())
     if total != window_size - 1:
         raise ValueError(f"multiplicities sum to {total}, not window_size - 1")
+    if not (in_deg + out_deg).all():
+        raise ValueError("a node has no edge")
     return MessageGraph(
         window_index=_int_at_least(rec["window_index"], 0, "window_index"),
         node_ids=node_ids,

@@ -112,7 +112,8 @@ def test_undecodable_graph_dump_and_config_are_config_errors(tmp_path, capsys):
     assert main(["graphs", "--config", str(config), "--log", "x.log",
                  "--out", str(tmp_path / "g.jsonl")]) == EXIT_CONFIG
     err = capsys.readouterr().err
-    assert err.startswith("error: ") and err.count("\n") == 1
+    assert err == (f"error: {config}: not UTF-8 text: 'utf-8' codec can't decode "
+                   "byte 0xff in position 13: invalid start byte\n")
 
 
 def test_removed_flags_are_rejected(capsys):
@@ -307,6 +308,32 @@ def test_detect_empty_stream(tmp_path, capsys):
     gcn.save_params(gcn.init_params(0), model)
     assert main(["detect", "--model", str(model), "--log", str(log)]) == EXIT_OK
     assert capsys.readouterr().out.strip() == ""
+
+
+@pytest.mark.parametrize("stride", ["0", "11"])
+@pytest.mark.parametrize("command", ["graphs", "train", "eval", "detect", "detect-stdin"])
+def test_out_of_range_stride_is_config_error(tmp_path, capsys, monkeypatch,
+                                             command, stride):
+    """Every windowing subcommand refuses a stride outside 1..window_size;
+    detect does so before reading a line, even from an empty stdin."""
+    import io
+
+    log = tmp_path / "t.log"
+    log.write_text("\n".join(f"{i} 100 0" for i in range(30)) + "\n")
+    model = tmp_path / "model.bin"
+    gcn.save_params(gcn.init_params(0), model)
+    monkeypatch.setattr("sys.stdin", io.StringIO(""))
+    args = {
+        "graphs": ["graphs", "--log", str(log), "--out", str(tmp_path / "g.jsonl")],
+        "train": ["train", "--log", str(log), "--model", str(tmp_path / "new.bin")],
+        "eval": ["eval", "--log", str(log), "--model", str(model), "--scenario", "DoS"],
+        "detect": ["detect", "--log", str(log), "--model", str(model)],
+        "detect-stdin": ["detect", "--log", "-", "--model", str(model)],
+    }[command]
+    assert main([*args, "--window-size", "10", "--stride", stride]) == EXIT_CONFIG
+    captured = capsys.readouterr()
+    assert captured.err == f"error: stride {stride} must be in 1..window_size\n"
+    assert captured.out == ""
 
 
 def test_detect_skips_malformed_lines(tmp_path, capsys):

@@ -21,6 +21,7 @@ from canids.graph_builder import (
     graphs_from_frames,
     load_graphs,
     node_features,
+    sliding_windows,
 )
 from canids.kernel import make_rng
 from helpers import brute_force_graph, random_id_window
@@ -44,12 +45,13 @@ def test_build_windows_counts():
 
 
 def test_build_windows_validation():
-    with pytest.raises(WindowTooSmall):
-        build_windows([], window_size=1)
-    with pytest.raises(GraphError):
-        build_windows(frames_for([1] * 10), window_size=4, stride=5)
-    with pytest.raises(GraphError):
-        build_windows(frames_for([1] * 10), window_size=4, stride=0)
+    for windows in (build_windows, graphs_from_frames):
+        with pytest.raises(WindowTooSmall):
+            windows([], window_size=1)
+        with pytest.raises(GraphError):
+            windows(frames_for([1] * 10), window_size=4, stride=5)
+        with pytest.raises(GraphError):
+            windows(frames_for([1] * 10), window_size=4, stride=0)
 
 
 def test_single_id_window():
@@ -233,6 +235,49 @@ def test_graphs_from_frames_assigns_indices():
     assert all(g.window_size == 100 for g in graphs)
 
 
+def _fields(g):
+    return (g.window_index, g.label, g.window_size, g.node_ids, g.edges,
+            g.in_degree.tolist(), g.out_degree.tolist())
+
+
+@pytest.mark.parametrize("pool", [1, 2, 5, 30, 200])
+def test_sliding_windows_match_build_windows_oracle(pool):
+    """The one sliding pass yields, window for window, what slicing with
+    build_windows and building each slice from scratch gives. Seeded id
+    pools from one id to fuzzy-sized make ids leave and return; scattered
+    injected frames make labels flip."""
+    rng = make_rng(pool)
+    ids = random_id_window(rng, 300, pool=pool)
+    labels = [AttackKind.FUZZY if rng.random() < 0.02 else None for _ in ids]
+    frames = frames_for(ids, labels)
+    for window_size in (2, 3, 7, 20, 50):
+        for stride in sorted({1, (window_size + 1) // 2, window_size}):
+            windows = build_windows(frames, window_size, stride)
+            want = [_fields(build_graph(w, k)) for k, w in enumerate(windows)]
+            got = list(sliding_windows(frames, window_size, stride))
+            assert [_fields(g) for g, _, _ in got] == want
+            assert [_fields(g) for g in graphs_from_frames(frames, window_size, stride)] == want
+            assert [(first, last) for _, first, last in got] == [(w[0], w[-1]) for w in windows]
+            assert len(got) == (len(frames) - window_size) // stride + 1
+            if stride == 1:
+                assert {g.label for g, _, _ in got} == {ATTACK_FREE, ATTACKED}
+
+
+def test_graphs_from_frames_pushes_each_frame_once(monkeypatch):
+    pushes = 0
+    push = SlidingGraph.push
+
+    def counting_push(self, arb_id):
+        nonlocal pushes
+        pushes += 1
+        push(self, arb_id)
+
+    monkeypatch.setattr(SlidingGraph, "push", counting_push)
+    frames = frames_for(list(range(7)) * 100)
+    assert len(graphs_from_frames(frames, window_size=200, stride=1)) == 501
+    assert pushes == len(frames)
+
+
 def test_dump_load_round_trip():
     rng = make_rng(3)
     graphs = [
@@ -283,11 +328,14 @@ GOOD_RECORD = ('{"window_index":0,"window_size":3,"nodes":["0x1","0x2"],'
     GOOD_RECORD.replace('"window_size":3', '"window_size":1'),
     GOOD_RECORD.replace('"window_size":3', '"window_size":3.0'),
     GOOD_RECORD.replace('"window_size":3', '"window_size":4'),  # sum is not 3
+    GOOD_RECORD.replace('"0x2"', '"0x01"'),             # 0x1 twice
+    GOOD_RECORD.replace('"0x2"]', '"0x2","0x5"]'),      # node 2 has no edge
 ], ids=["truncated", "missing-field", "non-hex-node", "unknown-label",
         "endpoint-past-nodes", "negative-endpoint", "edge-pair", "not-object",
         "zero-multiplicity", "negative-multiplicity", "bool-multiplicity",
         "repeated-edge", "negative-window-index", "string-window-index",
-        "window-size-1", "float-window-size", "multiplicity-sum"])
+        "window-size-1", "float-window-size", "multiplicity-sum",
+        "repeated-node", "isolated-node"])
 def test_load_graphs_rejects_malformed_record(bad):
     with pytest.raises(MalformedGraphRecord, match="line 3"):
         load_graphs(io.StringIO(f"{GOOD_RECORD}\n\n{bad}\n"))

@@ -220,7 +220,7 @@ def serialize_frame(frame: CanFrame) -> str:
 
 def read_frames(
     source: Iterable[str] | IO[str],
-    report: ParseReport,
+    report: ParseReport | None = None,
     strict: bool = False,
     on_reject: Callable[[int, str], None] | None = None,
 ) -> Iterator[CanFrame]:
@@ -230,7 +230,8 @@ def read_frames(
     malformed line is recorded in the report, handed to on_reject as (line
     number, error kind) and skipped; in strict mode the first error aborts
     with its line number. A timestamp running backwards relative to the
-    previous frame is reported as a warning, not an error.
+    previous frame is reported as a warning, not an error. Without a report
+    nothing is recorded, so memory does not grow with the stream.
     """
     last_ts: int | None = None
     for line_no, line in enumerate(source, start=1):
@@ -243,16 +244,18 @@ def read_frames(
             if strict:
                 raise type(err)(f"line {line_no}: {err}") from err
             kind = type(err).__name__
-            report.errors.append((line_no, kind, stripped))
+            if report is not None:
+                report.errors.append((line_no, kind, stripped))
             if on_reject is not None:
                 on_reject(line_no, kind)
             continue
-        if last_ts is not None and frame.timestamp_us < last_ts:
-            report.warnings.append(
-                (line_no, f"timestamp decreases: {frame.timestamp_us} < {last_ts}")
-            )
-        last_ts = frame.timestamp_us
-        report.frames_ok += 1
+        if report is not None:
+            if last_ts is not None and frame.timestamp_us < last_ts:
+                report.warnings.append(
+                    (line_no, f"timestamp decreases: {frame.timestamp_us} < {last_ts}")
+                )
+            last_ts = frame.timestamp_us
+            report.frames_ok += 1
         yield frame
 
 

@@ -9,10 +9,14 @@ the library modules, so whole pipelines are reproducible from a shell script:
     canids eval   --graphs graphs.jsonl --model model.bin --scenario DoS
     canids detect --model model.bin --log - < live.log
 
-Options can come from a flat key=value config file (--config) keyed by flag
-dest (window_size, epochs, ...); command-line flags override file values. A
-key that no subcommand has a flag for is a config error. CANIDS_SEED in the
-environment is the fallback seed when neither source sets one.
+parse_options resolves every option, in this order: the command-line flag;
+else the flat key=value config file (--config), keyed by flag dest
+(window_size, epochs, ...) and converted as that flag converts it; else, for
+the seed only, CANIDS_SEED in the environment; else the flag's default. Each
+subcommand reads the file keys it has flags for, and a key that no
+subcommand has a flag for is a config error. With --graphs, a window_size
+that differs from the dump's is a config error, and the dump's size bounds
+the stride. Options are checked before any input is read.
 
 Exit codes: 0 success, 2 configuration or parse error, 3 I/O error,
 4 data error (e.g. single-class training set), 5 model file error.
@@ -25,7 +29,6 @@ import json
 import os
 import sys
 from contextlib import nullcontext
-from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
@@ -40,7 +43,7 @@ from .gcn import (
     SingleClassDataset,
     TrainConfig,
 )
-from .graph_builder import GraphError
+from .graph_builder import LABEL_TEXT, GraphError
 from .kernel import KernelError, make_rng
 from .traffic_synth import AttackSpec, NormalTrafficSpec, SynthError
 
@@ -50,24 +53,9 @@ EXIT_IO = 3
 EXIT_DATA = 4
 EXIT_MODEL = 5
 
-_LABEL_TEXT = {0: "attack_free", 1: "attacked"}
-
 
 class ConfigError(ValueError):
     pass
-
-
-@dataclass
-class ExperimentConfig:
-    """Shared experiment knobs after merging flags, config file, and env."""
-
-    window_size: int = graph_builder.DEFAULT_WINDOW_SIZE
-    stride: int | None = None
-    train_fraction: float = 0.8
-    split_seed: int = 0
-    seed: int = 0
-    threshold: float = 0.5
-    strict: bool = False
 
 
 def load_config_file(path: str | Path) -> dict[str, str]:
@@ -97,75 +85,62 @@ def _as_bool(text: str) -> bool:
     raise ConfigError(f"not a boolean: {text!r}")
 
 
-def _flag_dests() -> set[str]:
-    """The dest of every flag of every subcommand: the keys a config file may
-    set. One file can serve several subcommands, each reading its own keys."""
-    subcommands = next(action.choices for action in build_parser()._actions
-                       if isinstance(action, argparse._SubParsersAction))
-    return {action.dest for sub in subcommands.values() for action in sub._actions
-            if not isinstance(action, argparse._HelpAction)}
+def _from_file(action: argparse.Action, raw: str):
+    """A config-file value, converted as its flag converts it."""
+    if isinstance(action, argparse._StoreConstAction):
+        return _as_bool(raw)
+    convert = action.type or str
+    try:
+        return convert(raw)
+    except ValueError:
+        raise ConfigError(f"config value {action.dest}={raw!r} is not a valid "
+                          f"{convert.__name__}") from None
 
 
-class _Options:
-    """Resolution order: command-line flag, config file, environment, default."""
+def _check_stride(stride: int | None, window_size: int | None) -> None:
+    """A window_size of None (a graph dump not yet read) bounds only below."""
+    if stride is not None and not 1 <= stride <= (window_size or stride):
+        raise ConfigError(f"stride {stride} must be in 1..window_size")
 
-    def __init__(self, args: argparse.Namespace):
-        self.args = args
-        self.file_values = load_config_file(args.config) if args.config else {}
-        unknown = sorted(self.file_values.keys() - _flag_dests())
+
+def parse_options(argv=None) -> argparse.Namespace:
+    """Resolve every option of one run: command-line flag, then --config file,
+    then CANIDS_SEED (seed only), then the flag's default. The values are
+    checked before any input is read."""
+    parser = build_parser()
+    args = parser.parse_args(argv)
+    if args.config:
+        values = load_config_file(args.config)
+        subcommands = next(action.choices for action in parser._actions
+                           if isinstance(action, argparse._SubParsersAction))
+        known = {action.dest for sub in subcommands.values() for action in sub._actions
+                 if not isinstance(action, argparse._HelpAction)}
+        unknown = sorted(values.keys() - known)
         if unknown:
             raise ConfigError(f"{args.config}: no canids flag sets "
                               f"{', '.join(map(repr, unknown))}")
-
-    def get(self, name: str, default, convert=None):
-        cli_value = getattr(self.args, name, None)
-        if cli_value is not None:
-            return cli_value
-        if name in self.file_values:
-            raw = self.file_values[name]
-            if convert is bool or isinstance(default, bool):
-                return _as_bool(raw)
-            if convert is None:
-                if default is None:
-                    return raw
-                convert = type(default)
-            try:
-                return convert(raw)
-            except ValueError:
-                raise ConfigError(f"config value {name}={raw!r} is not a valid "
-                                  f"{convert.__name__}") from None
-        return default
-
-    def seed(self) -> int:
-        value = self.get("seed", None, convert=int)
-        if value is not None:
-            return value
+        command = subcommands[args.command]
+        own = {action.dest: action for action in command._actions}
+        command.set_defaults(**{key: _from_file(own[key], raw)
+                                for key, raw in values.items() if key in own})
+        args = parser.parse_args(argv)  # flags still win over file defaults
+    if args.seed is None:
         env = os.environ.get("CANIDS_SEED")
-        if not env:
-            return 0
         try:
-            return int(env)
+            args.seed = int(env) if env else 0
         except ValueError:
             raise ConfigError(f"CANIDS_SEED={env!r} is not a valid int") from None
-
-
-def _experiment_config(opt: _Options) -> ExperimentConfig:
-    cfg = ExperimentConfig(
-        window_size=opt.get("window_size", graph_builder.DEFAULT_WINDOW_SIZE),
-        stride=opt.get("stride", None, convert=int),
-        train_fraction=opt.get("train_fraction", 0.8),
-        split_seed=opt.get("split_seed", 0),
-        seed=opt.seed(),
-        threshold=opt.get("threshold", 0.5),
-        strict=opt.get("strict", False),
-    )
-    if cfg.window_size < 2:
-        raise ConfigError("window_size must be >= 2")
-    if not 0.0 < cfg.train_fraction < 1.0:
+    if "window_size" in args:
+        if args.window_size is None and not getattr(args, "graphs", None):
+            args.window_size = graph_builder.DEFAULT_WINDOW_SIZE
+        if args.window_size is not None and args.window_size < 2:
+            raise ConfigError("window_size must be >= 2")
+        _check_stride(args.stride, args.window_size)
+    if "train_fraction" in args and not 0.0 < args.train_fraction < 1.0:
         raise ConfigError("train_fraction must be strictly between 0 and 1")
-    if not 0.0 <= cfg.threshold <= 1.0:  # also rejects nan
+    if "threshold" in args and not 0.0 <= args.threshold <= 1.0:  # also rejects nan
         raise ConfigError("threshold must be in [0, 1]")
-    return cfg
+    return args
 
 
 def stratified_split(graphs, train_fraction: float, seed: int):
@@ -244,27 +219,16 @@ def plan_attack_specs(
 
 
 def cmd_synth(args: argparse.Namespace) -> int:
-    opt = _Options(args)
-    seed = opt.seed()
-    normal_count = opt.get("normal", 100_000)
-    num_ids = opt.get("ids", 16)
-    base_period = opt.get("base_period_us", 1000)
-    jitter = opt.get("jitter", 0.05)
-    out_path = opt.get("out", "canids_synth.log")
-    manifest_path = opt.get("manifest", None, convert=str) or out_path + ".manifest.json"
-
+    manifest_path = args.manifest or args.out + ".manifest.json"
     spec = NormalTrafficSpec(
-        id_pool=traffic_synth.default_id_pool(num_ids, base_period, jitter),
-        message_count=normal_count,
-        seed=seed,
+        id_pool=traffic_synth.default_id_pool(args.ids, args.base_period_us, args.jitter),
+        message_count=args.normal,
+        seed=args.seed,
     )
     stream = traffic_synth.generate_normal(spec)
 
-    intensities: dict[AttackKind, float] = {}
-    for kind in _ATTACK_ORDER:
-        value = opt.get(kind.value, None, convert=float)
-        if value is not None and value > 0:
-            intensities[kind] = value
+    intensities = {kind: getattr(args, kind.value) for kind in _ATTACK_ORDER
+                   if getattr(args, kind.value) > 0}
     if intensities and stream.frames:
         duration = stream.frames[-1].timestamp_us + 1
         target_pool = [spec.id_pool[i][0] for i in range(min(3, len(spec.id_pool)))]
@@ -272,12 +236,12 @@ def cmd_synth(args: argparse.Namespace) -> int:
         for aspec in specs:
             if aspec.kind is AttackKind.SPOOFING:
                 aspec.target_ids = tuple(target_pool)
-        stream = traffic_synth.mix_attacks(stream, specs, seed=seed)
+        stream = traffic_synth.mix_attacks(stream, specs, seed=args.seed)
 
-    can_log.save_log(out_path, stream.frames)
+    can_log.save_log(args.out, stream.frames)
     stream.manifest.save(manifest_path)
     counts = stream.manifest.counts_by_kind()
-    print(f"wrote {len(stream.frames)} frames to {out_path}")
+    print(f"wrote {len(stream.frames)} frames to {args.out}")
     print(f"normal: {stream.manifest.normal_frames}")
     for kind in _ATTACK_ORDER:
         if kind.value in counts:
@@ -289,18 +253,14 @@ def cmd_synth(args: argparse.Namespace) -> int:
 # --------------------------------------------------------------- graphs ----
 
 def cmd_graphs(args: argparse.Namespace) -> int:
-    opt = _Options(args)
-    cfg = _experiment_config(opt)
-    log_path = opt.get("log", None, convert=str)
-    out_path = opt.get("out", None, convert=str)
-    if not log_path or not out_path:
+    if not args.log or not args.out:
         raise ConfigError("graphs needs --log and --out")
 
-    frames, report = can_log.load_log(log_path, strict=cfg.strict)
+    frames, report = can_log.load_log(args.log, strict=args.strict)
     for line_no, kind, _ in report.errors:
         print(f"warning: line {line_no}: {kind}", file=sys.stderr)
-    graphs = graph_builder.graphs_from_frames(frames, cfg.window_size, cfg.stride)
-    graph_builder.dump_graphs(out_path, graphs)
+    graphs = graph_builder.graphs_from_frames(frames, args.window_size, args.stride)
+    graph_builder.dump_graphs(args.out, graphs)
     attacked = sum(g.label for g in graphs)
     total = len(graphs)
     share = attacked / total if total else 0.0
@@ -311,45 +271,45 @@ def cmd_graphs(args: argparse.Namespace) -> int:
 
 # ---------------------------------------------------------------- train ----
 
-def _load_graphs_for(opt: _Options, cfg: ExperimentConfig):
-    graphs_path = opt.get("graphs", None, convert=str)
-    log_path = opt.get("log", None, convert=str)
-    if graphs_path:
-        return graph_builder.load_graphs(graphs_path)
-    if log_path:
-        frames, _ = can_log.load_log(log_path, strict=cfg.strict)
-        return graph_builder.graphs_from_frames(frames, cfg.window_size, cfg.stride)
+def _load_graphs_for(args: argparse.Namespace):
+    """The --graphs dump, whose window size must match a set window_size, or
+    the graphs of the --log capture."""
+    if args.graphs:
+        graphs = graph_builder.load_graphs(args.graphs)
+        for g in graphs:
+            if args.window_size not in (None, g.window_size):
+                raise ConfigError(f"{args.graphs}: dump window_size {g.window_size} "
+                                  f"does not match window_size {args.window_size}")
+            _check_stride(args.stride, g.window_size)
+        return graphs
+    if args.log:
+        frames, _ = can_log.load_log(args.log, strict=args.strict)
+        return graph_builder.graphs_from_frames(frames, args.window_size, args.stride)
     raise ConfigError("need --graphs or --log")
 
 
 def cmd_train(args: argparse.Namespace) -> int:
-    opt = _Options(args)
-    cfg = _experiment_config(opt)
-    model_path = opt.get("model", None, convert=str)
-    if not model_path:
+    if not args.model:
         raise ConfigError("train needs --model")
-    history_path = opt.get("history", None, convert=str)
-
-    graphs = _load_graphs_for(opt, cfg)
+    graphs = _load_graphs_for(args)
     if not graphs:
         raise EmptyDataset("no graphs in the input")
-    train_graphs, val_graphs = stratified_split(graphs, cfg.train_fraction, cfg.split_seed)
+    train_graphs, val_graphs = stratified_split(graphs, args.train_fraction, args.split_seed)
 
     train_config = TrainConfig(
-        learning_rate=opt.get("learning_rate", TrainConfig.learning_rate),
-        epochs=opt.get("epochs", TrainConfig.epochs),
-        batch_size=opt.get("batch_size", TrainConfig.batch_size),
-        seed=cfg.seed,
-        dropout_p=opt.get("dropout", TrainConfig.dropout_p),
-        patience=opt.get("patience", TrainConfig.patience, convert=int),
-        allow_single_class=opt.get("allow_single_class",
-                                   TrainConfig.allow_single_class),
+        learning_rate=args.learning_rate,
+        epochs=args.epochs,
+        batch_size=args.batch_size,
+        seed=args.seed,
+        dropout_p=args.dropout,
+        patience=args.patience,
+        allow_single_class=args.allow_single_class,
     )
     params, history = gcn.train(train_graphs, train_config, val_graphs=val_graphs)
-    gcn.save_params(params, model_path)
+    gcn.save_params(params, args.model)
 
-    if history_path:
-        with open(history_path, "w", encoding="utf-8") as fh:
+    if args.history:
+        with open(args.history, "w", encoding="utf-8") as fh:
             for rec in history:
                 fh.write(json.dumps(vars(rec)) + "\n")
 
@@ -358,61 +318,52 @@ def cmd_train(args: argparse.Namespace) -> int:
     print(f"final train loss {last.train_loss:.4f}  accuracy {last.train_accuracy:.4f}")
     if last.val_loss is not None:
         print(f"final val loss   {last.val_loss:.4f}  accuracy {last.val_accuracy:.4f}")
-    print(f"model: {model_path}")
+    print(f"model: {args.model}")
     return EXIT_OK
 
 
 # ----------------------------------------------------------------- eval ----
 
 def cmd_eval(args: argparse.Namespace) -> int:
-    opt = _Options(args)
-    cfg = _experiment_config(opt)
-    model_path = opt.get("model", None, convert=str)
-    scenario = opt.get("scenario", None, convert=str)
-    report_path = opt.get("report", None, convert=str)
-    if not model_path or not scenario:
+    if not args.model or not args.scenario:
         raise ConfigError("eval needs --model and --scenario")
-    if scenario not in SCENARIOS:
+    if args.scenario not in SCENARIOS:
         raise ConfigError(f"scenario must be one of {', '.join(SCENARIOS)}")
 
-    graphs = _load_graphs_for(opt, cfg)
-    params = gcn.load_params(model_path)
-    predictions, _ = gcn.predict_many(graphs, params, threshold=cfg.threshold)
+    graphs = _load_graphs_for(args)
+    params = gcn.load_params(args.model)
+    predictions, _ = gcn.predict_many(graphs, params, threshold=args.threshold)
     labels = [g.label for g in graphs]
     report = scenario_report(
-        scenario, predictions.tolist(), labels, PAPER_TARGETS.get(scenario)
+        args.scenario, predictions.tolist(), labels, PAPER_TARGETS.get(args.scenario)
     )
     print(report.format_table())
-    if report_path:
-        Path(report_path).write_text(report.to_json() + "\n", encoding="utf-8")
-        print(f"report: {report_path}")
+    if args.report:
+        Path(args.report).write_text(report.to_json() + "\n", encoding="utf-8")
+        print(f"report: {args.report}")
     return EXIT_OK
 
 
 # --------------------------------------------------------------- detect ----
 
 def cmd_detect(args: argparse.Namespace) -> int:
-    opt = _Options(args)
-    cfg = _experiment_config(opt)
-    model_path = opt.get("model", None, convert=str)
-    if not model_path:
+    if not args.model:
         raise ConfigError("detect needs --model")
-    log_path = opt.get("log", "-")
-    params = gcn.load_params(model_path)
+    params = gcn.load_params(args.model)
 
     def warn(line_no: int, kind: str) -> None:
         print(f"warning: line {line_no}: {kind}", file=sys.stderr)
 
-    with (nullcontext(sys.stdin) if log_path == "-" else
-          open(log_path, "r", encoding="utf-8", errors="replace")) as source:
-        frames = can_log.read_frames(source, can_log.ParseReport(), cfg.strict, warn)
-        for verdict in verdicts(frames, params, cfg.window_size, cfg.stride,
-                                cfg.threshold):
+    with (nullcontext(sys.stdin) if args.log == "-" else
+          open(args.log, "r", encoding="utf-8", errors="replace")) as source:
+        frames = can_log.read_frames(source, None, args.strict, warn)
+        for verdict in verdicts(frames, params, args.window_size, args.stride,
+                                args.threshold):
             print(
                 f"{verdict.window_index} "
                 f"{format_timestamp(verdict.first_timestamp_us)} "
                 f"{format_timestamp(verdict.last_timestamp_us)} "
-                f"{_LABEL_TEXT[verdict.label]} {verdict.probability:.6f}"
+                f"{LABEL_TEXT[verdict.label]} {verdict.probability:.6f}"
             )
     return EXIT_OK
 
@@ -427,7 +378,7 @@ def _add_common(parser: argparse.ArgumentParser) -> None:
 def _add_window_opts(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--window-size", dest="window_size", type=int)
     parser.add_argument("--stride", type=int)
-    parser.add_argument("--strict", action="store_const", const=True, default=None,
+    parser.add_argument("--strict", action="store_const", const=True, default=False,
                         help="abort on the first malformed log line")
 
 
@@ -440,14 +391,14 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("synth", help="generate labeled synthetic traffic")
     _add_common(p)
-    p.add_argument("--out", help="output log path")
+    p.add_argument("--out", default="canids_synth.log", help="output log path")
     p.add_argument("--manifest", help="manifest JSON path")
-    p.add_argument("--normal", type=int, help="normal frame count")
-    p.add_argument("--ids", type=int, help="size of the arbitration id pool")
-    p.add_argument("--base-period-us", dest="base_period_us", type=int)
-    p.add_argument("--jitter", type=float)
+    p.add_argument("--normal", type=int, default=100_000, help="normal frame count")
+    p.add_argument("--ids", type=int, default=16, help="size of the arbitration id pool")
+    p.add_argument("--base-period-us", dest="base_period_us", type=int, default=1000)
+    p.add_argument("--jitter", type=float, default=0.05)
     for kind in _ATTACK_ORDER:
-        p.add_argument(f"--{kind.value}", type=float, metavar="INTENSITY")
+        p.add_argument(f"--{kind.value}", type=float, default=0.0, metavar="INTENSITY")
     p.set_defaults(func=cmd_synth)
 
     p = sub.add_parser("graphs", help="window a log into message graphs")
@@ -464,15 +415,18 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--graphs", help="input graph dump")
     p.add_argument("--model", help="output model file")
     p.add_argument("--history", help="output epoch history (JSON lines)")
-    p.add_argument("--train-fraction", dest="train_fraction", type=float)
-    p.add_argument("--split-seed", dest="split_seed", type=int)
-    p.add_argument("--epochs", type=int)
-    p.add_argument("--learning-rate", dest="learning_rate", type=float)
-    p.add_argument("--batch-size", dest="batch_size", type=int)
-    p.add_argument("--dropout", type=float)
-    p.add_argument("--patience", type=int)
+    p.add_argument("--train-fraction", dest="train_fraction", type=float, default=0.8)
+    p.add_argument("--split-seed", dest="split_seed", type=int, default=0)
+    p.add_argument("--epochs", type=int, default=TrainConfig.epochs)
+    p.add_argument("--learning-rate", dest="learning_rate", type=float,
+                   default=TrainConfig.learning_rate)
+    p.add_argument("--batch-size", dest="batch_size", type=int,
+                   default=TrainConfig.batch_size)
+    p.add_argument("--dropout", type=float, default=TrainConfig.dropout_p)
+    p.add_argument("--patience", type=int, default=TrainConfig.patience)
     p.add_argument("--allow-single-class", dest="allow_single_class",
-                   action="store_const", const=True, default=None)
+                   action="store_const", const=True,
+                   default=TrainConfig.allow_single_class)
     p.set_defaults(func=cmd_train)
 
     p = sub.add_parser("eval", help="evaluate a model on labeled graphs")
@@ -483,28 +437,26 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--model", help="model file")
     p.add_argument("--scenario", help=f"one of {', '.join(SCENARIOS)}")
     p.add_argument("--report", help="output report JSON")
-    p.add_argument("--threshold", type=float)
+    p.add_argument("--threshold", type=float, default=0.5)
     p.set_defaults(func=cmd_eval)
 
     p = sub.add_parser("detect", help="streaming window verdicts")
     _add_common(p)
     _add_window_opts(p)
     p.add_argument("--model", help="model file")
-    p.add_argument("--log", help="input CAN log, or - for stdin")
-    p.add_argument("--threshold", type=float)
+    p.add_argument("--log", default="-", help="input CAN log, or - for stdin")
+    p.add_argument("--threshold", type=float, default=0.5)
     p.set_defaults(func=cmd_detect)
 
     return parser
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
     try:
-        args = parser.parse_args(argv)
+        args = parse_options(argv)
+        return args.func(args)
     except SystemExit as exc:
         return int(exc.code or 0)
-    try:
-        return args.func(args)
     except (SingleClassDataset, EmptyDataset) as err:
         print(f"error: {err}", file=sys.stderr)
         return EXIT_DATA

@@ -305,8 +305,8 @@ def batch_graphs(graphs: Sequence[MessageGraph]) -> GraphBatch:
     return assemble_batch([prepare_graph(g) for g in graphs])
 
 
-_LABEL_TEXT = {ATTACK_FREE: "attack_free", ATTACKED: "attacked"}
-_TEXT_LABEL = {v: k for k, v in _LABEL_TEXT.items()}
+LABEL_TEXT = {ATTACK_FREE: "attack_free", ATTACKED: "attacked"}
+_TEXT_LABEL = {v: k for k, v in LABEL_TEXT.items()}
 
 
 def dump_graphs(target: str | Path | IO[str], graphs: Iterable[MessageGraph]) -> int:
@@ -324,7 +324,7 @@ def dump_graphs(target: str | Path | IO[str], graphs: Iterable[MessageGraph]) ->
                 "window_size": g.window_size,
                 "nodes": [f"0x{arb_id:x}" for arb_id in g.node_ids],
                 "edges": sorted([s, d, m] for (s, d), m in g.edges.items()),
-                "label": _LABEL_TEXT[g.label],
+                "label": LABEL_TEXT[g.label],
             }
             fh.write(json.dumps(record, separators=(",", ":")))
             fh.write("\n")

@@ -14,6 +14,7 @@ from canids.can_log import (
     load_log,
     parse_line,
     parse_log,
+    read_frames,
     save_log,
     serialize_frame,
 )
@@ -187,6 +188,14 @@ def test_parse_log_lenient_records_errors():
     assert report.errors[0][0] == 2
     # frames_ok + errors covers every non-blank non-comment line
     assert report.frames_ok + len(report.errors) == 3
+
+
+def test_read_frames_without_report_still_rejects_per_line():
+    rejected = []
+    lines = ["10 100 0", "bogus", "9 100 0", "# comment", "", "11 1g0 0"]
+    frames = read_frames(lines, on_reject=lambda n, kind: rejected.append((n, kind)))
+    assert [f.timestamp_us for f in frames] == [10_000_000, 9_000_000]
+    assert rejected == [(2, "MalformedLine"), (6, "BadHex")]
 
 
 def test_parse_log_strict_aborts_with_line_number():

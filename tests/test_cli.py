@@ -1,4 +1,6 @@
+import argparse
 import json
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -10,8 +12,10 @@ from canids.cli import (
     EXIT_IO,
     EXIT_MODEL,
     EXIT_OK,
+    build_parser,
     load_config_file,
     main,
+    parse_options,
     stratified_split,
 )
 from canids.graph_builder import graph_from_ids
@@ -69,12 +73,24 @@ def test_graphs_command(tmp_path, capsys):
     assert f"windows: {len(graphs)}" in captured.out
 
 
-def test_graphs_strict_mode_exit_code(tmp_path):
+def test_graphs_strict_mode_exit_code(tmp_path, capsys):
     log = tmp_path / "bad.log"
     log.write_text("10 100 0\nthis is not a frame\n")
     out = tmp_path / "g.jsonl"
     assert main(["graphs", "--log", str(log), "--out", str(out), "--strict"]) == EXIT_CONFIG
     assert main(["graphs", "--log", str(log), "--out", str(out)]) == EXIT_OK
+    config = tmp_path / "exp.conf"
+    from_file = ["graphs", "--config", str(config), "--log", str(log), "--out", str(out)]
+    capsys.readouterr()
+    config.write_text("strict=yes\n")
+    assert main(from_file) == EXIT_CONFIG
+    assert capsys.readouterr().err.startswith("error: line 2: ")
+    config.write_text("strict=off\n")
+    assert main(from_file) == EXIT_OK
+    assert capsys.readouterr().err == "warning: line 2: MalformedLine\n"
+    config.write_text("strict=maybe\n")
+    assert main(from_file) == EXIT_CONFIG
+    assert capsys.readouterr().err == "error: not a boolean: 'maybe'\n"
 
 
 def test_graphs_warns_on_non_ascii_digits(tmp_path, capsys):
@@ -311,11 +327,13 @@ def test_detect_empty_stream(tmp_path, capsys):
 
 
 @pytest.mark.parametrize("stride", ["0", "11"])
-@pytest.mark.parametrize("command", ["graphs", "train", "eval", "detect", "detect-stdin"])
+@pytest.mark.parametrize("command", ["graphs", "train", "eval", "detect", "detect-stdin",
+                                     "detect-missing-model"])
 def test_out_of_range_stride_is_config_error(tmp_path, capsys, monkeypatch,
                                              command, stride):
     """Every windowing subcommand refuses a stride outside 1..window_size;
-    detect does so before reading a line, even from an empty stdin."""
+    detect does so before reading a line, even from an empty stdin, and
+    before opening the model."""
     import io
 
     log = tmp_path / "t.log"
@@ -329,11 +347,81 @@ def test_out_of_range_stride_is_config_error(tmp_path, capsys, monkeypatch,
         "eval": ["eval", "--log", str(log), "--model", str(model), "--scenario", "DoS"],
         "detect": ["detect", "--log", str(log), "--model", str(model)],
         "detect-stdin": ["detect", "--log", "-", "--model", str(model)],
+        "detect-missing-model": ["detect", "--log", str(log),
+                                 "--model", str(tmp_path / "missing.bin")],
     }[command]
     assert main([*args, "--window-size", "10", "--stride", stride]) == EXIT_CONFIG
     captured = capsys.readouterr()
     assert captured.err == f"error: stride {stride} must be in 1..window_size\n"
     assert captured.out == ""
+
+
+@pytest.mark.parametrize("command", ["train", "eval"])
+def test_graph_dump_window_size_and_stride_are_checked(tmp_path, capsys, command):
+    """With --graphs, a window size (flag or file) other than the dump's, or a
+    stride outside 1..the dump's window size, is a config error."""
+    dump = _make_training_dump(tmp_path)  # 80-frame windows
+    model = tmp_path / "model.bin"
+    gcn.save_params(gcn.init_params(0), model)
+    args = {
+        "train": ["train", "--model", str(tmp_path / "new.bin"), "--epochs", "2"],
+        "eval": ["eval", "--model", str(model), "--scenario", "DoS"],
+    }[command] + ["--graphs", str(dump)]
+    config = tmp_path / "exp.conf"
+    config.write_text("window_size=7\n")
+    mismatch = f"error: {dump}: dump window_size 80 does not match window_size 7\n"
+    for extra, err in (
+        (["--window-size", "7"], mismatch),
+        (["--config", str(config)], mismatch),
+        (["--stride", "0"], "error: stride 0 must be in 1..window_size\n"),
+        (["--stride", "81"], "error: stride 81 must be in 1..window_size\n"),
+        (["--window-size", "80", "--stride", "81"],
+         "error: stride 81 must be in 1..window_size\n"),
+    ):
+        assert main([*args, *extra]) == EXIT_CONFIG
+        captured = capsys.readouterr()
+        assert captured.err == err
+        assert captured.out == ""
+    assert main([*args, "--window-size", "80"]) == EXIT_OK
+    assert main([*args, "--stride", "80"]) == EXIT_OK
+
+
+class _CountingSink:
+    """A stderr that keeps only the number of lines written to it."""
+
+    def __init__(self):
+        self.lines = 0
+
+    def write(self, text: str) -> int:
+        self.lines += text.count("\n")
+        return len(text)
+
+    def flush(self) -> None:
+        pass
+
+
+def test_detect_memory_does_not_grow_with_rejected_lines(tmp_path, monkeypatch):
+    """detect warns on every rejected line but keeps no record of it, so the
+    memory it holds is the same for 1k and 30k rejected lines."""
+    model = tmp_path / "model.bin"
+    gcn.save_params(gcn.init_params(0), model)
+
+    def peak_bytes(rejects: int) -> int:
+        sink = _CountingSink()
+        monkeypatch.setattr("sys.stderr", sink)
+        monkeypatch.setattr("sys.stdin", (f"{i} 1g0 1 00\n" for i in range(rejects)))
+        tracemalloc.start()
+        try:
+            assert main(["detect", "--model", str(model)]) == EXIT_OK
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert sink.lines == rejects
+        return peak
+
+    peak_bytes(100)  # first-call caches
+    small, large = peak_bytes(1_000), peak_bytes(30_000)
+    assert large - small < 64 * 1024, (small, large)
 
 
 def test_detect_skips_malformed_lines(tmp_path, capsys):
@@ -502,6 +590,77 @@ def test_config_file_shared_across_subcommands(tmp_path, capsys):
     assert main(["eval", "--config", str(config), "--graphs", str(dump),
                  "--model", str(model)]) == EXIT_OK
     assert "scenario: DoS" in capsys.readouterr().out
+
+
+# Per flag dest: a value for the flag, and another to put in the file when
+# the flag is given too. store_const flags take no value: their file values
+# are booleans.
+_SAMPLES = {
+    "seed": ("5", "6"), "out": ("a.out", "b.out"), "manifest": ("a.json", "b.json"),
+    "normal": ("500", "600"), "ids": ("8", "9"), "base_period_us": ("2000", "3000"),
+    "jitter": ("0.1", "0.2"), "dos": ("0.5", "0.25"), "fuzzy": ("0.5", "0.25"),
+    "spoofing": ("0.5", "0.25"), "replay": ("0.5", "0.25"),
+    "window_size": ("50", "60"), "stride": ("5", "6"), "strict": ("yes", "no"),
+    "log": ("a.log", "b.log"), "graphs": ("a.jsonl", "b.jsonl"),
+    "model": ("a.bin", "b.bin"), "history": ("a.jsonl", "b.jsonl"),
+    "train_fraction": ("0.7", "0.6"), "split_seed": ("3", "4"), "epochs": ("3", "4"),
+    "learning_rate": ("0.01", "0.02"), "batch_size": ("8", "16"),
+    "dropout": ("0.2", "0.3"), "patience": ("2", "3"),
+    "allow_single_class": ("yes", "no"), "scenario": ("DoS", "Fuzzy"),
+    "report": ("a.json", "b.json"), "threshold": ("0.25", "0.75"),
+}
+
+
+def _every_flag():
+    subcommands = next(action.choices for action in build_parser()._actions
+                       if isinstance(action, argparse._SubParsersAction))
+    return [pytest.param(name, action, id=f"{name}-{action.dest}")
+            for name, sub in subcommands.items() for action in sub._actions
+            if action.dest not in ("help", "config")]
+
+
+@pytest.mark.parametrize("command,action", _every_flag())
+def test_config_value_equals_flag_value(tmp_path, monkeypatch, command, action):
+    """Every flag of every subcommand: a file value resolves exactly as the
+    same flag does, and the flag wins when both are given."""
+    monkeypatch.delenv("CANIDS_SEED", raising=False)
+    value, other = _SAMPLES[action.dest]
+    flag = [action.option_strings[0]]
+    if not isinstance(action, argparse._StoreConstAction):
+        flag.append(value)
+    config = tmp_path / "exp.conf"
+
+    def resolved(argv):
+        return {k: v for k, v in vars(parse_options(argv)).items() if k != "config"}
+
+    from_flag = resolved([command, *flag])
+    assert from_flag != resolved([command])
+    config.write_text(f"{action.dest}={value}\n")
+    assert resolved([command, "--config", str(config)]) == from_flag
+    config.write_text(f"{action.dest}={other}\n")
+    assert resolved([command, "--config", str(config), *flag]) == from_flag
+
+
+def test_config_value_is_converted_only_by_subcommands_with_its_flag(tmp_path, capsys):
+    """A file value is read only by the subcommands that have its flag, as
+    the README says: graphs has no --threshold or --epochs."""
+    log = tmp_path / "t.log"
+    log.write_text("".join(f"{i} 100 0\n" for i in range(30)))
+    model = tmp_path / "model.bin"
+    gcn.save_params(gcn.init_params(0), model)
+    config = tmp_path / "exp.conf"
+    config.write_text("threshold=abc\nepochs=abc\n")
+    assert main(["graphs", "--config", str(config), "--log", str(log),
+                 "--out", str(tmp_path / "g.jsonl"), "--window-size", "10"]) == EXIT_OK
+    assert capsys.readouterr().err == ""
+    assert main(["detect", "--config", str(config), "--model", str(model),
+                 "--log", str(log)]) == EXIT_CONFIG
+    assert capsys.readouterr().err == (
+        "error: config value threshold='abc' is not a valid float\n")
+    assert main(["train", "--config", str(config), "--log", str(log),
+                 "--model", str(tmp_path / "new.bin")]) == EXIT_CONFIG
+    assert capsys.readouterr().err == (
+        "error: config value epochs='abc' is not a valid int\n")
 
 
 def test_load_config_file_rejects_garbage(tmp_path):

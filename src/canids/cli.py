@@ -12,11 +12,12 @@ the library modules, so whole pipelines are reproducible from a shell script:
 parse_options resolves every option, in this order: the command-line flag;
 else the flat key=value config file (--config), keyed by flag dest
 (window_size, epochs, ...) and converted as that flag converts it; else, for
-the seed only, CANIDS_SEED in the environment; else the flag's default. Each
-subcommand reads the file keys it has flags for, and a key that no
-subcommand has a flag for is a config error. With --graphs, a window_size
-that differs from the dump's is a config error, and the dump's size bounds
-the stride. Options are checked before any input is read.
+the seed of synth and train (the subcommands with randomness) only,
+CANIDS_SEED in the environment; else the flag's default. Each subcommand
+reads the file keys it has flags for, and a key that no subcommand has a
+flag for, config itself included, is a config error. With --graphs, a
+window_size that differs from the dump's is a config error, and the dump's
+size bounds the stride. Options are checked before any input is read.
 
 Exit codes: 0 success, 2 configuration or parse error, 3 I/O error,
 4 data error (e.g. single-class training set), 5 model file error.
@@ -103,10 +104,13 @@ def _check_stride(stride: int | None, window_size: int | None) -> None:
         raise ConfigError(f"stride {stride} must be in 1..window_size")
 
 
+_SEEDED = ("synth", "train")  # the subcommands that read args.seed
+
+
 def parse_options(argv=None) -> argparse.Namespace:
     """Resolve every option of one run: command-line flag, then --config file,
-    then CANIDS_SEED (seed only), then the flag's default. The values are
-    checked before any input is read."""
+    then CANIDS_SEED (the seed of synth and train only), then the flag's
+    default. The values are checked before any input is read."""
     parser = build_parser()
     args = parser.parse_args(argv)
     if args.config:
@@ -114,7 +118,7 @@ def parse_options(argv=None) -> argparse.Namespace:
         subcommands = next(action.choices for action in parser._actions
                            if isinstance(action, argparse._SubParsersAction))
         known = {action.dest for sub in subcommands.values() for action in sub._actions
-                 if not isinstance(action, argparse._HelpAction)}
+                 if not isinstance(action, argparse._HelpAction)} - {"config"}
         unknown = sorted(values.keys() - known)
         if unknown:
             raise ConfigError(f"{args.config}: no canids flag sets "
@@ -124,7 +128,7 @@ def parse_options(argv=None) -> argparse.Namespace:
         command.set_defaults(**{key: _from_file(own[key], raw)
                                 for key, raw in values.items() if key in own})
         args = parser.parse_args(argv)  # flags still win over file defaults
-    if args.seed is None:
+    if args.command in _SEEDED and args.seed is None:
         env = os.environ.get("CANIDS_SEED")
         try:
             args.seed = int(env) if env else 0

@@ -1,9 +1,13 @@
 """Streaming detection: one verdict per completed window, as frames arrive.
 
 verdicts scores each window of graph_builder.sliding_windows, the loop that
-also builds training graphs, as a batch of one through gcn.predict as soon as
-its last frame arrives. Nothing waits for later windows, so a verdict costs
-one graph snapshot plus one forward pass, and memory stays at one window.
+also builds training graphs, as soon as its last frame arrives. It takes no
+graph snapshot: the live SlidingGraph's conv_inputs (an adjacency cached
+until the window's edge set changes, and features from per-id counts) go
+straight through gcn.probability, the fused single-graph forward pass.
+Nothing waits for later windows, and memory stays at one window. Verdicts
+equal graphs_from_frames at the same stride followed by gcn.predict_many, up
+to rounding.
 """
 
 from __future__ import annotations
@@ -39,8 +43,10 @@ def verdicts(
     threshold: float = 0.5,
 ) -> Iterator[Verdict]:
     """Yield the verdict of each window of window_size frames starting every
-    stride frames, as soon as its last frame is read from frames."""
-    for graph, first, last in sliding_windows(frames, window_size, stride):
-        label, prob = gcn.predict(graph, params, threshold=threshold)
-        yield Verdict(graph.window_index, first.timestamp_us,
-                      last.timestamp_us, label, prob, bool(graph.label))
+    stride frames, as soon as its last frame is read from frames. A window
+    is attacked iff its probability is >= threshold, as in predict_many."""
+    for graph, index, attacked, first, last in sliding_windows(
+            frames, window_size, stride):
+        prob = gcn.probability(*graph.conv_inputs(), params)
+        yield Verdict(index, first.timestamp_us, last.timestamp_us,
+                      int(prob >= threshold), prob, attacked)

@@ -33,6 +33,7 @@ spawned from the config seed.
 
 from __future__ import annotations
 
+import math
 import struct
 import warnings
 from dataclasses import dataclass
@@ -43,7 +44,7 @@ import numpy as np
 
 from . import kernel
 from .graph_builder import GraphBatch, MessageGraph, assemble_batch, prepare_graph
-from .kernel import Matrix, ShapeMismatch, make_rng
+from .kernel import FiniteViolation, Matrix, ShapeMismatch, make_rng
 
 IN_FEATURES = 2
 HIDDEN = 8
@@ -454,6 +455,40 @@ def predict_many(
     probs = _infer_on_prepared(prepared, params, batch_size)
     p_attacked = probs[:, 1]
     return (p_attacked >= threshold).astype(np.int64), p_attacked
+
+
+def probability(
+    adjacency: Matrix,
+    features: Matrix,
+    num_nodes: int,
+    params: GcnParams,
+) -> float:
+    """Attacked probability of one graph from its convolution inputs: the
+    inference forward pass fused for a single graph, equal to predict's
+    probability up to rounding.
+
+    adjacency (k, k) and features (k, 2) may hold rows for free node slots
+    if those rows are all zero (they stay zero through both bias-free
+    layers), which is why the readout divides by num_nodes, not k. The
+    2-class softmax is a logistic in the logit difference. It makes no shape
+    or per-call finiteness checks: its inputs come from integer counts and
+    params are checked on construction; a non-finite result raises
+    FiniteViolation.
+    """
+    z1 = (adjacency @ features) @ params.w1
+    h1 = np.maximum(z1, LEAKY_SLOPE * z1)  # leaky ReLU, as the slope is < 1
+    z2 = (adjacency @ h1) @ params.w2
+    h2 = np.maximum(z2, LEAKY_SLOPE * z2)
+    logit0, logit1 = ((h2.sum(axis=0) / num_nodes) @ params.wc + params.bc).tolist()
+    gap = logit0 - logit1
+    if gap <= 0.0:
+        prob = 1.0 / (1.0 + math.exp(gap))
+    else:  # keep exp's argument <= 0, as softmax_rows shifts by the max
+        odds = math.exp(-gap)
+        prob = odds / (1.0 + odds)
+    if not math.isfinite(prob):
+        raise FiniteViolation("attacked probability is NaN or Inf")
+    return prob
 
 
 def save_params(params: GcnParams, path: str | Path) -> None:

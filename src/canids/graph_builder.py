@@ -11,12 +11,18 @@ all equal window_size - 1.
 A window is labeled attacked iff it contains at least one injected frame.
 
 Graphs are built incrementally: SlidingGraph keeps the last window_size ids,
-the edge multiset and each id's in-window positions, and updates them in O(1)
-per pushed id; its snapshot renders the window exactly as a from-scratch
-build. sliding_windows, one SlidingGraph pass snapshotting every stride-th
-window, is the one window loop behind graphs_from_frames and detect.verdicts,
-so both cost O(frames) at any stride. build_windows and build_graph slice and
-build from scratch: the reference the loop is tested against.
+the edge multiset and a slot with an occurrence count per in-window id, and
+updates them in O(1) per pushed id with Python int and dict operations. Its
+snapshot renders the window exactly as a from-scratch build; its conv_inputs
+give the window's convolution inputs in slot order without a snapshot,
+re-deriving the adjacency only when the binarized edge set has changed since
+the last call (between stride-1 windows it mostly has not), and the features
+from the slot counts. sliding_windows, one SlidingGraph pass that
+yields the live graph at every stride-th window, is the one window loop:
+graphs_from_frames snapshots each window and detect.verdicts scores each from
+its conv_inputs, so both cost O(frames) at any stride. build_windows and
+build_graph slice and build from scratch: the reference the loop is tested
+against.
 
 The convolution sees one adjacency form: the edges symmetrized and binarized,
 self-loops added, then symmetrically degree-normalized. Batches pad every
@@ -35,7 +41,7 @@ from typing import IO, Iterable, Iterator, Sequence
 import numpy as np
 
 from .can_log import CanFrame
-from .kernel import Matrix
+from .kernel import Matrix, check_finite
 
 DEFAULT_WINDOW_SIZE = 200
 
@@ -120,13 +126,20 @@ def build_windows(
 
 class SlidingGraph:
     """Message graph of the last window_size arbitration ids, updated in O(1)
-    per pushed id.
+    per pushed id with plain Python int and dict operations.
 
     It keeps a ring of the ids in the window, the edge multiset keyed by
-    (src_id, dst_id), and one deque of in-window positions per id: the
-    deque's length is the id's occurrence count and its head the id's first
-    position. Pushing into a full ring drops the oldest id and its outgoing
-    edge before adding the new id and its incoming edge.
+    (src_id, dst_id), and a slot per in-window id: slots maps an id to its
+    slot and counts holds each slot's occurrence count (0 for a free slot).
+    A slot freed when its id leaves the window is handed to the next new id.
+    support counts the changes of the edge support: it goes up whenever a
+    (src, dst) multiplicity goes 0 -> 1 or 1 -> 0, which every change of the
+    slot set comes with. Pushing into a full ring drops the oldest id and its
+    outgoing edge before adding the new id and its incoming edge.
+
+    snapshot renders the window as a MessageGraph; conv_inputs gives the
+    convolution inputs in slot order without one, re-deriving the adjacency
+    only when support has moved.
     """
 
     def __init__(self, window_size: int = DEFAULT_WINDOW_SIZE):
@@ -135,50 +148,68 @@ class SlidingGraph:
         self.window_size = window_size
         self.ids: deque[int] = deque(maxlen=window_size)
         self.edges: dict[tuple[int, int], int] = {}
-        self.positions: dict[int, deque[int]] = {}
-        self.pushed = 0
+        self.slots: dict[int, int] = {}
+        self.counts: list[int] = []
+        self.free: list[int] = []
+        self.support = 0
+        self._adjacency: Matrix | None = None
+        self._adjacency_support = -1
 
     def push(self, arb_id: int) -> None:
-        ids, edges, positions = self.ids, self.edges, self.positions
+        ids, edges, slots, counts = self.ids, self.edges, self.slots, self.counts
         if len(ids) == self.window_size:
             oldest = ids[0]
             key = (oldest, ids[1])
-            mult = edges[key]
-            if mult == 1:
-                del edges[key]
+            mult = edges[key] - 1
+            if mult:
+                edges[key] = mult
             else:
-                edges[key] = mult - 1
-            seen = positions[oldest]
-            seen.popleft()
-            if not seen:
-                del positions[oldest]
+                del edges[key]
+                self.support += 1
+            slot = slots[oldest]
+            left = counts[slot] - 1
+            counts[slot] = left
+            if not left:
+                del slots[oldest]
+                self.free.append(slot)
         if ids:
             key = (ids[-1], arb_id)
-            edges[key] = edges.get(key, 0) + 1
+            mult = edges.get(key)
+            if mult:
+                edges[key] = mult + 1
+            else:
+                edges[key] = 1
+                self.support += 1
         ids.append(arb_id)
-        seen = positions.get(arb_id)
-        if seen is None:
-            positions[arb_id] = deque((self.pushed,))
-        else:
-            seen.append(self.pushed)
-        self.pushed += 1
+        slot = slots.get(arb_id)
+        if slot is None:
+            if self.free:
+                slot = self.free.pop()
+            else:
+                slot = len(counts)
+                counts.append(0)
+            slots[arb_id] = slot
+        counts[slot] += 1
+
+    def _check_size(self) -> None:
+        if len(self.ids) < 2:
+            raise WindowTooSmall(f"window of {len(self.ids)} frames, need >= 2")
 
     def snapshot(self, attacked: bool, window_index: int = 0) -> MessageGraph:
         """The ids now in the ring as a MessageGraph: nodes in order of first
         position, edges in node-index terms. Each id's occurrence count is
-        its degree, less one outgoing for the last frame's id and one
-        incoming for the first frame's id."""
-        ids, positions = self.ids, self.positions
-        if len(ids) < 2:
-            raise WindowTooSmall(f"window of {len(ids)} frames, need >= 2")
-        node_ids = sorted(positions, key=lambda arb_id: positions[arb_id][0])
+        its degree, less one incoming for the first frame's id (node 0) and
+        one outgoing for the last frame's id."""
+        self._check_size()
+        ids, slots, counts = self.ids, self.slots, self.counts
+        node_ids = list(dict.fromkeys(ids))
         index = {arb_id: k for k, arb_id in enumerate(node_ids)}
         edges = {(index[src], index[dst]): mult
                  for (src, dst), mult in self.edges.items()}
-        in_deg = np.array([len(positions[arb_id]) for arb_id in node_ids],
+        in_deg = np.array([counts[slots[arb_id]] for arb_id in node_ids],
                           dtype=np.int64)
         out_deg = in_deg.copy()
-        in_deg[index[ids[0]]] -= 1
+        in_deg[0] -= 1
         out_deg[index[ids[-1]]] -= 1
         return MessageGraph(
             window_index=window_index,
@@ -189,6 +220,48 @@ class SlidingGraph:
             label=ATTACKED if attacked else ATTACK_FREE,
             window_size=len(ids),
         )
+
+    def conv_inputs(self) -> tuple[Matrix, Matrix, int]:
+        """(adjacency, features, live node count) of the window in slot order:
+        row s is the id in slot s, and a free slot's rows are all zero. Under
+        the slot permutation they equal conv_adjacency and node_features of
+        the snapshot. The adjacency is cached and re-derived only when support
+        has moved; the returned arrays are valid until the next push."""
+        self._check_size()
+        if self._adjacency_support != self.support:
+            self._adjacency = self._slot_adjacency()
+            self._adjacency_support = self.support
+        ids, slots = self.ids, self.slots
+        feats = np.array((self.counts, self.counts), dtype=np.float64)
+        feats[0, slots[ids[0]]] -= 1.0
+        feats[1, slots[ids[-1]]] -= 1.0
+        # both degree sums are len(ids) - 1 >= 1, so each column max is > 0
+        feats /= feats.max(axis=1, keepdims=True)
+        return self._adjacency, feats.T, len(slots)
+
+    def _slot_adjacency(self) -> Matrix:
+        """conv_adjacency in slot order, free slots left with no self-loop.
+        When more than half the slots are free, the live ids are first
+        renumbered 0..n-1, so a burst of distinct ids does not pad every
+        later window to its size."""
+        slots, counts = self.slots, self.counts
+        if 2 * len(slots) < len(counts):
+            self.counts = counts = [counts[slot] for slot in slots.values()]
+            self.slots = slots = {arb_id: k for k, arb_id in enumerate(slots)}
+            self.free = []
+        size = len(counts)
+        src = [slots[arb_id] for arb_id, _ in self.edges]
+        dst = [slots[arb_id] for _, arb_id in self.edges]
+        live = list(slots.values())
+        sym = np.zeros((size, size), dtype=np.float64)
+        sym[src, dst] = 1.0
+        sym[dst, src] = 1.0
+        sym[live, live] += 1.0
+        inv_sqrt = np.zeros(size, dtype=np.float64)
+        inv_sqrt[live] = 1.0 / np.sqrt(sym.sum(axis=1)[live])
+        adjacency = sym * inv_sqrt[:, None] * inv_sqrt[None, :]
+        check_finite(adjacency, "adjacency")
+        return adjacency
 
 
 def graph_from_ids(
@@ -215,12 +288,15 @@ def sliding_windows(
     frames: Iterable[CanFrame],
     window_size: int = DEFAULT_WINDOW_SIZE,
     stride: int | None = None,
-) -> Iterator[tuple[MessageGraph, CanFrame, CanFrame]]:
-    """Yield (graph, first_frame, last_frame) for each window of build_windows
-    as soon as its last frame arrives, in one pass that pushes each frame once
-    into a SlidingGraph. Indices are consecutive, a graph is attacked iff any
-    of its frames is injected, and no partial window is yielded. A bad
-    window_size or stride raises on the first next(), before any frame is read."""
+) -> Iterator[tuple[SlidingGraph, int, bool, CanFrame, CanFrame]]:
+    """Yield (graph, window_index, attacked, first_frame, last_frame) for each
+    window of build_windows as soon as its last frame arrives, in one pass
+    that pushes each frame once into a SlidingGraph. graph is that live
+    SlidingGraph, holding the window until the next item is requested: take
+    its snapshot or conv_inputs before then. Indices are consecutive, a
+    window is attacked iff any of its frames is injected, and no partial
+    window is yielded. A bad window_size or stride raises on the first
+    next(), before any frame is read."""
     graph = SlidingGraph(window_size)
     stride = window_size if stride is None else stride
     if not 1 <= stride <= window_size:
@@ -234,8 +310,7 @@ def sliding_windows(
             last_injected = position
         start = position + 1 - window_size
         if start >= 0 and start % stride == 0:
-            attacked = last_injected >= start
-            yield graph.snapshot(attacked, start // stride), window[0], frame
+            yield graph, start // stride, last_injected >= start, window[0], frame
             if stride == window_size:  # windows share no frame: skip evicting
                 graph = SlidingGraph(window_size)
 
@@ -246,7 +321,8 @@ def graphs_from_frames(
     stride: int | None = None,
 ) -> list[MessageGraph]:
     """The graphs of build_windows + build_graph, from one sliding pass."""
-    return [graph for graph, _, _ in sliding_windows(frames, window_size, stride)]
+    return [graph.snapshot(attacked, index) for graph, index, attacked, _, _
+            in sliding_windows(frames, window_size, stride)]
 
 
 def node_features(graph: MessageGraph) -> Matrix:
@@ -263,9 +339,11 @@ def node_features(graph: MessageGraph) -> Matrix:
 
 def conv_adjacency(graph: MessageGraph) -> Matrix:
     """Convolution-ready n x n adjacency, the only form the model sees:
-    D^-1/2 (A~) D^-1/2, where A~ is the edge set symmetrized and binarized
-    (multiplicities dropped) plus self-loops, and D holds the row sums of A~.
-    The self-loops keep every node's own features in its update and the
+    D^-1/2 (A~) D^-1/2, where A~ = A_bin + I, A_bin is the edge set
+    symmetrized and binarized (multiplicities dropped) and D holds the row
+    sums of A~. I is added after binarizing, so a node with a self-edge (an
+    id repeated in consecutive frames) has diagonal 2 in A~, others 1. The
+    self-loops keep every node's own features in its update and the
     normalization keeps high-degree hubs from scaling their neighbours."""
     n = graph.num_nodes
     a = np.zeros((n, n), dtype=np.float64)

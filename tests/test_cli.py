@@ -578,6 +578,44 @@ def test_config_key_no_flag_sets_is_rejected(tmp_path, capsys, line):
     assert capsys.readouterr().err == f"error: {config}: no canids flag sets {key!r}\n"
 
 
+def test_config_key_naming_another_config_file_is_rejected(tmp_path, capsys):
+    """config is a flag, but not one a config file can set: a file pointing
+    at another file would otherwise be read and silently ignored."""
+    log = tmp_path / "t.log"
+    log.write_text("".join(f"{i} 100 0\n" for i in range(30)))
+    config = tmp_path / "exp.conf"
+    config.write_text("config=nowhere.conf\n")
+    assert main(["graphs", "--config", str(config), "--log", str(log),
+                 "--out", str(tmp_path / "g.jsonl")]) == EXIT_CONFIG
+    assert capsys.readouterr().err == f"error: {config}: no canids flag sets 'config'\n"
+    assert not (tmp_path / "g.jsonl").exists()
+
+
+def test_env_seed_is_read_only_by_subcommands_with_randomness(tmp_path, capsys,
+                                                               monkeypatch):
+    """graphs, eval and detect have no randomness, so a CANIDS_SEED they would
+    never use does not stop them; synth and train still refuse it."""
+    log = tmp_path / "t.log"
+    log.write_text("".join(f"{i} 100 0\n" for i in range(30)))
+    model = tmp_path / "model.bin"
+    gcn.save_params(gcn.init_params(0), model)
+    dump = _make_training_dump(tmp_path)
+    monkeypatch.setenv("CANIDS_SEED", "seven")
+    for argv in (["graphs", "--log", str(log), "--out", str(tmp_path / "g.jsonl"),
+                  "--window-size", "10"],
+                 ["eval", "--graphs", str(dump), "--model", str(model),
+                  "--scenario", "DoS"],
+                 ["detect", "--model", str(model), "--log", str(log),
+                  "--window-size", "10"]):
+        assert main(argv) == EXIT_OK
+        assert parse_options(argv).seed is None
+    capsys.readouterr()
+    for argv in (["synth", "--normal", "100", "--out", str(tmp_path / "s.log")],
+                 ["train", "--graphs", str(dump), "--model", str(tmp_path / "m.bin")]):
+        assert main(argv) == EXIT_CONFIG
+        assert "CANIDS_SEED='seven'" in capsys.readouterr().err
+
+
 def test_config_file_shared_across_subcommands(tmp_path, capsys):
     """train reads epochs, eval reads threshold and scenario; each ignores
     the other's keys."""

@@ -12,25 +12,35 @@ def dos_stream():
     return make_scenario_stream("dos", base, switch, seed=4).frames
 
 
+@pytest.fixture(scope="module")
+def fuzzy_stream():
+    base, switch = make_base_stream(6_000, seed=5)
+    return make_scenario_stream("fuzzy", base, switch, seed=6).frames
+
+
 @pytest.mark.parametrize("window_size, stride", [(200, 200), (50, 1), (30, 7)])
-def test_verdicts_equal_library(dos_stream, window_size, stride):
+def test_verdicts_equal_library(dos_stream, fuzzy_stream, window_size, stride):
     """A verdict per completed window, in order, with the library's
-    probability and the sliced window's timestamps and ground truth."""
+    probability and the sliced window's timestamps and ground truth. Fuzzy
+    traffic gives large graphs whose ids come and go, so node slots are
+    freed and reused."""
     params = gcn.init_params(1)
-    got = list(verdicts(iter(dos_stream), params, window_size, stride, threshold=0.5))
-    windows = build_windows(dos_stream, window_size, stride)
-    _, probs = gcn.predict_many(
-        [build_graph(w, k) for k, w in enumerate(windows)], params)
-    assert len(got) == len(windows)
-    injected = [any(f.label is not None for f in w) for w in windows]
-    assert any(injected) and not all(injected)
-    for k, (v, window) in enumerate(zip(got, windows)):
-        assert v.window_index == k
-        assert v.first_timestamp_us == window[0].timestamp_us
-        assert v.last_timestamp_us == window[-1].timestamp_us
-        assert v.injected == injected[k]
-        assert v.label == int(v.probability >= 0.5)
-        assert v.probability == pytest.approx(probs[k], abs=1e-12)
+    for stream in (dos_stream, fuzzy_stream):
+        got = list(verdicts(iter(stream), params, window_size, stride, threshold=0.5))
+        windows = build_windows(stream, window_size, stride)
+        graphs = [build_graph(w, k) for k, w in enumerate(windows)]
+        _, probs = gcn.predict_many(graphs, params)
+        assert len(got) == len(windows)
+        injected = [any(f.label is not None for f in w) for w in windows]
+        assert any(injected) and not all(injected)
+        for k, (v, window) in enumerate(zip(got, windows)):
+            assert v.window_index == k
+            assert v.first_timestamp_us == window[0].timestamp_us
+            assert v.last_timestamp_us == window[-1].timestamp_us
+            assert v.injected == injected[k]
+            assert v.label == int(v.probability >= 0.5)
+            assert v.probability == pytest.approx(probs[k], abs=1e-12)
+    assert max(g.num_nodes for g in graphs) > 2 * min(g.num_nodes for g in graphs)
 
 
 def test_no_verdict_before_the_window_fills(dos_stream):

@@ -3,6 +3,7 @@ import io
 import numpy as np
 import pytest
 
+from canids import gcn
 from canids.can_log import AttackKind, CanFrame
 from canids.graph_builder import (
     ATTACK_FREE,
@@ -254,13 +255,89 @@ def test_sliding_windows_match_build_windows_oracle(pool):
         for stride in sorted({1, (window_size + 1) // 2, window_size}):
             windows = build_windows(frames, window_size, stride)
             want = [_fields(build_graph(w, k)) for k, w in enumerate(windows)]
-            got = list(sliding_windows(frames, window_size, stride))
+            got = [(g.snapshot(attacked, index), first, last) for g, index, attacked, first, last
+                   in sliding_windows(frames, window_size, stride)]
             assert [_fields(g) for g, _, _ in got] == want
             assert [_fields(g) for g in graphs_from_frames(frames, window_size, stride)] == want
             assert [(first, last) for _, first, last in got] == [(w[0], w[-1]) for w in windows]
             assert len(got) == (len(frames) - window_size) // stride + 1
             if stride == 1:
                 assert {g.label for g, _, _ in got} == {ATTACK_FREE, ATTACKED}
+
+
+def _check_conv_inputs_at_every_push(ids, window_size, params):
+    """After every push, SlidingGraph.conv_inputs equal conv_adjacency and
+    node_features of the snapshot under the slot permutation (free slots all
+    zero), the cached adjacency is kept exactly while the edge support has
+    not moved, and gcn.probability equals gcn.predict."""
+    sliding = SlidingGraph(window_size)
+    adj = support = None
+    for arb_id in ids:
+        edge_set = set(sliding.edges)
+        sliding.push(arb_id)
+        if len(sliding.ids) < 2:
+            with pytest.raises(WindowTooSmall):
+                sliding.conv_inputs()
+            continue
+        prev_adj, prev_support = adj, support
+        adj, feats, live = sliding.conv_inputs()
+        if set(sliding.edges) != edge_set:
+            assert sliding.support != prev_support
+        assert (adj is prev_adj) == (sliding.support == prev_support)
+        support = sliding.support
+        g = sliding.snapshot(False)
+        perm = [sliding.slots[node] for node in g.node_ids]
+        free = np.setdiff1d(np.arange(len(adj)), perm)
+        assert live == g.num_nodes == len(perm)
+        assert adj.shape == (len(feats), len(feats))
+        np.testing.assert_array_equal(adj[np.ix_(perm, perm)], conv_adjacency(g))
+        np.testing.assert_array_equal(feats[perm], node_features(g))
+        assert not adj[free].any() and not adj[:, free].any() and not feats[free].any()
+        want_label, want_prob = gcn.predict(g, params)
+        prob = gcn.probability(adj, feats, live, params)
+        assert abs(prob - want_prob) <= 1e-12
+        assert int(prob >= 0.5) == want_label
+
+
+def _id_stream(rng, pools, segment, repeat_p=0.3):
+    """Segments of ids drawn from pools of the given sizes in turn (ids
+    leave with their pool and return with it), each id repeated in the next
+    frame with probability repeat_p, so self-edges occur."""
+    ids = []
+    for pool in pools:
+        for arb_id in random_id_window(rng, segment, pool=pool):
+            ids.append(arb_id)
+            while rng.random() < repeat_p:
+                ids.append(arb_id)
+    return ids
+
+
+@pytest.mark.parametrize("window_size, pools, segment", [
+    (2, (1, 2, 3), 60),
+    (3, (2, 5, 1, 5), 60),
+    (7, (3, 12, 2, 12), 80),
+    (50, (5, 40, 3, 60, 5), 120),
+    (200, (15, 200, 10, 150, 15), 250),  # fuzzy-sized pools, then few ids again
+])
+def test_conv_inputs_match_snapshot_at_every_push(window_size, pools, segment):
+    rng = make_rng(window_size)
+    ids = _id_stream(rng, pools, segment)
+    _check_conv_inputs_at_every_push(ids, window_size, gcn.init_params(window_size))
+
+
+def test_conv_inputs_property():
+    """The same invariants on arbitrary id streams."""
+    hypothesis = pytest.importorskip("hypothesis")
+    st = pytest.importorskip("hypothesis.strategies")
+
+    @hypothesis.settings(max_examples=60, deadline=None)
+    @hypothesis.given(st.integers(2, 12),
+                      st.lists(st.integers(0, 15), min_size=1, max_size=80),
+                      st.integers(0, 2**32 - 1))
+    def check(window_size, ids, seed):
+        _check_conv_inputs_at_every_push(ids, window_size, gcn.init_params(seed))
+
+    check()
 
 
 def test_graphs_from_frames_pushes_each_frame_once(monkeypatch):

@@ -9,6 +9,12 @@ as injected attack traffic (used by the synthetic generators to carry ground
 truth inline; real captures without it parse as normal traffic). Lines whose
 first non-blank character is ``#`` are comments.
 
+A line in canonical form, as ``serialize_frame`` writes it, is parsed with
+one regular-expression match; any other spelling (tabs, runs of
+spaces, CRLF, upper-case labels, zero-padded dlc) and every malformed line go
+through a walk over its whitespace-separated tokens. Both give the same frame
+or the same error kind; the token walk alone names the error.
+
 Canonical serialization: timestamps print as integer seconds when the
 microsecond remainder is zero, otherwise with the fractional part trailing-zero
 trimmed; arbitration ids print lower-case hex zero-padded to 3 digits (standard
@@ -18,6 +24,7 @@ trimmed; arbitration ids print lower-case hex zero-padded to 3 digits (standard
 from __future__ import annotations
 
 import enum
+import re
 from dataclasses import dataclass, field
 from pathlib import Path
 from typing import IO, Callable, Iterable, Iterator
@@ -121,11 +128,15 @@ def _parse_timestamp(token: str) -> int:
     whole, dot, frac = token.partition(".")
     if not (token.isascii() and whole.isdigit()):
         raise MalformedLine(f"bad timestamp {token!r}")
+    try:
+        seconds = int(whole)
+    except ValueError:  # more digits than Python's int-string limit
+        raise MalformedLine(f"timestamp of {len(whole)} digits is too long") from None
     if dot:
         if not frac.isdigit() or len(frac) > 6:
             raise MalformedLine(f"bad timestamp {token!r}")
-        return int(whole) * US_PER_SECOND + int(frac.ljust(6, "0"))
-    return int(whole) * US_PER_SECOND
+        return seconds * US_PER_SECOND + int(frac.ljust(6, "0"))
+    return seconds * US_PER_SECOND
 
 
 def format_timestamp(timestamp_us: int) -> str:
@@ -145,12 +156,48 @@ def _parse_hex(token: str, what: str) -> int:
     return int(token, 16)
 
 
+# label text of a canonical match -> AttackKind; no label group -> None
+_LABELS = {None: None, **{kind.value: kind for kind in AttackKind}}
+
+# The canonical line: single spaces, a known lower-case label, at most one
+# trailing newline. The seconds run stops at 640 digits, the lowest
+# int-string limit Python allows, so int() on a match cannot raise.
+_match_canonical = re.compile(
+    r"([0-9]{1,640})(?:\.([0-9]{1,6}))? ([0-9a-fA-F]{1,8}) ([0-8])"
+    r"((?: [0-9a-fA-F]{2})*)"
+    rf"(?: {LABEL_PREFIX}({'|'.join(kind.value for kind in AttackKind)}))?\n?"
+).fullmatch
+
+
 def parse_line(text: str) -> CanFrame:
     """Parse one log line into a validated CanFrame.
 
     Hex parsing is case-insensitive and tolerant of leading zeros; a frame is
     extended iff its id token is 8 digits wide or its value exceeds 11 bits.
+    A canonical line is parsed by one match; any other line, and a canonical
+    one whose id, dlc or payload fails a check, by the token walk, which gives
+    the same frame or raises the error.
     """
+    match = _match_canonical(text)
+    if match is not None:
+        seconds, frac, id_text, dlc_text, payload_text, label_text = match.groups()
+        arb_id = int(id_text, 16)
+        dlc = int(dlc_text)
+        payload = bytes.fromhex(payload_text)
+        if arb_id <= EXTENDED_ID_MAX and len(payload) == dlc:
+            timestamp_us = int(seconds) * US_PER_SECOND
+            if frac:
+                timestamp_us += int(frac.ljust(6, "0"))
+            return CanFrame(
+                timestamp_us, arb_id, dlc, payload, _LABELS[label_text],
+                len(id_text) == 8 or arb_id > STANDARD_ID_MAX,
+            )
+    return _parse_tokens(text)
+
+
+def _parse_tokens(text: str) -> CanFrame:
+    """parse_line by a walk over the whitespace-separated tokens: the
+    reference for every line, and the only path that names an error."""
     tokens = text.split()
     if not tokens:
         raise MalformedLine("empty line")
@@ -175,7 +222,10 @@ def parse_line(text: str) -> CanFrame:
 
     if not (tokens[2].isascii() and tokens[2].isdigit()):
         raise MalformedLine(f"bad dlc {tokens[2]!r}")
-    dlc = int(tokens[2])
+    try:
+        dlc = int(tokens[2])
+    except ValueError:  # more digits than Python's int-string limit
+        raise DlcOutOfRange(f"dlc of {len(tokens[2])} digits is too long") from None
     if dlc > MAX_DLC:
         raise DlcOutOfRange(f"dlc {dlc} exceeds {MAX_DLC}")
 
@@ -235,12 +285,15 @@ def read_frames(
     """
     last_ts: int | None = None
     for line_no, line in enumerate(source, start=1):
-        stripped = line.strip()
-        if not stripped or stripped.startswith("#"):
-            continue
+        # Parse first: a blank or comment line never parses, because its
+        # first token is never a timestamp, so it is told apart only after
+        # the error.
         try:
-            frame = parse_line(stripped)
+            frame = parse_line(line)
         except CanLogError as err:
+            stripped = line.strip()
+            if not stripped or stripped.startswith("#"):
+                continue
             if strict:
                 raise type(err)(f"line {line_no}: {err}") from err
             kind = type(err).__name__

@@ -1,12 +1,16 @@
 import io
+import random
 
 import pytest
 
+from canids import can_log
 from canids.can_log import (
     AttackKind,
     BadHex,
     CanFrame,
+    CanLogError,
     DlcOutOfRange,
+    EXTENDED_ID_MAX,
     IdOutOfRange,
     MalformedLine,
     PayloadLengthMismatch,
@@ -164,10 +168,137 @@ def test_fractional_timestamps():
         parse_line("1.1234567 100 0")  # sub-microsecond precision
 
 
-def test_round_trip_random_frames():
+def test_round_trip_random_frames(monkeypatch):
+    """Every line serialize_frame writes round-trips through the canonical
+    match alone, with or without the newline save_log adds."""
+    def token_walk(text):
+        raise AssertionError(f"canonical line sent to the token walk: {text!r}")
+
+    monkeypatch.setattr(can_log, "_parse_tokens", token_walk)
     rng = make_rng(2024)
-    for frame in random_frames(rng, 500):
-        assert parse_line(serialize_frame(frame)) == frame
+    edge_frames = [
+        CanFrame(0, 0x316, 0, b"", extended=True),  # 8 digits, value <= 0x7FF
+        CanFrame(0, 0x7FF, 0, b""),
+        CanFrame(1, 0x800, 1, b"\x00", extended=True),
+        CanFrame(1, EXTENDED_ID_MAX, 8, bytes(range(8)), AttackKind.REPLAY, True),
+        CanFrame(1, 0, 0, b"", AttackKind.DOS),
+        CanFrame(12_500_000, 0x100, 2, b"\xab\xcd", AttackKind.FUZZY),
+        CanFrame(1, 0x100, 0, b"", AttackKind.SPOOFING),
+        CanFrame(10**20 + 10, 0x100, 0, b""),
+    ]
+    for frame in random_frames(rng, 500) + edge_frames:
+        line = serialize_frame(frame)
+        assert parse_line(line) == frame
+        assert parse_line(line + "\n") == frame
+
+
+@pytest.mark.parametrize(
+    "line, error",
+    [("1" * 4301 + " 100 0", MalformedLine),
+     ("1" * 4301 + ".5 100 0", MalformedLine),
+     ("0" * 5000 + " 100 0", MalformedLine),
+     ("1 100 " + "9" * 4301, DlcOutOfRange),
+     ("1 100 " + "0" * 5000, DlcOutOfRange)],
+    ids=["seconds", "seconds-with-fraction", "zero-seconds", "dlc", "zero-dlc"])
+def test_numbers_past_the_int_digit_limit_are_typed_errors(line, error):
+    """int() refuses a decimal string of more than 4300 digits with a plain
+    ValueError; the line fails with its CanLogError kind instead."""
+    with pytest.raises(error):
+        parse_line(line)
+    frames, report = parse_log([line, "2 100 0"])
+    assert len(frames) == 1
+    assert [(no, kind) for no, kind, _ in report.errors] == [(1, error.__name__)]
+
+
+def _outcome(parse, line):
+    """The frame a parser gives for a line, or the CanLogError kind it raises."""
+    try:
+        return parse(line)
+    except CanLogError as err:
+        return type(err)
+
+
+# Pieces a mutation splices into a canonical line: whitespace str.split
+# accepts but the canonical form does not, a non-ASCII digit, prefixes and
+# separators int() would accept, label spellings, and id and dlc tokens at
+# the edges of their ranges.
+MUTATION_PIECES = [
+    "\t", "  ", " ", "\r\n", "\n", "\u3000", "\x1c", "\u0663", "0x", "_", "+",
+    "#label=", " #label=dos", " #label=DOS", " #label=Fuzzy", " #label=nope", "#",
+    "08", "8", "9", "0", ".", ".5", "ff", "FF", "g",
+    "00000316", "000000316", "1fffffff", "3fffffff", "7ff", "800",
+]
+ID_TOKENS = ["00000316", "000000316", "3fffffff", "1fffffff", "0800", "7FF", "0x10"]
+DLC_TOKENS = ["08", "00", "+1", "1_0", "9", "\u0663"]
+
+
+def _mutate(line, rng):
+    """One to three seeded edits of a line: splice a piece in, replace or
+    drop a character, or swap the id or dlc token for an edge value."""
+    for _ in range(rng.randint(1, 3)):
+        op = rng.randrange(5)
+        at = rng.randrange(len(line) + 1)
+        if op == 0:
+            line = line[:at] + rng.choice(MUTATION_PIECES) + line[at:]
+        elif op == 1:
+            line = line[:at] + rng.choice(MUTATION_PIECES) + line[at + 1:]
+        elif op == 2:
+            line = line[:at] + line[at + 1:]
+        else:
+            fields = line.split(" ")
+            if len(fields) > 2:
+                field = 1 if op == 3 else 2
+                fields[field] = rng.choice(ID_TOKENS if op == 3 else DLC_TOKENS)
+                line = " ".join(fields)
+    return line
+
+
+def test_canonical_match_agrees_with_token_walk():
+    """On seeded mutations of canonical lines, parse_line (canonical match
+    first) and the token walk give the same frame or the same error kind."""
+    rng = random.Random(7)
+    canonical = [serialize_frame(f) for f in random_frames(make_rng(11), 400)]
+    seen = set()
+    for _ in range(20_000):
+        line = rng.choice(canonical) + rng.choice(["", "\n"])
+        if rng.random() < 0.9:
+            line = _mutate(line, rng)
+        expected = _outcome(can_log._parse_tokens, line)
+        assert _outcome(parse_line, line) == expected, line
+        seen.add((can_log._match_canonical(line) is not None,
+                  expected.__name__ if isinstance(expected, type) else "frame"))
+    # Both paths gave frames, a match that fails a check came up, and so did
+    # every error kind.
+    kinds = (MalformedLine, BadHex, DlcOutOfRange, PayloadLengthMismatch, IdOutOfRange)
+    assert {(True, "frame"), (False, "frame"), (True, "IdOutOfRange"),
+            (True, "PayloadLengthMismatch"),
+            *((False, kind.__name__) for kind in kinds)} <= seen
+
+
+def test_canonical_match_agrees_with_token_walk_hypothesis():
+    hypothesis = pytest.importorskip("hypothesis")
+    st = pytest.importorskip("hypothesis.strategies")
+
+    fields = st.lists(
+        st.one_of(
+            st.sampled_from(MUTATION_PIECES + ID_TOKENS + DLC_TOKENS),
+            st.text("0123456789abcdefABCDEF.", min_size=1, max_size=10),
+        ),
+        min_size=0, max_size=12,
+    )
+    # mostly single spaces, so that many lines stay canonical
+    separators = st.sampled_from([" "] * 3 + ["  ", "\t", "\u3000", "\x1c"])
+
+    @hypothesis.settings(max_examples=500, deadline=None, database=None)
+    @hypothesis.given(fields, st.data(), st.sampled_from(["", "\n", "\r\n", " \n"]))
+    def check(tokens, data, end):
+        line = ""
+        for k, token in enumerate(tokens):
+            line += (data.draw(separators) if k else "") + token
+        line += end
+        assert _outcome(parse_line, line) == _outcome(can_log._parse_tokens, line)
+
+    check()
 
 
 def test_frame_invariants_enforced():
@@ -205,10 +336,21 @@ def test_parse_log_strict_aborts_with_line_number():
 
 
 def test_parse_log_skips_blank_and_comment_lines():
-    text = "# header comment\n\n10 100 0\n   \n# another\n11 100 0\n"
-    frames, report = parse_log(io.StringIO(text))
-    assert len(frames) == 2
-    assert report.frames_ok == 2 and not report.errors
+    """Lines are parsed before they are told to be blank or comments, so a
+    comment that reads like a frame after its '#' is still skipped, in
+    lenient and strict mode alike."""
+    lines = [
+        "# header comment\n", "\n", "10 100 0\n", "   \n", "# another\n",
+        "11 100 0\n", "#1 100 0\n", "#label=dos\n", "  # note\n",
+        "#label=nope\n", "# 1 100 0 #label=dos\n", " \t \u3000\x1c\n", "\r\n",
+        "12 100 1 aa\r\n", "\t#13 100 0\r\n", "14 100 0",
+    ]
+    for strict in (False, True):
+        frames, report = parse_log(lines, strict=strict)
+        assert [f.timestamp_us for f in frames] == [10_000_000, 11_000_000,
+                                                    12_000_000, 14_000_000]
+        assert report.frames_ok == 4
+        assert report.errors == [] and report.warnings == []
 
 
 def test_parse_log_empty():

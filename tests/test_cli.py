@@ -438,6 +438,26 @@ def test_detect_skips_malformed_lines(tmp_path, capsys):
     assert len(captured.out.strip().splitlines()) == (120 - 100) // 100 + 1
 
 
+@pytest.mark.parametrize("strict", [False, True], ids=["lenient", "strict"])
+def test_detect_rejects_numbers_past_the_int_digit_limit(tmp_path, capsys, strict):
+    """A timestamp or dlc of more than 4300 digits, which int() refuses, is a
+    rejected line like any other, not a traceback."""
+    model = tmp_path / "model.bin"
+    gcn.save_params(gcn.init_params(0), model)
+    log = tmp_path / "long.log"
+    log.write_text(f"0 100 0\n{'1' * 4301} 100 0\n2 100 {'9' * 4301}\n3 100 0\n")
+    argv = ["detect", "--model", str(model), "--log", str(log), "--window-size", "2"]
+    if strict:
+        assert main(argv + ["--strict"]) == EXIT_CONFIG
+        assert capsys.readouterr().err.startswith("error: line 2: ")
+        return
+    assert main(argv) == EXIT_OK
+    captured = capsys.readouterr()
+    assert captured.err == ("warning: line 2: MalformedLine\n"
+                            "warning: line 3: DlcOutOfRange\n")
+    assert captured.out.split()[:3] == ["0", "0", "3"]
+
+
 def _dirty_log(tmp_path, normal=600):
     """A small DoS capture with malformed, comment and blank lines mixed in."""
     clean = tmp_path / "clean.log"

@@ -305,7 +305,8 @@ def read_frames(
         if report is not None:
             if last_ts is not None and frame.timestamp_us < last_ts:
                 report.warnings.append(
-                    (line_no, f"timestamp decreases: {frame.timestamp_us} < {last_ts}")
+                    (line_no, f"timestamp decreases: {format_timestamp(frame.timestamp_us)}"
+                              f" < {format_timestamp(last_ts)}")
                 )
             last_ts = frame.timestamp_us
             report.frames_ok += 1

@@ -183,18 +183,18 @@ _ATTACK_ORDER = (AttackKind.DOS, AttackKind.FUZZY, AttackKind.SPOOFING, AttackKi
 def plan_attack_specs(
     duration_us: int,
     intensities: dict[AttackKind, float],
-    margin: float = 0.1,
 ) -> list[AttackSpec]:
     """Lay the requested attacks out over disjoint slots of the timeline.
 
     Attacks run in the fixed order dos, fuzzy, spoofing, replay inside
-    [margin, 1 - margin] of the stream duration, one equal slot each with a
-    10% gap. The replay source is an equal-length slice taken from the
-    leading margin (so it always precedes its injection window).
+    [0.1, 0.9] of the stream duration, one equal slot each with a 10% gap.
+    The replay source is an equal-length slice taken from the leading 10%
+    margin (so it always precedes its injection window).
     """
     kinds = [k for k in _ATTACK_ORDER if k in intensities]
     if not kinds:
         return []
+    margin = 0.1
     usable = duration_us * (1.0 - 2 * margin)
     slot = usable / len(kinds)
     specs = []
@@ -256,14 +256,24 @@ def cmd_synth(args: argparse.Namespace) -> int:
 
 # --------------------------------------------------------------- graphs ----
 
+def _warn(line_no: int, kind: str) -> None:
+    print(f"warning: line {line_no}: {kind}", file=sys.stderr)
+
+
+def _log_graphs(args: argparse.Namespace):
+    """The graphs of the --log capture; a malformed line is a warning, or
+    with --strict an error."""
+    frames, report = can_log.load_log(args.log, strict=args.strict)
+    for line_no, kind, _ in report.errors:
+        _warn(line_no, kind)
+    return graph_builder.graphs_from_frames(frames, args.window_size, args.stride)
+
+
 def cmd_graphs(args: argparse.Namespace) -> int:
     if not args.log or not args.out:
         raise ConfigError("graphs needs --log and --out")
 
-    frames, report = can_log.load_log(args.log, strict=args.strict)
-    for line_no, kind, _ in report.errors:
-        print(f"warning: line {line_no}: {kind}", file=sys.stderr)
-    graphs = graph_builder.graphs_from_frames(frames, args.window_size, args.stride)
+    graphs = _log_graphs(args)
     graph_builder.dump_graphs(args.out, graphs)
     attacked = sum(g.label for g in graphs)
     total = len(graphs)
@@ -287,8 +297,7 @@ def _load_graphs_for(args: argparse.Namespace):
             _check_stride(args.stride, g.window_size)
         return graphs
     if args.log:
-        frames, _ = can_log.load_log(args.log, strict=args.strict)
-        return graph_builder.graphs_from_frames(frames, args.window_size, args.stride)
+        return _log_graphs(args)
     raise ConfigError("need --graphs or --log")
 
 
@@ -354,13 +363,9 @@ def cmd_detect(args: argparse.Namespace) -> int:
     if not args.model:
         raise ConfigError("detect needs --model")
     params = gcn.load_params(args.model)
-
-    def warn(line_no: int, kind: str) -> None:
-        print(f"warning: line {line_no}: {kind}", file=sys.stderr)
-
     with (nullcontext(sys.stdin) if args.log == "-" else
           open(args.log, "r", encoding="utf-8", errors="replace")) as source:
-        frames = can_log.read_frames(source, None, args.strict, warn)
+        frames = can_log.read_frames(source, None, args.strict, _warn)
         for verdict in verdicts(frames, params, args.window_size, args.stride,
                                 args.threshold):
             print(

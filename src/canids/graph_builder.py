@@ -36,7 +36,7 @@ import json
 from collections import deque
 from dataclasses import dataclass
 from pathlib import Path
-from typing import IO, Iterable, Iterator, Sequence
+from typing import Iterable, Iterator, Sequence
 
 import numpy as np
 
@@ -387,15 +387,14 @@ LABEL_TEXT = {ATTACK_FREE: "attack_free", ATTACKED: "attacked"}
 _TEXT_LABEL = {v: k for k, v in LABEL_TEXT.items()}
 
 
-def dump_graphs(target: str | Path | IO[str], graphs: Iterable[MessageGraph]) -> int:
-    """Write graphs as JSON lines; returns the number written.
+def dump_graphs(path: str | Path, graphs: Iterable[MessageGraph]) -> int:
+    """Write graphs to a file as JSON lines; returns the number written.
 
     Record fields: window_index, window_size, nodes (hex id strings in node
     order), edges ([src, dst, multiplicity] triples), label.
     """
-
-    def _write(fh) -> int:
-        count = 0
+    count = 0
+    with open(path, "w", encoding="utf-8") as fh:
         for g in graphs:
             record = {
                 "window_index": g.window_index,
@@ -407,12 +406,7 @@ def dump_graphs(target: str | Path | IO[str], graphs: Iterable[MessageGraph]) ->
             fh.write(json.dumps(record, separators=(",", ":")))
             fh.write("\n")
             count += 1
-        return count
-
-    if isinstance(target, (str, Path)):
-        with open(target, "w", encoding="utf-8") as fh:
-            return _write(fh)
-    return _write(target)
+    return count
 
 
 def _int_at_least(value, low: int, what: str) -> int:
@@ -461,13 +455,12 @@ def _graph_from_record(line: str) -> MessageGraph:
     )
 
 
-def load_graphs(source: str | Path | IO[str]) -> list[MessageGraph]:
-    """Read a JSON-lines graph dump back into MessageGraph objects; a line
-    that is not a valid record (undecodable bytes included) raises
+def load_graphs(path: str | Path) -> list[MessageGraph]:
+    """Read a JSON-lines graph dump file back into MessageGraph objects; a
+    line that is not a valid record (undecodable bytes included) raises
     MalformedGraphRecord naming it."""
-
-    def _read(fh) -> list[MessageGraph]:
-        graphs = []
+    graphs = []
+    with open(path, "r", encoding="utf-8", errors="replace") as fh:
         for line_no, line in enumerate(fh, start=1):
             line = line.strip()
             if not line:
@@ -478,9 +471,4 @@ def load_graphs(source: str | Path | IO[str]) -> list[MessageGraph]:
                 raise MalformedGraphRecord(
                     f"graph dump line {line_no}: {type(err).__name__}: {err}"
                 ) from err
-        return graphs
-
-    if isinstance(source, (str, Path)):
-        with open(source, "r", encoding="utf-8", errors="replace") as fh:
-            return _read(fh)
-    return _read(source)
+    return graphs

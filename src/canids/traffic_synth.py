@@ -4,24 +4,28 @@ Normal traffic models periodic ECU broadcasts: every id in the pool emits at
 its own period with bounded uniform jitter, payload bytes drawn from the
 seeded generator. Injectors overlay the four attack classes on a stream:
 
-* dos      - floods a highest-priority id (default 0x000, zero payload)
+* dos      - floods the highest-priority id 0x000 with zero payloads
 * fuzzy    - random 11-bit ids with random payloads of random length
-* spoofing - reuses legitimate target ids with an attacker payload
+* spoofing - reuses legitimate target ids with the payload ff * 8
 * replay   - re-emits a copied earlier segment, spacing preserved exactly
 
-All generation is deterministic per seed (PCG64 streams). Output frames are
-sorted by timestamp with a stable tie-break: frames already in the stream
-precede newly injected ones, and injected frames keep their insertion order.
-Every injected frame carries its attack kind as an inline label, so window
-labels can be derived without side tables.
+The flood id and the spoof payload are fixed (DEFAULT_FLOOD_ID,
+DEFAULT_SPOOF_PAYLOAD). dos, fuzzy and spoofing share one path: intensity x
+(frames in the window) frames at sorted uniform times in the window, then
+the kind's own draws. All generation is deterministic per seed (PCG64
+streams). Streams are sorted by timestamp; a merge is stable: frames already
+in the stream precede newly injected ones, and injected frames keep their
+insertion order. Every injected frame carries its attack kind as an inline
+label, so window labels can be derived without side tables.
 """
 
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, field
+from bisect import bisect_left
+from dataclasses import dataclass, field, replace
 from pathlib import Path
-from typing import Sequence
+from typing import Callable, Sequence
 
 import numpy as np
 
@@ -62,15 +66,14 @@ class NormalTrafficSpec:
     """Periodic broadcast schedule for attack-free traffic.
 
     id_pool entries are (arbitration_id, period_us, jitter_fraction); each id
-    emits at offsets k * period + U[0, jitter * period). Exactly one of
-    message_count (total frames across all ids) or duration_us must be set.
+    emits at offsets k * period + U[0, jitter * period). message_count, the
+    required length, is the total number of frames across all ids; every
+    frame carries 8 random payload bytes.
     """
 
     id_pool: Sequence[tuple[int, int, float]]
-    message_count: int | None = None
-    duration_us: int | None = None
+    message_count: int
     seed: int = 0
-    dlc: int = 8
 
     def __post_init__(self):
         if not self.id_pool:
@@ -80,33 +83,29 @@ class NormalTrafficSpec:
                 raise SynthError(f"period {period} for id 0x{arb_id:x} must be > 0")
             if not 0.0 <= jitter < 1.0:
                 raise SynthError(f"jitter {jitter} for id 0x{arb_id:x} not in [0, 1)")
-        if (self.message_count is None) == (self.duration_us is None):
-            raise SynthError("set exactly one of message_count or duration_us")
-        if self.message_count is not None and self.message_count < 0:
+        if self.message_count < 0:
             raise SynthError("message_count must be >= 0")
-        if self.duration_us is not None and self.duration_us <= 0:
-            raise SynthError("duration_us must be > 0")
 
 
 @dataclass
 class AttackSpec:
-    """One attack injection: kind, time window, rate, kind-specific knobs.
+    """One attack injection: kind, time window, rate, kind-specific inputs.
 
     intensity is the injected-to-existing frame ratio inside [start, end); 0
-    is allowed and makes the injector a no-op. Replay copies the source
-    segment [src_start_us, src_end_us) once (intensity is not used) and
-    requires it to end before the injection starts.
+    is allowed and makes the injector a no-op. DoS always floods
+    DEFAULT_FLOOD_ID; spoofing always sends DEFAULT_SPOOF_PAYLOAD from
+    target_ids. Replay copies the source segment [src_start_us, src_end_us)
+    once (intensity is not used) and requires it to end before the
+    injection starts.
     """
 
     kind: AttackKind
     start_us: int
     end_us: int
     intensity: float = 1.0
-    flood_id: int = DEFAULT_FLOOD_ID
     target_ids: tuple[int, ...] = ()
     src_start_us: int | None = None
     src_end_us: int | None = None
-    spoof_payload: bytes = DEFAULT_SPOOF_PAYLOAD
 
     def __post_init__(self):
         if self.start_us >= self.end_us:
@@ -188,47 +187,24 @@ def default_id_pool(
     num_ids: int,
     base_period_us: int = 1000,
     jitter: float = 0.05,
-    first_id: int = 0x100,
 ) -> list[tuple[int, int, float]]:
     """A plausible ECU schedule: harmonic periods over distinct ids."""
     multipliers = [1, 2, 3, 4, 6, 8, 12, 16]
     pool = []
     for i in range(num_ids):
         mult = multipliers[i % len(multipliers)] * (1 + i // len(multipliers))
-        pool.append((first_id + 0x10 * i, base_period_us * mult, jitter))
+        pool.append((0x100 + 0x10 * i, base_period_us * mult, jitter))
     return pool
-
-
-def _frames_from_arrays(ts, ids, payload_rows, labels=None, dlcs=None) -> list[CanFrame]:
-    frames = []
-    ts_list = ts.tolist()
-    id_list = ids.tolist() if not isinstance(ids, list) else ids
-    for i, (t, arb_id) in enumerate(zip(ts_list, id_list)):
-        dlc = 8 if dlcs is None else dlcs[i]
-        frames.append(
-            CanFrame(
-                timestamp_us=t,
-                arbitration_id=arb_id,
-                dlc=dlc,
-                payload=bytes(payload_rows[i, :dlc]),
-                label=labels,
-            )
-        )
-    return frames
 
 
 def generate_normal(spec: NormalTrafficSpec) -> LabeledStream:
     """Deterministic attack-free stream following the spec's schedules."""
     rng = make_rng(spec.seed)
-
-    if spec.duration_us is not None:
-        horizon = spec.duration_us
-    else:
-        total_rate = sum(1.0 / p for _, p, _ in spec.id_pool)
-        # enough headroom that truncation to message_count always succeeds
-        horizon = int(spec.message_count / total_rate * 1.25) + 2 * max(
-            p for _, p, _ in spec.id_pool
-        )
+    total_rate = sum(1.0 / p for _, p, _ in spec.id_pool)
+    # enough headroom that truncation to message_count always succeeds
+    horizon = int(spec.message_count / total_rate * 1.25) + 2 * max(
+        p for _, p, _ in spec.id_pool
+    )
 
     ts_parts = []
     id_parts = []
@@ -242,24 +218,27 @@ def generate_normal(spec: NormalTrafficSpec) -> LabeledStream:
 
     ts = np.concatenate(ts_parts)
     ids = np.concatenate(id_parts)
-    order = np.argsort(ts, kind="stable")
-    ts = ts[order]
-    ids = ids[order]
+    order = np.argsort(ts, kind="stable")[: spec.message_count]
+    ts, ids = ts[order], ids[order]
 
-    if spec.duration_us is not None:
-        keep = ts < spec.duration_us
-        ts, ids = ts[keep], ids[keep]
-    else:
-        if len(ts) < spec.message_count:
-            raise SynthError("schedule horizon too short; file a bug")
-        ts, ids = ts[: spec.message_count], ids[: spec.message_count]
-
-    payloads = rng.integers(0, 256, size=(len(ts), spec.dlc), dtype=np.uint8)
-    frames = _frames_from_arrays(ts, ids, payloads)
+    payloads = rng.integers(0, 256, size=(len(ts), 8), dtype=np.uint8)
+    frames = [CanFrame(t, arb_id, 8, bytes(row))
+              for t, arb_id, row in zip(ts.tolist(), ids.tolist(), payloads)]
     manifest = StreamManifest(
         seed=spec.seed, normal_frames=len(frames), total_frames=len(frames)
     )
     return LabeledStream(frames=frames, manifest=manifest)
+
+
+def _timestamp(frame: CanFrame) -> int:
+    return frame.timestamp_us
+
+
+def _between(frames: list[CanFrame], start_us: int, end_us: int) -> slice:
+    """The positions of the frames with start_us <= timestamp < end_us in a
+    timestamp-sorted list."""
+    return slice(bisect_left(frames, start_us, key=_timestamp),
+                 bisect_left(frames, end_us, key=_timestamp))
 
 
 def _window_frame_count(stream: LabeledStream, spec: AttackSpec) -> int:
@@ -269,7 +248,8 @@ def _window_frame_count(stream: LabeledStream, spec: AttackSpec) -> int:
         raise WindowOutsideStream(
             f"attack window [{spec.start_us}, {spec.end_us}) does not overlap the stream"
         )
-    return sum(1 for f in frames if spec.start_us <= f.timestamp_us < spec.end_us)
+    window = _between(frames, spec.start_us, spec.end_us)
+    return window.stop - window.start
 
 
 def _merged(stream: LabeledStream, injected: list[CanFrame], spec: AttackSpec) -> LabeledStream:
@@ -285,42 +265,44 @@ def _merged(stream: LabeledStream, injected: list[CanFrame], spec: AttackSpec) -
     return LabeledStream(frames=frames, manifest=manifest)
 
 
-def _injection_times(rng, spec: AttackSpec, count: int) -> np.ndarray:
-    return np.sort(rng.integers(spec.start_us, spec.end_us, size=count, dtype=np.int64))
+def _check_kind(spec: AttackSpec, kind: AttackKind) -> None:
+    if spec.kind is not kind:
+        raise SynthError(f"spec kind is {spec.kind}, expected {kind.value}")
+
+
+def _inject_drawn(stream: LabeledStream, spec: AttackSpec, rng, draw: Callable) -> LabeledStream:
+    """Merge round(intensity x frames in the window) frames of spec.kind at
+    sorted uniform times in the window. rng draws the times, then
+    draw(rng, count) returns the frames' ids, dlcs and payload rows (frame i
+    carries row i cut to dlc i)."""
+    count = round(spec.intensity * _window_frame_count(stream, spec))
+    rng = make_rng(rng)
+    ts = np.sort(rng.integers(spec.start_us, spec.end_us, size=count, dtype=np.int64))
+    ids, dlcs, payloads = draw(rng, count)
+    injected = [CanFrame(t, arb_id, dlc, bytes(row[:dlc]), spec.kind)
+                for t, arb_id, dlc, row in zip(ts.tolist(), ids, dlcs, payloads)]
+    return _merged(stream, injected, spec)
 
 
 def inject_dos(stream: LabeledStream, spec: AttackSpec, rng=0) -> LabeledStream:
     """Flood the window with the highest-priority id; zero payload, dlc 8."""
-    if spec.kind is not AttackKind.DOS:
-        raise SynthError(f"spec kind is {spec.kind}, expected dos")
-    count = round(spec.intensity * _window_frame_count(stream, spec))
-    rng = make_rng(rng)
-    ts = _injection_times(rng, spec, count)
-    payloads = np.zeros((count, 8), dtype=np.uint8)
-    injected = _frames_from_arrays(
-        ts, [spec.flood_id] * count, payloads, labels=AttackKind.DOS
-    )
-    return _merged(stream, injected, spec)
+    _check_kind(spec, AttackKind.DOS)
+    return _inject_drawn(stream, spec, rng, lambda rng, count: (
+        [DEFAULT_FLOOD_ID] * count, [8] * count, [bytes(8)] * count))
 
 
 def inject_fuzzy(stream: LabeledStream, spec: AttackSpec, rng=0) -> LabeledStream:
     """Inject frames with uniform-random 11-bit ids and random payloads."""
-    if spec.kind is not AttackKind.FUZZY:
-        raise SynthError(f"spec kind is {spec.kind}, expected fuzzy")
-    count = round(spec.intensity * _window_frame_count(stream, spec))
-    rng = make_rng(rng)
-    ts = _injection_times(rng, spec, count)
-    ids = rng.integers(0, STANDARD_ID_SPACE, size=count, dtype=np.int64)
-    dlcs = rng.integers(0, 9, size=count).tolist()
-    payloads = rng.integers(0, 256, size=(count, 8), dtype=np.uint8)
-    injected = _frames_from_arrays(ts, ids, payloads, labels=AttackKind.FUZZY, dlcs=dlcs)
-    return _merged(stream, injected, spec)
+    _check_kind(spec, AttackKind.FUZZY)
+    return _inject_drawn(stream, spec, rng, lambda rng, count: (
+        rng.integers(0, STANDARD_ID_SPACE, size=count, dtype=np.int64).tolist(),
+        rng.integers(0, 9, size=count).tolist(),
+        rng.integers(0, 256, size=(count, 8), dtype=np.uint8)))
 
 
 def inject_spoofing(stream: LabeledStream, spec: AttackSpec, rng=0) -> LabeledStream:
-    """Reuse legitimate target ids with an attacker-chosen payload."""
-    if spec.kind is not AttackKind.SPOOFING:
-        raise SynthError(f"spec kind is {spec.kind}, expected spoofing")
+    """Reuse legitimate target ids with the attacker payload DEFAULT_SPOOF_PAYLOAD."""
+    _check_kind(spec, AttackKind.SPOOFING)
     if not spec.target_ids:
         raise TargetIdAbsent("spoofing needs a non-empty target_ids list")
     present = {f.arbitration_id for f in stream.frames}
@@ -329,17 +311,10 @@ def inject_spoofing(stream: LabeledStream, spec: AttackSpec, rng=0) -> LabeledSt
         raise TargetIdAbsent(
             f"target ids {[hex(t) for t in missing]} do not appear in the stream"
         )
-    count = round(spec.intensity * _window_frame_count(stream, spec))
-    rng = make_rng(rng)
-    ts = _injection_times(rng, spec, count)
-    ids = rng.choice(np.asarray(spec.target_ids, dtype=np.int64), size=count)
-    payload_row = np.frombuffer(spec.spoof_payload, dtype=np.uint8)
-    payloads = np.tile(payload_row, (count, 1))
-    injected = _frames_from_arrays(
-        ts, ids, payloads, labels=AttackKind.SPOOFING,
-        dlcs=[len(spec.spoof_payload)] * count,
-    )
-    return _merged(stream, injected, spec)
+    targets = np.asarray(spec.target_ids, dtype=np.int64)
+    return _inject_drawn(stream, spec, rng, lambda rng, count: (
+        rng.choice(targets, size=count).tolist(),
+        [len(DEFAULT_SPOOF_PAYLOAD)] * count, [DEFAULT_SPOOF_PAYLOAD] * count))
 
 
 def inject_replay(stream: LabeledStream, spec: AttackSpec, rng=None) -> LabeledStream:
@@ -349,28 +324,15 @@ def inject_replay(stream: LabeledStream, spec: AttackSpec, rng=None) -> LabeledS
     gaps match the source exactly. rng is accepted for signature uniformity
     but unused; replay is a pure copy.
     """
-    if spec.kind is not AttackKind.REPLAY:
-        raise SynthError(f"spec kind is {spec.kind}, expected replay")
-    source = [
-        f for f in stream.frames
-        if spec.src_start_us <= f.timestamp_us < spec.src_end_us
-    ]
+    _check_kind(spec, AttackKind.REPLAY)
+    source = stream.frames[_between(stream.frames, spec.src_start_us, spec.src_end_us)]
     if not source:
         raise EmptySourceSegment(
             f"no frames in source segment [{spec.src_start_us}, {spec.src_end_us})"
         )
     shift = spec.start_us - spec.src_start_us
-    injected = [
-        CanFrame(
-            timestamp_us=f.timestamp_us + shift,
-            arbitration_id=f.arbitration_id,
-            dlc=f.dlc,
-            payload=f.payload,
-            label=AttackKind.REPLAY,
-            extended=f.extended,
-        )
-        for f in source
-    ]
+    injected = [replace(f, timestamp_us=f.timestamp_us + shift, label=AttackKind.REPLAY)
+                for f in source]
     return _merged(stream, injected, spec)
 
 

@@ -362,8 +362,12 @@ def test_parse_log_warns_on_time_regression():
     text = "10 100 0\n5 100 0\n"
     frames, report = parse_log(io.StringIO(text))
     assert len(frames) == 2
-    assert len(report.warnings) == 1
-    assert report.warnings[0][0] == 2
+    assert report.warnings == [(2, "timestamp decreases: 5 < 10")]
+    # seconds at the int-string digit limit parse, but their microsecond
+    # value has six digits more: the warning must not go through str() of it
+    frames, report = parse_log(["9" * 4300 + " 100 0", "1 100 0"])
+    assert len(frames) == 2
+    assert [line_no for line_no, _ in report.warnings] == [2]
 
 
 def test_parse_log_order_preserved():

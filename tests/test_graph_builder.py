@@ -1,5 +1,3 @@
-import io
-
 import numpy as np
 import pytest
 
@@ -355,15 +353,15 @@ def test_graphs_from_frames_pushes_each_frame_once(monkeypatch):
     assert pushes == len(frames)
 
 
-def test_dump_load_round_trip():
+def test_dump_load_round_trip(tmp_path):
     rng = make_rng(3)
     graphs = [
         graph_from_ids(random_id_window(rng, 50, pool=8), attacked=bool(i % 2), window_index=i)
         for i in range(10)
     ]
-    buf = io.StringIO()
-    assert dump_graphs(buf, graphs) == 10
-    loaded = load_graphs(io.StringIO(buf.getvalue()))
+    path = tmp_path / "graphs.jsonl"
+    assert dump_graphs(path, graphs) == 10
+    loaded = load_graphs(path)
     assert len(loaded) == 10
     for a, b in zip(graphs, loaded):
         assert a.window_index == b.window_index
@@ -413,7 +411,10 @@ GOOD_RECORD = ('{"window_index":0,"window_size":3,"nodes":["0x1","0x2"],'
         "repeated-edge", "negative-window-index", "string-window-index",
         "window-size-1", "float-window-size", "multiplicity-sum",
         "repeated-node", "isolated-node"])
-def test_load_graphs_rejects_malformed_record(bad):
+def test_load_graphs_rejects_malformed_record(bad, tmp_path):
+    path = tmp_path / "graphs.jsonl"
+    path.write_text(f"{GOOD_RECORD}\n\n{bad}\n", encoding="utf-8")
     with pytest.raises(MalformedGraphRecord, match="line 3"):
-        load_graphs(io.StringIO(f"{GOOD_RECORD}\n\n{bad}\n"))
-    assert len(load_graphs(io.StringIO(GOOD_RECORD))) == 1
+        load_graphs(path)
+    path.write_text(GOOD_RECORD, encoding="utf-8")
+    assert len(load_graphs(path)) == 1

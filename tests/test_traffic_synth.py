@@ -61,12 +61,6 @@ def test_per_id_counts_proportional_to_rate():
         assert abs(counts[arb_id] - expected) <= 0.02 * expected + 1
 
 
-def test_duration_mode():
-    spec = NormalTrafficSpec(id_pool=[(0x10, 1000, 0.0)], duration_us=5500, seed=0)
-    stream = generate_normal(spec)
-    assert [f.timestamp_us for f in stream.frames] == [0, 1000, 2000, 3000, 4000, 5000]
-
-
 def test_spec_validation():
     with pytest.raises(EmptyIdPool):
         NormalTrafficSpec(id_pool=[], message_count=10)
@@ -75,9 +69,7 @@ def test_spec_validation():
     with pytest.raises(SynthError):
         NormalTrafficSpec(id_pool=[(1, 100, 1.0)], message_count=10)
     with pytest.raises(SynthError):
-        NormalTrafficSpec(id_pool=[(1, 100, 0.0)])
-    with pytest.raises(SynthError):
-        NormalTrafficSpec(id_pool=[(1, 100, 0.0)], message_count=10, duration_us=10)
+        NormalTrafficSpec(id_pool=[(1, 100, 0.0)], message_count=-1)
 
 
 def window_spec(stream, kind, lo=0.2, hi=0.8, **kw):

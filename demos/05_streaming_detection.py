@@ -1,10 +1,11 @@
 """Streaming detection: rolling-window verdicts with bounded memory.
 
 The `canids detect` subcommand runs the same `verdicts` generator over stdin
-or a file; here it runs in-process. It slides one window over the frames and
-updates the window's message graph in O(1) per frame, so memory stays at one
-window no matter how long the stream runs. Training graphs come from the same
-window loop.
+or a file; here it runs in-process. It holds at most one window of frames, so
+memory stays at one window no matter how long the stream runs: at this stride,
+where windows share no frame, it collects each window's ids and builds its
+message graph at once; at overlapping strides it updates one graph in O(1)
+per frame. Training graphs come from the same window loop.
 """
 
 from canids import (

@@ -15,7 +15,9 @@ from .can_log import (
     load_log,
     parse_line,
     parse_log,
+    parse_record,
     read_frames,
+    read_records,
     save_log,
     serialize_frame,
 )
@@ -49,6 +51,7 @@ from .graph_builder import (
     GraphBatch,
     MessageGraph,
     SlidingGraph,
+    WindowGraph,
     batch_graphs,
     build_graph,
     build_windows,

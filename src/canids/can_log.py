@@ -15,6 +15,13 @@ spaces, CRLF, upper-case labels, zero-padded dlc) and every malformed line go
 through a walk over its whitespace-separated tokens. Both give the same frame
 or the same error kind; the token walk alone names the error.
 
+Two parsers share that match. parse_line gives a validated CanFrame with its
+payload bytes; parse_record gives only the (timestamp_us, arbitration_id,
+label) record the graph pipeline reads, checking the payload by its length
+and decoding no bytes. read_frames and read_records run one line loop (blank
+and comment lines, strict mode, rejects, backwards-timestamp warnings) over
+either parser; as_records turns a stream of frames into records.
+
 Canonical serialization: timestamps print as integer seconds when the
 microsecond remainder is zero, otherwise with the fractional part trailing-zero
 trimmed; arbitration ids print lower-case hex zero-padded to 3 digits (standard
@@ -24,8 +31,10 @@ trimmed; arbitration ids print lower-case hex zero-padded to 3 digits (standard
 from __future__ import annotations
 
 import enum
+import itertools
 import re
 from dataclasses import dataclass, field
+from operator import attrgetter, itemgetter
 from pathlib import Path
 from typing import IO, Callable, Iterable, Iterator
 
@@ -195,6 +204,42 @@ def parse_line(text: str) -> CanFrame:
     return _parse_tokens(text)
 
 
+# What the graph pipeline reads of a frame: (timestamp_us, arbitration_id, label)
+Record = tuple[int, int, AttackKind | None]
+
+
+def parse_record(text: str) -> Record:
+    """parse_line without the frame: the line's (timestamp_us,
+    arbitration_id, label). A canonical line's payload is checked by its
+    length, three characters per byte, and not decoded; every other line
+    goes through the token walk, so it gives parse_line's values or raises
+    parse_line's error."""
+    match = _match_canonical(text)
+    if match is not None:
+        seconds, frac, id_text, dlc_text, payload_text, label_text = match.groups()
+        arb_id = int(id_text, 16)
+        if arb_id <= EXTENDED_ID_MAX and len(payload_text) == 3 * int(dlc_text):
+            timestamp_us = int(seconds) * US_PER_SECOND
+            if frac:
+                timestamp_us += int(frac.ljust(6, "0"))
+            return timestamp_us, arb_id, _LABELS[label_text]
+    frame = _parse_tokens(text)
+    return frame.timestamp_us, frame.arbitration_id, frame.label
+
+
+def as_records(stream: Iterable[CanFrame] | Iterable[Record]) -> Iterator[Record]:
+    """The records of a stream of frames; a stream of records passes
+    through. The first item tells which the stream holds."""
+    items = iter(stream)
+    for first in items:
+        if isinstance(first, CanFrame):
+            for frame in itertools.chain((first,), items):
+                yield frame.timestamp_us, frame.arbitration_id, frame.label
+        else:
+            yield first
+            yield from items
+
+
 def _parse_tokens(text: str) -> CanFrame:
     """parse_line by a walk over the whitespace-separated tokens: the
     reference for every line, and the only path that names an error."""
@@ -268,6 +313,47 @@ def serialize_frame(frame: CanFrame) -> str:
     return " ".join(parts)
 
 
+def _read(
+    source: Iterable[str] | IO[str],
+    parse: Callable[[str], CanFrame | Record],
+    timestamp_of: Callable[[CanFrame | Record], int],
+    report: ParseReport | None,
+    strict: bool,
+    on_reject: Callable[[int, str], None] | None,
+) -> Iterator[CanFrame | Record]:
+    """The line loop of read_frames and read_records: yield parse(line) for
+    each line that parses, timestamp_of giving its time."""
+    last_ts: int | None = None
+    for line_no, line in enumerate(source, start=1):
+        # Parse first: a blank or comment line never parses, because its
+        # first token is never a timestamp, so it is told apart only after
+        # the error.
+        try:
+            item = parse(line)
+        except CanLogError as err:
+            stripped = line.strip()
+            if not stripped or stripped.startswith("#"):
+                continue
+            if strict:
+                raise type(err)(f"line {line_no}: {err}") from err
+            kind = type(err).__name__
+            if report is not None:
+                report.errors.append((line_no, kind, stripped))
+            if on_reject is not None:
+                on_reject(line_no, kind)
+            continue
+        if report is not None:
+            timestamp_us = timestamp_of(item)
+            if last_ts is not None and timestamp_us < last_ts:
+                report.warnings.append(
+                    (line_no, f"timestamp decreases: {format_timestamp(timestamp_us)}"
+                              f" < {format_timestamp(last_ts)}")
+                )
+            last_ts = timestamp_us
+            report.frames_ok += 1
+        yield item
+
+
 def read_frames(
     source: Iterable[str] | IO[str],
     report: ParseReport | None = None,
@@ -283,34 +369,19 @@ def read_frames(
     previous frame is reported as a warning, not an error. Without a report
     nothing is recorded, so memory does not grow with the stream.
     """
-    last_ts: int | None = None
-    for line_no, line in enumerate(source, start=1):
-        # Parse first: a blank or comment line never parses, because its
-        # first token is never a timestamp, so it is told apart only after
-        # the error.
-        try:
-            frame = parse_line(line)
-        except CanLogError as err:
-            stripped = line.strip()
-            if not stripped or stripped.startswith("#"):
-                continue
-            if strict:
-                raise type(err)(f"line {line_no}: {err}") from err
-            kind = type(err).__name__
-            if report is not None:
-                report.errors.append((line_no, kind, stripped))
-            if on_reject is not None:
-                on_reject(line_no, kind)
-            continue
-        if report is not None:
-            if last_ts is not None and frame.timestamp_us < last_ts:
-                report.warnings.append(
-                    (line_no, f"timestamp decreases: {format_timestamp(frame.timestamp_us)}"
-                              f" < {format_timestamp(last_ts)}")
-                )
-            last_ts = frame.timestamp_us
-            report.frames_ok += 1
-        yield frame
+    return _read(source, parse_line, attrgetter("timestamp_us"), report, strict,
+                 on_reject)
+
+
+def read_records(
+    source: Iterable[str] | IO[str],
+    report: ParseReport | None = None,
+    strict: bool = False,
+    on_reject: Callable[[int, str], None] | None = None,
+) -> Iterator[Record]:
+    """read_frames through parse_record: the same skips, rejects, errors and
+    report, yielding (timestamp_us, arbitration_id, label) records."""
+    return _read(source, parse_record, itemgetter(0), report, strict, on_reject)
 
 
 def parse_log(

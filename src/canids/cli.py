@@ -27,6 +27,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import os
 import sys
 from contextlib import nullcontext
@@ -223,6 +224,11 @@ def plan_attack_specs(
 
 
 def cmd_synth(args: argparse.Namespace) -> int:
+    for kind in _ATTACK_ORDER:
+        intensity = getattr(args, kind.value)
+        if not (math.isfinite(intensity) and intensity >= 0):
+            raise ConfigError(f"--{kind.value} intensity must be finite and >= 0, "
+                              f"got {intensity}")
     manifest_path = args.manifest or args.out + ".manifest.json"
     spec = NormalTrafficSpec(
         id_pool=traffic_synth.default_id_pool(args.ids, args.base_period_us, args.jitter),
@@ -263,10 +269,12 @@ def _warn(line_no: int, kind: str) -> None:
 def _log_graphs(args: argparse.Namespace):
     """The graphs of the --log capture; a malformed line is a warning, or
     with --strict an error."""
-    frames, report = can_log.load_log(args.log, strict=args.strict)
+    report = can_log.ParseReport()
+    with open(args.log, "r", encoding="utf-8", errors="replace") as fh:
+        records = list(can_log.read_records(fh, report, args.strict))
     for line_no, kind, _ in report.errors:
         _warn(line_no, kind)
-    return graph_builder.graphs_from_frames(frames, args.window_size, args.stride)
+    return graph_builder.graphs_from_frames(records, args.window_size, args.stride)
 
 
 def cmd_graphs(args: argparse.Namespace) -> int:
@@ -365,8 +373,8 @@ def cmd_detect(args: argparse.Namespace) -> int:
     params = gcn.load_params(args.model)
     with (nullcontext(sys.stdin) if args.log == "-" else
           open(args.log, "r", encoding="utf-8", errors="replace")) as source:
-        frames = can_log.read_frames(source, None, args.strict, _warn)
-        for verdict in verdicts(frames, params, args.window_size, args.stride,
+        records = can_log.read_records(source, None, args.strict, _warn)
+        for verdict in verdicts(records, params, args.window_size, args.stride,
                                 args.threshold):
             print(
                 f"{verdict.window_index} "

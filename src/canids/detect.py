@@ -1,13 +1,17 @@
 """Streaming detection: one verdict per completed window, as frames arrive.
 
 verdicts scores each window of graph_builder.sliding_windows, the loop that
-also builds training graphs, as soon as its last frame arrives. It takes no
-graph snapshot: the live SlidingGraph's conv_inputs (an adjacency cached
-until the window's edge set changes, and features from per-id counts) go
-straight through gcn.probability, the fused single-graph forward pass.
-Nothing waits for later windows, and memory stays at one window. Verdicts
-equal graphs_from_frames at the same stride followed by gcn.predict_many, up
-to rounding.
+also builds training graphs, as soon as its last frame arrives. It reads
+records, (timestamp_us, arbitration_id, label), which `canids detect` takes
+straight from can_log.read_records; CanFrames are turned into records on the
+way in. It takes no graph snapshot: the window's conv_inputs go straight
+through gcn.probability, the fused single-graph forward pass. At overlapping
+strides they come from the live SlidingGraph (an adjacency cached until the
+window's edge set changes, and features from per-id counts); at stride ==
+window_size from a WindowGraph built on its last line from the window's ids,
+numbered as they arrived. Nothing waits for later windows, and memory stays
+at one window. Verdicts equal graphs_from_frames at the same stride followed
+by gcn.predict_many, up to rounding.
 """
 
 from __future__ import annotations
@@ -16,7 +20,7 @@ from dataclasses import dataclass
 from typing import Iterable, Iterator
 
 from . import gcn
-from .can_log import CanFrame
+from .can_log import CanFrame, Record
 from .gcn import GcnParams
 from .graph_builder import DEFAULT_WINDOW_SIZE, sliding_windows
 
@@ -36,17 +40,18 @@ class Verdict:
 
 
 def verdicts(
-    frames: Iterable[CanFrame],
+    frames: Iterable[CanFrame] | Iterable[Record],
     params: GcnParams,
     window_size: int = DEFAULT_WINDOW_SIZE,
     stride: int | None = None,
     threshold: float = 0.5,
 ) -> Iterator[Verdict]:
     """Yield the verdict of each window of window_size frames starting every
-    stride frames, as soon as its last frame is read from frames. A window
-    is attacked iff its probability is >= threshold, as in predict_many."""
-    for graph, index, attacked, first, last in sliding_windows(
+    stride frames, as soon as its last frame is read from frames (CanFrames
+    or their records). A window is attacked iff its probability is >=
+    threshold, as in predict_many."""
+    for graph, index, attacked, first_us, last_us in sliding_windows(
             frames, window_size, stride):
         prob = gcn.probability(*graph.conv_inputs(), params)
-        yield Verdict(index, first.timestamp_us, last.timestamp_us,
-                      int(prob >= threshold), prob, attacked)
+        yield Verdict(index, first_us, last_us, int(prob >= threshold), prob,
+                      attacked)

@@ -10,19 +10,28 @@ all equal window_size - 1.
 
 A window is labeled attacked iff it contains at least one injected frame.
 
-Graphs are built incrementally: SlidingGraph keeps the last window_size ids,
-the edge multiset and a slot with an occurrence count per in-window id, and
-updates them in O(1) per pushed id with Python int and dict operations. Its
-snapshot renders the window exactly as a from-scratch build; its conv_inputs
-give the window's convolution inputs in slot order without a snapshot,
-re-deriving the adjacency only when the binarized edge set has changed since
-the last call (between stride-1 windows it mostly has not), and the features
-from the slot counts. sliding_windows, one SlidingGraph pass that
-yields the live graph at every stride-th window, is the one window loop:
-graphs_from_frames snapshots each window and detect.verdicts scores each from
-its conv_inputs, so both cost O(frames) at any stride. build_windows and
-build_graph slice and build from scratch: the reference the loop is tested
-against.
+The graph pipeline reads (timestamp_us, arbitration_id, label) records
+(can_log.Record); a stream of CanFrames is turned into records on the way in.
+sliding_windows is the one window loop: graphs_from_frames snapshots each
+window it yields and detect.verdicts scores each from its conv_inputs, so both
+cost O(frames) at any stride. It builds graphs in one of two ways, with the
+same results:
+
+- Overlapping windows (stride < window_size) go through one SlidingGraph. It
+  keeps the last window_size ids, the edge multiset and a slot with an
+  occurrence count per in-window id, and updates them in O(1) per pushed id
+  with Python int and dict operations. Its conv_inputs give the window's
+  convolution inputs in slot order without a snapshot, re-deriving the
+  adjacency only when the binarized edge set has changed since the last call
+  (between stride-1 windows it mostly has not), and the features from the
+  slot counts.
+- Windows that share no frame (stride == window_size) are built whole: the
+  loop numbers a window's ids in a dict as its frames arrive, and on the
+  window's last frame WindowGraph takes the degrees from bincount and the
+  edges from pair codes with numpy. graph_from_ids is this builder.
+
+build_windows and build_graph slice and build from scratch: the reference the
+loop is tested against.
 
 The convolution sees one adjacency form: the edges symmetrized and binarized,
 self-loops added, then symmetrically degree-normalized. Batches pad every
@@ -40,7 +49,7 @@ from typing import Iterable, Iterator, Sequence
 
 import numpy as np
 
-from .can_log import CanFrame
+from .can_log import CanFrame, Record, as_records
 from .kernel import Matrix, check_finite
 
 DEFAULT_WINDOW_SIZE = 200
@@ -232,12 +241,8 @@ class SlidingGraph:
             self._adjacency = self._slot_adjacency()
             self._adjacency_support = self.support
         ids, slots = self.ids, self.slots
-        feats = np.array((self.counts, self.counts), dtype=np.float64)
-        feats[0, slots[ids[0]]] -= 1.0
-        feats[1, slots[ids[-1]]] -= 1.0
-        # both degree sums are len(ids) - 1 >= 1, so each column max is > 0
-        feats /= feats.max(axis=1, keepdims=True)
-        return self._adjacency, feats.T, len(slots)
+        return (self._adjacency, _features(self.counts, slots[ids[0]], slots[ids[-1]]),
+                len(slots))
 
     def _slot_adjacency(self) -> Matrix:
         """conv_adjacency in slot order, free slots left with no self-loop.
@@ -257,11 +262,91 @@ class SlidingGraph:
         sym[src, dst] = 1.0
         sym[dst, src] = 1.0
         sym[live, live] += 1.0
-        inv_sqrt = np.zeros(size, dtype=np.float64)
-        inv_sqrt[live] = 1.0 / np.sqrt(sym.sum(axis=1)[live])
-        adjacency = sym * inv_sqrt[:, None] * inv_sqrt[None, :]
-        check_finite(adjacency, "adjacency")
-        return adjacency
+        return _normalized(sym, live)
+
+
+def _normalized(sym: Matrix, live) -> Matrix:
+    """D^-1/2 sym D^-1/2 over the live rows of sym, the binarized symmetric
+    edges plus self-loops; rows not in live stay zero."""
+    inv_sqrt = np.zeros(len(sym), dtype=np.float64)
+    inv_sqrt[live] = 1.0 / np.sqrt(sym.sum(axis=1)[live])
+    adjacency = sym * inv_sqrt[:, None] * inv_sqrt[None, :]
+    check_finite(adjacency, "adjacency")
+    return adjacency
+
+
+def _features(counts, first_slot: int, last_slot: int) -> Matrix:
+    """node_features from per-slot occurrence counts: each count is the
+    slot's in- and out-degree, less one in-degree for the first frame's slot
+    and one out-degree for the last frame's."""
+    feats = np.array((counts, counts), dtype=np.float64)
+    feats[0, first_slot] -= 1.0
+    feats[1, last_slot] -= 1.0
+    # both degree sums are window size - 1 >= 1, so each column max is > 0
+    feats /= feats.max(axis=1, keepdims=True)
+    return feats.T
+
+
+class WindowGraph:
+    """Message graph of one whole window of arbitration ids. Node k is the
+    k-th distinct id in first-position order: node_ids lists them and pos
+    holds each frame's node, numbered with a dict. counts (each node's
+    occurrences) and the edges come from pos with numpy. snapshot and
+    conv_inputs equal those of a SlidingGraph into which the same ids were
+    pushed one by one."""
+
+    def __init__(self, ids: Sequence[int]):
+        index: dict[int, int] = {}
+        pos = [index.setdefault(arb_id, len(index))
+               for arb_id in np.asarray(ids, dtype=np.int64).tolist()]
+        self._build(list(index), pos)
+
+    @classmethod
+    def numbered(cls, node_ids: list[int], pos: list[int]) -> WindowGraph:
+        """The WindowGraph of a window whose ids are already numbered as
+        above; sliding_windows numbers them as the frames arrive, so the
+        window-completing frame only turns pos into an array."""
+        graph = cls.__new__(cls)
+        graph._build(node_ids, pos)
+        return graph
+
+    def _build(self, node_ids: list[int], pos: list[int]) -> None:
+        if len(pos) < 2:
+            raise WindowTooSmall(f"window of {len(pos)} frames, need >= 2")
+        self.node_ids = node_ids
+        self.pos = np.array(pos, dtype=np.intp)
+        self.counts = np.bincount(self.pos)
+
+    def snapshot(self, attacked: bool, window_index: int = 0) -> MessageGraph:
+        """The window as a MessageGraph, edges in order of first position."""
+        n, pos = len(self.node_ids), self.pos
+        codes, first, mult = np.unique(pos[:-1] * n + pos[1:],
+                                       return_index=True, return_counts=True)
+        order = np.argsort(first)
+        src, dst = np.divmod(codes[order], n)
+        in_deg = self.counts.copy()
+        out_deg = self.counts.copy()
+        in_deg[0] -= 1
+        out_deg[pos[-1]] -= 1
+        return MessageGraph(
+            window_index=window_index,
+            node_ids=list(self.node_ids),
+            edges=dict(zip(zip(src.tolist(), dst.tolist()), mult[order].tolist())),
+            in_degree=in_deg,
+            out_degree=out_deg,
+            label=ATTACKED if attacked else ATTACK_FREE,
+            window_size=len(pos),
+        )
+
+    def conv_inputs(self) -> tuple[Matrix, Matrix, int]:
+        """(adjacency, features, node count) in node order: conv_adjacency
+        and node_features of the snapshot."""
+        n, pos = len(self.node_ids), self.pos
+        sym = np.zeros((n, n), dtype=np.float64)
+        sym[pos[:-1], pos[1:]] = 1.0
+        sym[pos[1:], pos[:-1]] = 1.0
+        sym.reshape(-1)[::n + 1] += 1.0  # self-loops, on the diagonal's view
+        return _normalized(sym, slice(None)), _features(self.counts, 0, pos[-1]), n
 
 
 def graph_from_ids(
@@ -270,10 +355,7 @@ def graph_from_ids(
     window_index: int = 0,
 ) -> MessageGraph:
     """Build a MessageGraph from a window's arbitration-id sequence."""
-    sliding = SlidingGraph(len(ids))
-    for arb_id in ids:
-        sliding.push(arb_id)
-    return sliding.snapshot(attacked, window_index)
+    return WindowGraph(ids).snapshot(attacked, window_index)
 
 
 def build_graph(window: Sequence[CanFrame], window_index: int = 0) -> MessageGraph:
@@ -285,42 +367,56 @@ def build_graph(window: Sequence[CanFrame], window_index: int = 0) -> MessageGra
 
 
 def sliding_windows(
-    frames: Iterable[CanFrame],
+    frames: Iterable[CanFrame] | Iterable[Record],
     window_size: int = DEFAULT_WINDOW_SIZE,
     stride: int | None = None,
-) -> Iterator[tuple[SlidingGraph, int, bool, CanFrame, CanFrame]]:
-    """Yield (graph, window_index, attacked, first_frame, last_frame) for each
-    window of build_windows as soon as its last frame arrives, in one pass
-    that pushes each frame once into a SlidingGraph. graph is that live
-    SlidingGraph, holding the window until the next item is requested: take
-    its snapshot or conv_inputs before then. Indices are consecutive, a
-    window is attacked iff any of its frames is injected, and no partial
-    window is yielded. A bad window_size or stride raises on the first
-    next(), before any frame is read."""
-    graph = SlidingGraph(window_size)
+) -> Iterator[tuple[SlidingGraph | WindowGraph, int, bool, int, int]]:
+    """Yield (graph, window_index, attacked, first_timestamp_us,
+    last_timestamp_us) for each window of build_windows as soon as its last
+    frame arrives, in one pass over the records of frames (as_records; a
+    stream of records is read as is). When windows overlap, each id is
+    pushed once into one SlidingGraph and graph is that live graph, holding
+    the window until the next item is requested: take its snapshot or
+    conv_inputs before then. When stride equals window_size, windows share
+    no frame, so each window's ids are numbered as they arrive and graph is
+    a WindowGraph built from them on the window's last frame. Indices are consecutive, a window is attacked
+    iff any of its frames is injected, and no partial window is yielded. A
+    bad window_size or stride raises on the first next(), before any frame
+    is read."""
+    if window_size < 2:
+        raise WindowTooSmall(f"window_size {window_size} must be >= 2")
     stride = window_size if stride is None else stride
     if not 1 <= stride <= window_size:
         raise GraphError(f"stride {stride} must be in 1..window_size")
-    window: deque[CanFrame] = deque(maxlen=window_size)
+    whole = stride == window_size
+    graph = None if whole else SlidingGraph(window_size)
+    index: dict[int, int] = {}  # whole windows: id -> node, in first-position order
+    pos: list[int] = []  # whole windows: each frame's node
+    times: deque[int] = deque(maxlen=window_size)
     last_injected = -window_size  # position of the latest injected frame
-    for position, frame in enumerate(frames):
-        window.append(frame)
-        graph.push(frame.arbitration_id)
-        if frame.label is not None:
+    for position, (timestamp_us, arb_id, label) in enumerate(as_records(frames)):
+        times.append(timestamp_us)
+        if whole:
+            pos.append(index.setdefault(arb_id, len(index)))
+        else:
+            graph.push(arb_id)
+        if label is not None:
             last_injected = position
         start = position + 1 - window_size
         if start >= 0 and start % stride == 0:
-            yield graph, start // stride, last_injected >= start, window[0], frame
-            if stride == window_size:  # windows share no frame: skip evicting
-                graph = SlidingGraph(window_size)
+            if whole:
+                graph = WindowGraph.numbered(list(index), pos)
+                index, pos = {}, []
+            yield graph, start // stride, last_injected >= start, times[0], timestamp_us
 
 
 def graphs_from_frames(
-    frames: Iterable[CanFrame],
+    frames: Iterable[CanFrame] | Iterable[Record],
     window_size: int = DEFAULT_WINDOW_SIZE,
     stride: int | None = None,
 ) -> list[MessageGraph]:
-    """The graphs of build_windows + build_graph, from one sliding pass."""
+    """The graphs of build_windows + build_graph, from one sliding pass over
+    frames or their records."""
     return [graph.snapshot(attacked, index) for graph, index, attacked, _, _
             in sliding_windows(frames, window_size, stride)]
 

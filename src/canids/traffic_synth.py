@@ -22,6 +22,7 @@ label, so window labels can be derived without side tables.
 from __future__ import annotations
 
 import json
+import math
 from bisect import bisect_left
 from dataclasses import dataclass, field, replace
 from pathlib import Path
@@ -91,8 +92,8 @@ class NormalTrafficSpec:
 class AttackSpec:
     """One attack injection: kind, time window, rate, kind-specific inputs.
 
-    intensity is the injected-to-existing frame ratio inside [start, end); 0
-    is allowed and makes the injector a no-op. DoS always floods
+    intensity is the injected-to-existing frame ratio inside [start, end),
+    finite and >= 0; 0 makes the injector a no-op. DoS always floods
     DEFAULT_FLOOD_ID; spoofing always sends DEFAULT_SPOOF_PAYLOAD from
     target_ids. Replay copies the source segment [src_start_us, src_end_us)
     once (intensity is not used) and requires it to end before the
@@ -110,8 +111,8 @@ class AttackSpec:
     def __post_init__(self):
         if self.start_us >= self.end_us:
             raise SynthError(f"attack window [{self.start_us}, {self.end_us}) is empty")
-        if self.intensity < 0:
-            raise SynthError(f"intensity {self.intensity} must be >= 0")
+        if not (math.isfinite(self.intensity) and self.intensity >= 0):
+            raise SynthError(f"intensity {self.intensity} must be finite and >= 0")
         if self.kind is AttackKind.REPLAY:
             if self.src_start_us is None or self.src_end_us is None:
                 raise SynthError("replay needs src_start_us and src_end_us")

@@ -14,10 +14,13 @@ from canids.can_log import (
     IdOutOfRange,
     MalformedLine,
     PayloadLengthMismatch,
+    as_records,
     format_timestamp,
     load_log,
     parse_line,
     parse_log,
+    parse_record,
+    read_records,
     read_frames,
     save_log,
     serialize_frame,
@@ -188,8 +191,10 @@ def test_round_trip_random_frames(monkeypatch):
     ]
     for frame in random_frames(rng, 500) + edge_frames:
         line = serialize_frame(frame)
-        assert parse_line(line) == frame
-        assert parse_line(line + "\n") == frame
+        record = (frame.timestamp_us, frame.arbitration_id, frame.label)
+        for text in (line, line + "\n"):
+            assert parse_line(text) == frame
+            assert parse_record(text) == record
 
 
 @pytest.mark.parametrize(
@@ -253,16 +258,38 @@ def _mutate(line, rng):
     return line
 
 
-def test_canonical_match_agrees_with_token_walk():
-    """On seeded mutations of canonical lines, parse_line (canonical match
-    first) and the token walk give the same frame or the same error kind."""
+def _record_outcome(parse, line):
+    """The record a parser gives for a line, or the type and message of the
+    CanLogError it raises."""
+    try:
+        return parse(line)
+    except CanLogError as err:
+        return type(err), str(err)
+
+
+def _frame_record(line):
+    """parse_line's frame cut down to parse_record's fields."""
+    frame = parse_line(line)
+    return frame.timestamp_us, frame.arbitration_id, frame.label
+
+
+def _mutation_corpus():
+    """The seeded mutations of canonical lines that the canonical match and
+    the token walk are held to agree on."""
     rng = random.Random(7)
     canonical = [serialize_frame(f) for f in random_frames(make_rng(11), 400)]
-    seen = set()
     for _ in range(20_000):
         line = rng.choice(canonical) + rng.choice(["", "\n"])
         if rng.random() < 0.9:
             line = _mutate(line, rng)
+        yield line
+
+
+def test_canonical_match_agrees_with_token_walk():
+    """On seeded mutations of canonical lines, parse_line (canonical match
+    first) and the token walk give the same frame or the same error kind."""
+    seen = set()
+    for line in _mutation_corpus():
         expected = _outcome(can_log._parse_tokens, line)
         assert _outcome(parse_line, line) == expected, line
         seen.add((can_log._match_canonical(line) is not None,
@@ -301,6 +328,35 @@ def test_canonical_match_agrees_with_token_walk_hypothesis():
     check()
 
 
+def test_parse_record_agrees_with_parse_line():
+    """On the same corpus, parse_record gives parse_line's timestamp, id and
+    label, or raises its error with its message, whether or not the line
+    matches the canonical form."""
+    matched = set()
+    for line in _mutation_corpus():
+        expected = _record_outcome(_frame_record, line)
+        assert _record_outcome(parse_record, line) == expected, line
+        matched.add((can_log._match_canonical(line) is not None,
+                     isinstance(expected[0], type)))
+    assert matched == {(True, False), (True, True), (False, False), (False, True)}
+
+
+def test_parse_record_agrees_with_parse_line_hypothesis():
+    hypothesis = pytest.importorskip("hypothesis")
+    st = pytest.importorskip("hypothesis.strategies")
+
+    @hypothesis.settings(max_examples=500, deadline=None, database=None)
+    @hypothesis.given(st.lists(st.sampled_from(MUTATION_PIECES + ID_TOKENS + DLC_TOKENS)
+                               | st.text("0123456789abcdefABCDEF.", min_size=1, max_size=10),
+                               max_size=12),
+                      st.sampled_from(["", "\n", "\r\n"]))
+    def check(tokens, end):
+        line = " ".join(tokens) + end
+        assert _record_outcome(parse_record, line) == _record_outcome(_frame_record, line)
+
+    check()
+
+
 def test_frame_invariants_enforced():
     with pytest.raises(PayloadLengthMismatch):
         CanFrame(0, 0x1, 2, b"\x00")
@@ -327,6 +383,41 @@ def test_read_frames_without_report_still_rejects_per_line():
     frames = read_frames(lines, on_reject=lambda n, kind: rejected.append((n, kind)))
     assert [f.timestamp_us for f in frames] == [10_000_000, 9_000_000]
     assert rejected == [(2, "MalformedLine"), (6, "BadHex")]
+
+
+def _benchmark_style_log():
+    """Canonical frame lines with every kind of rejected line, comments,
+    blank lines, CRLF and tab spellings and backwards timestamps spliced in."""
+    lines = [serialize_frame(f) + "\n" for f in random_frames(make_rng(5), 300)]
+    extras = ["# capture note\n", "\n", "   \n", "12 1f0\n", "12 1g0 2 00 11\n",
+              "12 100 9 00 11 22 33 44 55 66 77 88\n", "12 100 4 00 11\n",
+              "12 3fffffff 1 00\n", "1 100 0\r\n", "0.5\t7ff 1 aa\n",
+              "3 100 1 aa #label=dos\r\n", "#label=dos\n"]
+    for k, extra in enumerate(extras):
+        lines.insert(20 * k + 7, extra)
+    return lines
+
+
+def test_read_records_matches_read_frames():
+    """read_records runs read_frames' line loop: the same report, rejects and
+    strict-mode error, and records that are the frames' own."""
+    lines = _benchmark_style_log()
+    outcomes = []
+    for read in (read_frames, read_records):
+        report, rejected = can_log.ParseReport(), []
+        items = list(read(lines, report, on_reject=lambda n, k: rejected.append((n, k))))
+        with pytest.raises(CanLogError) as strict_error:
+            list(read(lines, strict=True))
+        outcomes.append((items, report, rejected,
+                         (strict_error.type, str(strict_error.value))))
+    (frames, *frame_rest), (records, *record_rest) = outcomes
+    assert records == list(as_records(frames))
+    assert record_rest == frame_rest
+    report, rejected, _ = frame_rest
+    assert {kind for _, kind in rejected} == {
+        "MalformedLine", "BadHex", "DlcOutOfRange", "PayloadLengthMismatch",
+        "IdOutOfRange"}
+    assert len(report.warnings) == 3 and report.frames_ok == len(frames) == 303
 
 
 def test_parse_log_strict_aborts_with_line_number():

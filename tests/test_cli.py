@@ -58,6 +58,18 @@ def test_synth_bytes_are_pinned(tmp_path):
             for name in SYNTH_SEED7_SHA256} == SYNTH_SEED7_SHA256
 
 
+@pytest.mark.parametrize("flag, value", [("--dos", "-1"), ("--fuzzy", "nan"),
+                                         ("--dos", "inf")])
+def test_synth_refuses_a_bad_intensity(tmp_path, capsys, flag, value):
+    """A negative or non-finite intensity is a config error, not a run that
+    injects nothing or ends in a traceback; no file is written."""
+    out = tmp_path / "s.log"
+    assert main(["synth", "--normal", "1000", "--out", str(out), flag, value]) == EXIT_CONFIG
+    assert capsys.readouterr().err == (
+        f"error: {flag} intensity must be finite and >= 0, got {float(value)}\n")
+    assert not out.exists()
+
+
 def test_synth_no_attacks(tmp_path):
     out = tmp_path / "clean.log"
     assert main(["synth", "--normal", "1000", "--out", str(out), "--seed", "1"]) == EXIT_OK
@@ -90,6 +102,31 @@ def test_graphs_command(tmp_path, capsys):
     frames, _ = can_log.load_log(log)
     assert len(graphs) == len(frames) // 100
     assert f"windows: {len(graphs)}" in captured.out
+
+
+def test_graphs_dump_equals_the_frame_path(tmp_path, capsys):
+    """graphs --log reads records, and dumps the bytes that load_log's
+    frames give through graphs_from_frames, with malformed, comment, blank,
+    CRLF and backwards-timestamp lines in the log, at whole and overlapping
+    strides."""
+    log = tmp_path / "t.log"
+    main(["synth", "--normal", "3000", "--out", str(log), "--seed", "2", "--fuzzy", "0.5"])
+    lines = log.read_text().splitlines(keepends=True)
+    for k, extra in enumerate(["# note\n", "\n", "12 1f0\n", "12 100 4 00 11\n",
+                               "0.5 100 0\r\n", "1\t100 1 aa\n", "12 3fffffff 1 00\n"]):
+        lines.insert(400 * k + 3, extra)
+    log.write_text("".join(lines))
+    frames, _ = can_log.load_log(log)
+    for window_size, stride in ((200, 200), (50, 13)):
+        out, want = tmp_path / "cli.jsonl", tmp_path / "lib.jsonl"
+        assert main(["graphs", "--log", str(log), "--out", str(out), "--window-size",
+                     str(window_size), "--stride", str(stride)]) == EXIT_OK
+        assert capsys.readouterr().err == ("warning: line 804: MalformedLine\n"
+                                           "warning: line 1204: PayloadLengthMismatch\n"
+                                           "warning: line 2404: IdOutOfRange\n")
+        graph_builder.dump_graphs(
+            want, graph_builder.graphs_from_frames(frames, window_size, stride))
+        assert out.read_bytes() == want.read_bytes()
 
 
 def test_graphs_strict_mode_exit_code(tmp_path, capsys):

@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from canids import gcn
-from canids.can_log import AttackKind, CanFrame
+from canids.can_log import AttackKind, CanFrame, as_records
 from canids.graph_builder import (
     ATTACK_FREE,
     ATTACKED,
@@ -10,6 +10,7 @@ from canids.graph_builder import (
     GraphError,
     MalformedGraphRecord,
     SlidingGraph,
+    WindowGraph,
     WindowTooSmall,
     batch_graphs,
     build_graph,
@@ -90,6 +91,32 @@ def test_matches_brute_force_oracle():
         assert g.edges == edges
         assert g.in_degree.tolist() == [in_deg[i] for i in range(len(order))]
         assert g.out_degree.tolist() == [out_deg[i] for i in range(len(order))]
+
+
+def test_window_graph_matches_brute_force_and_a_fresh_sliding_graph():
+    """At every window size from 2 to 200, over id pools from one id to one
+    per frame with repeats (self-edges), the whole-window builder gives the
+    oracle's graph, the snapshot of a SlidingGraph fed the same ids (edge
+    order included), and that SlidingGraph's conv_inputs bit for bit."""
+    rng = make_rng(200)
+    for window_size in range(2, 201):
+        for pool in sorted({1, 3, 25, window_size}):
+            ids = _id_stream(rng, [pool], window_size)[:window_size]
+            window = WindowGraph(ids)
+            fresh = SlidingGraph(window_size)
+            for arb_id in ids:
+                fresh.push(arb_id)
+            g = window.snapshot(True, 3)
+            order, edges, in_deg, out_deg = brute_force_graph(ids)
+            assert g.node_ids == order and g.edges == edges
+            assert g.in_degree.tolist() == [in_deg[i] for i in range(len(order))]
+            assert g.out_degree.tolist() == [out_deg[i] for i in range(len(order))]
+            want = fresh.snapshot(True, 3)
+            assert _fields(g) == _fields(want) and list(g.edges) == list(want.edges)
+            adj, feats, n = window.conv_inputs()
+            want_adj, want_feats, want_n = fresh.conv_inputs()
+            assert np.array_equal(adj, want_adj) and np.array_equal(feats, want_feats)
+            assert n == want_n == len(order)
 
 
 @pytest.mark.parametrize("window_size", [2, 3, 7, 200])
@@ -256,8 +283,10 @@ def test_sliding_windows_match_build_windows_oracle(pool):
             got = [(g.snapshot(attacked, index), first, last) for g, index, attacked, first, last
                    in sliding_windows(frames, window_size, stride)]
             assert [_fields(g) for g, _, _ in got] == want
-            assert [_fields(g) for g in graphs_from_frames(frames, window_size, stride)] == want
-            assert [(first, last) for _, first, last in got] == [(w[0], w[-1]) for w in windows]
+            for stream in (frames, list(as_records(frames))):
+                assert [_fields(g) for g in graphs_from_frames(stream, window_size, stride)] == want
+            assert [(first, last) for _, first, last in got] == [
+                (w[0].timestamp_us, w[-1].timestamp_us) for w in windows]
             assert len(got) == (len(frames) - window_size) // stride + 1
             if stride == 1:
                 assert {g.label for g, _, _ in got} == {ATTACK_FREE, ATTACKED}
@@ -351,6 +380,10 @@ def test_graphs_from_frames_pushes_each_frame_once(monkeypatch):
     frames = frames_for(list(range(7)) * 100)
     assert len(graphs_from_frames(frames, window_size=200, stride=1)) == 501
     assert pushes == len(frames)
+    # windows that share no frame are built whole, with no push at all
+    pushes = 0
+    assert len(graphs_from_frames(frames, window_size=200, stride=200)) == 3
+    assert pushes == 0
 
 
 def test_dump_load_round_trip(tmp_path):

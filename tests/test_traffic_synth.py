@@ -85,6 +85,12 @@ def test_dos_zero_intensity_identity():
     assert out.manifest.attacks[-1].injected == 0
 
 
+@pytest.mark.parametrize("intensity", [-1.0, float("nan"), float("inf")])
+def test_intensity_must_be_finite_and_non_negative(intensity):
+    with pytest.raises(SynthError, match="must be finite and >= 0"):
+        AttackSpec(AttackKind.FUZZY, 0, 10, intensity=intensity)
+
+
 def test_dos_count_and_shape():
     stream = small_stream()
     spec = window_spec(stream, AttackKind.DOS, intensity=1.0)

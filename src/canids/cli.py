@@ -295,7 +295,7 @@ def cmd_graphs(args: argparse.Namespace) -> int:
 
 def _load_graphs_for(args: argparse.Namespace):
     """The --graphs dump, whose window size must match a set window_size, or
-    the graphs of the --log capture."""
+    the graphs of the --log capture; an input with no graph is EmptyDataset."""
     if args.graphs:
         graphs = graph_builder.load_graphs(args.graphs)
         for g in graphs:
@@ -303,18 +303,19 @@ def _load_graphs_for(args: argparse.Namespace):
                 raise ConfigError(f"{args.graphs}: dump window_size {g.window_size} "
                                   f"does not match window_size {args.window_size}")
             _check_stride(args.stride, g.window_size)
-        return graphs
-    if args.log:
-        return _log_graphs(args)
-    raise ConfigError("need --graphs or --log")
+    elif args.log:
+        graphs = _log_graphs(args)
+    else:
+        raise ConfigError("need --graphs or --log")
+    if not graphs:
+        raise EmptyDataset("no graphs in the input")
+    return graphs
 
 
 def cmd_train(args: argparse.Namespace) -> int:
     if not args.model:
         raise ConfigError("train needs --model")
     graphs = _load_graphs_for(args)
-    if not graphs:
-        raise EmptyDataset("no graphs in the input")
     train_graphs, val_graphs = stratified_split(graphs, args.train_fraction, args.split_seed)
 
     train_config = TrainConfig(

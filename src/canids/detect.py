@@ -11,7 +11,9 @@ window's edge set changes, and features from per-id counts); at stride ==
 window_size from a WindowGraph built on its last line from the window's ids,
 numbered as they arrived. Nothing waits for later windows, and memory stays
 at one window. Verdicts equal graphs_from_frames at the same stride followed
-by gcn.predict_many, up to rounding.
+by gcn.predict_many, which runs the same gcn.probability: bit-equal at
+stride == window_size, and within 1e-12 at overlapping strides, where slot
+order sums in another order than node order.
 """
 
 from __future__ import annotations

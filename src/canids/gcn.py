@@ -1,8 +1,9 @@
 """Two-layer graph convolution classifier with hand-derived backprop.
 
-Forward pass over a batch of normalized adjacencies A and node features X,
-each graph zero-padded to the batch's largest node count (graph_builder's
-GraphBatch); every product below is batched over graphs:
+Training runs the forward pass on a batch of normalized adjacencies A and
+node features X, each graph zero-padded to the batch's largest node count
+(graph_builder's GraphBatch). Inference (predict, predict_many, validation)
+runs it on one graph at a time through probability, as detect does per window:
 
     H1 = act(A @ X @ W1)           2 -> 8
     H2 = act(A @ H1 @ W2)          8 -> 8
@@ -344,14 +345,10 @@ class _Adam:
             p -= self.lr * m_hat / (np.sqrt(v_hat) + ADAM_EPS)
 
 
-def _infer_on_prepared(prepared, params, batch_size) -> Matrix:
-    """Inference probabilities over prepared graphs, chunked to bound memory."""
-    probs_parts = []
-    for lo in range(0, len(prepared), batch_size):
-        batch = assemble_batch(prepared[lo:lo + batch_size])
-        probs, _ = forward(batch, params)
-        probs_parts.append(probs)
-    return np.concatenate(probs_parts, axis=0)
+def _probabilities(prepared, params: GcnParams) -> np.ndarray:
+    """Attacked probability of each prepared graph, scored by probability."""
+    return np.fromiter((probability(adj, feats, len(adj), params)
+                        for adj, feats, _ in prepared), dtype=np.float64)
 
 
 def train(
@@ -413,10 +410,10 @@ def train(
             train_accuracy=correct / len(prepared),
         )
         if prepared_val:
-            val_probs = _infer_on_prepared(prepared_val, params, config.batch_size)
+            val_probs = _probabilities(prepared_val, params)
             val_y = np.array([g.label for g in val_graphs], dtype=np.int64)
             record.val_loss = bce_loss(val_probs, val_y)
-            record.val_accuracy = float(np.mean((val_probs[:, 1] >= 0.5) == (val_y == 1)))
+            record.val_accuracy = float(np.mean((val_probs >= 0.5) == (val_y == 1)))
             if config.patience is not None:
                 if record.val_loss < best_val - 1e-12:
                     best_val = record.val_loss
@@ -435,9 +432,12 @@ def predict(
     params: GcnParams,
     threshold: float = 0.5,
 ) -> tuple[int, float]:
-    """Label one graph: (label, attacked probability); predict_many of one."""
-    labels, probs = predict_many([graph], params, threshold)
-    return int(labels[0]), float(probs[0])
+    """(label, attacked probability) of one graph from prepare_graph and
+    probability. Attacked iff the probability is >= threshold: a tie flags
+    the window, the safer failure for an IDS."""
+    adjacency, features, _ = prepare_graph(graph)
+    prob = probability(adjacency, features, graph.num_nodes, params)
+    return int(prob >= threshold), prob
 
 
 def predict_many(
@@ -446,15 +446,11 @@ def predict_many(
     threshold: float = 0.5,
     batch_size: int = 256,
 ) -> tuple[np.ndarray, np.ndarray]:
-    """Labels and attacked probabilities of many graphs, batch_size at a time.
-
-    A graph is attacked iff its probability is >= threshold, so an exact tie
-    flags the window (flagging is the safer failure for an IDS).
-    """
-    prepared = [prepare_graph(g) for g in graphs]
-    probs = _infer_on_prepared(prepared, params, batch_size)
-    p_attacked = probs[:, 1]
-    return (p_attacked >= threshold).astype(np.int64), p_attacked
+    """predict's labels and probabilities for each graph, as two arrays
+    (empty for no graphs). batch_size changes nothing, as every graph is
+    scored alone; it stays for callers outside the package that pass it."""
+    probs = _probabilities(map(prepare_graph, graphs), params)
+    return (probs >= threshold).astype(np.int64), probs
 
 
 def probability(
@@ -464,8 +460,8 @@ def probability(
     params: GcnParams,
 ) -> float:
     """Attacked probability of one graph from its convolution inputs: the
-    inference forward pass fused for a single graph, equal to predict's
-    probability up to rounding.
+    inference forward pass fused for a single graph, equal to a batched
+    forward's up to rounding.
 
     adjacency (k, k) and features (k, 2) may hold rows for free node slots
     if those rows are all zero (they stay zero through both bias-free

@@ -423,14 +423,13 @@ def graphs_from_frames(
 
 def node_features(graph: MessageGraph) -> Matrix:
     """n x 2 feature matrix: row i is (in_degree, out_degree) of node i, each
-    column divided by its max (a column whose max is 0 stays zero)."""
-    feats = np.stack(
-        [graph.in_degree, graph.out_degree], axis=1
-    ).astype(np.float64)
-    col_max = feats.max(axis=0)
-    nonzero = col_max > 0
-    feats[:, nonzero] /= col_max[nonzero]
-    return feats
+    column divided by its max (a column whose max is 0 stays zero). It is the
+    transpose of a (2, n) array, as _features is: BLAS sums A @ X in an order
+    set by the layout, and this keeps predict and detect bit-equal."""
+    feats = np.array((graph.in_degree, graph.out_degree), dtype=np.float64)
+    col_max = feats.max(axis=1, keepdims=True)
+    np.divide(feats, col_max, out=feats, where=col_max > 0)
+    return feats.T
 
 
 def conv_adjacency(graph: MessageGraph) -> Matrix:
@@ -452,7 +451,8 @@ def conv_adjacency(graph: MessageGraph) -> Matrix:
 
 
 def prepare_graph(graph: MessageGraph) -> tuple[Matrix, Matrix, int]:
-    """Precompute (adjacency, features, label) for repeated batching."""
+    """(conv_adjacency, node_features, label) of a graph: what training
+    batches and what inference passes to gcn.probability."""
     return conv_adjacency(graph), node_features(graph), graph.label
 
 

@@ -324,6 +324,46 @@ def test_eval_unknown_scenario(tmp_path):
                  "--scenario", "Nope"]) == EXIT_CONFIG
 
 
+@pytest.mark.parametrize("source", ["short-log", "empty-dump"])
+def test_eval_with_no_window_is_data_error(tmp_path, capsys, source):
+    """A log shorter than one window, or an empty dump, has no graph to
+    score: one error line and exit 4, as train gives."""
+    model = tmp_path / "m.bin"
+    gcn.save_params(gcn.init_params(0), model)
+    if source == "short-log":
+        log = tmp_path / "short.log"
+        assert main(["synth", "--normal", "150", "--out", str(log)]) == EXIT_OK
+        flags = ["--log", str(log), "--window-size", "200"]
+    else:
+        dump = tmp_path / "empty.jsonl"
+        dump.write_text("")
+        flags = ["--graphs", str(dump)]
+    capsys.readouterr()
+    assert main(["eval", *flags, "--model", str(model), "--scenario", "DoS"]) == EXIT_DATA
+    assert capsys.readouterr().err == "error: no graphs in the input\n"
+
+
+def test_inference_never_pads_a_batch(tmp_path, monkeypatch):
+    """predict, predict_many and eval score each graph through probability,
+    never through the padded training batch."""
+    def padded(*args, **kwargs):
+        raise AssertionError("inference went through the padded batch")
+
+    monkeypatch.setattr(gcn, "forward", padded)
+    monkeypatch.setattr(gcn, "assemble_batch", padded)
+    monkeypatch.setattr(graph_builder, "assemble_batch", padded)
+    dump = _make_training_dump(tmp_path, n=8)
+    graphs = graph_builder.load_graphs(dump)
+    params = gcn.init_params(0)
+    label, prob = gcn.predict(graphs[0], params)
+    labels, probs = gcn.predict_many(graphs, params)
+    assert (label, prob) == (labels[0], probs[0])
+    model = tmp_path / "m.bin"
+    gcn.save_params(params, model)
+    assert main(["eval", "--graphs", str(dump), "--model", str(model),
+                 "--scenario", "DoS"]) == EXIT_OK
+
+
 def test_detect_stream(tmp_path, capsys, monkeypatch):
     log = tmp_path / "t.log"
     main(["synth", "--normal", "2000", "--out", str(log), "--seed", "2", "--dos", "1.0"])

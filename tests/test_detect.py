@@ -2,7 +2,13 @@ import pytest
 
 from canids import gcn
 from canids.detect import verdicts
-from canids.graph_builder import GraphError, WindowTooSmall, build_graph, build_windows
+from canids.graph_builder import (
+    GraphError,
+    WindowTooSmall,
+    build_graph,
+    build_windows,
+    graphs_from_frames,
+)
 from helpers import make_base_stream, make_scenario_stream
 
 
@@ -16,6 +22,25 @@ def dos_stream():
 def fuzzy_stream():
     base, switch = make_base_stream(6_000, seed=5)
     return make_scenario_stream("fuzzy", base, switch, seed=6).frames
+
+
+@pytest.fixture(scope="module")
+def mixed_stream():
+    base, switch = make_base_stream(6_000, seed=7)
+    return make_scenario_stream("mixed", base, switch, seed=8).frames
+
+
+@pytest.mark.parametrize("stream", ["dos_stream", "fuzzy_stream", "mixed_stream"])
+def test_eval_and_detect_are_bit_equal(request, stream):
+    """At stride == window_size, predict_many over graphs_from_frames (what
+    eval scores) and the detect verdicts give identical probabilities: both
+    run probability on inputs in the same node order and memory layout."""
+    frames = request.getfixturevalue(stream)
+    params = gcn.init_params(1)
+    _, probs = gcn.predict_many(graphs_from_frames(frames, 200, 200), params)
+    got = [v.probability for v in verdicts(frames, params, 200, 200)]
+    assert len(got) == len(probs) > 0
+    assert got == probs.tolist()
 
 
 @pytest.mark.parametrize("window_size, stride", [(200, 200), (50, 1), (30, 7)])

@@ -348,7 +348,26 @@ def test_predict_many_matches_predict():
     for g, label, prob in zip(graphs, labels, probs):
         single_label, single_prob = predict(g, params)
         assert label == single_label
-        assert abs(prob - single_prob) <= 1e-12
+        assert prob == single_prob
+
+
+def test_predict_many_of_no_graphs_is_empty():
+    labels, probs = predict_many([], init_params(0))
+    assert labels.shape == probs.shape == (0,)
+    assert labels.dtype == np.int64 and probs.dtype == np.float64
+
+
+def test_predict_rejects_non_finite_degrees():
+    """A graph whose degrees hold NaN is a typed FiniteViolation, not a
+    NaN probability."""
+    g = graph_from_ids([1, 2, 3, 1, 2], attacked=False)
+    g.in_degree = g.in_degree.astype(np.float64)
+    g.in_degree[1] = np.nan
+    params = init_params(0)
+    with pytest.raises(FiniteViolation):
+        predict(g, params)
+    with pytest.raises(FiniteViolation):
+        predict_many([graph_from_ids([4, 5, 4], attacked=True), g], params)
 
 
 def test_save_load_round_trip(tmp_path):

@@ -111,7 +111,8 @@ _SEEDED = ("synth", "train")  # the subcommands that read args.seed
 def parse_options(argv=None) -> argparse.Namespace:
     """Resolve every option of one run: command-line flag, then --config file,
     then CANIDS_SEED (the seed of synth and train only), then the flag's
-    default. The values are checked before any input is read."""
+    default. The values are checked before any input is read; train's are
+    also gathered into args.train_config."""
     parser = build_parser()
     args = parser.parse_args(argv)
     if args.config:
@@ -145,6 +146,19 @@ def parse_options(argv=None) -> argparse.Namespace:
         raise ConfigError("train_fraction must be strictly between 0 and 1")
     if "threshold" in args and not 0.0 <= args.threshold <= 1.0:  # also rejects nan
         raise ConfigError("threshold must be in [0, 1]")
+    if args.command == "train":
+        try:
+            args.train_config = TrainConfig(
+                learning_rate=args.learning_rate,
+                epochs=args.epochs,
+                batch_size=args.batch_size,
+                seed=args.seed,
+                dropout_p=args.dropout,
+                patience=args.patience,
+                allow_single_class=args.allow_single_class,
+            )
+        except ModelError as err:
+            raise ConfigError(str(err)) from None
     return args
 
 
@@ -267,14 +281,13 @@ def _warn(line_no: int, kind: str) -> None:
 
 
 def _log_graphs(args: argparse.Namespace):
-    """The graphs of the --log capture; a malformed line is a warning, or
-    with --strict an error."""
-    report = can_log.ParseReport()
+    """The graphs of the --log capture, windowed as its lines are read; a
+    malformed line is a warning, or with --strict an error, and no record of
+    a line is kept."""
     with open(args.log, "r", encoding="utf-8", errors="replace") as fh:
-        records = list(can_log.read_records(fh, report, args.strict))
-    for line_no, kind, _ in report.errors:
-        _warn(line_no, kind)
-    return graph_builder.graphs_from_frames(records, args.window_size, args.stride)
+        return graph_builder.graphs_from_frames(
+            can_log.read_records(fh, None, args.strict, _warn), args.window_size,
+            args.stride)
 
 
 def cmd_graphs(args: argparse.Namespace) -> int:
@@ -317,17 +330,7 @@ def cmd_train(args: argparse.Namespace) -> int:
         raise ConfigError("train needs --model")
     graphs = _load_graphs_for(args)
     train_graphs, val_graphs = stratified_split(graphs, args.train_fraction, args.split_seed)
-
-    train_config = TrainConfig(
-        learning_rate=args.learning_rate,
-        epochs=args.epochs,
-        batch_size=args.batch_size,
-        seed=args.seed,
-        dropout_p=args.dropout,
-        patience=args.patience,
-        allow_single_class=args.allow_single_class,
-    )
-    params, history = gcn.train(train_graphs, train_config, val_graphs=val_graphs)
+    params, history = gcn.train(train_graphs, args.train_config, val_graphs=val_graphs)
     gcn.save_params(params, args.model)
 
     if args.history:

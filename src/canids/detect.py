@@ -8,9 +8,10 @@ way in. It takes no graph snapshot: the window's conv_inputs go straight
 through gcn.probability, the fused single-graph forward pass. At overlapping
 strides they come from the live SlidingGraph (an adjacency cached until the
 window's edge set changes, and features from per-id counts); at stride ==
-window_size from a WindowGraph built on its last line from the window's ids,
-numbered as they arrived. Nothing waits for later windows, and memory stays
-at one window. Verdicts equal graphs_from_frames at the same stride followed
+window_size from WindowGraph(node_ids, pos), built on the window's last line
+from its ids as numbered on arrival. Both builders derive the adjacency with
+the same routine. Nothing waits for later windows, and memory stays at one
+window. Verdicts equal graphs_from_frames at the same stride followed
 by gcn.predict_many, which runs the same gcn.probability: bit-equal at
 stride == window_size, and within 1e-12 at overlapping strides, where slot
 order sums in another order than node order.

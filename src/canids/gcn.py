@@ -179,14 +179,16 @@ class TrainConfig:
     allow_single_class: bool = False
 
     def __post_init__(self):
-        if self.learning_rate <= 0:
-            raise ModelError("learning_rate must be > 0")
+        if not (math.isfinite(self.learning_rate) and self.learning_rate > 0):
+            raise ModelError("learning_rate must be finite and > 0")
         if not 0.0 <= self.dropout_p < 1.0:
             raise ModelError("dropout_p must be in [0, 1)")
         if self.epochs < 1:
             raise ModelError("epochs must be >= 1")
         if self.batch_size < 1:
             raise ModelError("batch_size must be >= 1")
+        if self.patience is not None and self.patience < 0:
+            raise ModelError("patience must be >= 0")
 
 
 @dataclass

@@ -27,9 +27,12 @@ same results:
   slot counts.
 - Windows that share no frame (stride == window_size) are built whole: the
   loop numbers a window's ids in a dict as its frames arrive, and on the
-  window's last frame WindowGraph takes the degrees from bincount and the
-  edges from pair codes with numpy. graph_from_ids is this builder.
+  window's last frame WindowGraph(node_ids, pos) takes the degrees from
+  bincount and the edges from pair codes with numpy. graph_from_ids numbers
+  an id sequence the same way and builds the same WindowGraph.
 
+Both builders share one window check, one graph assembly (_message_graph:
+occurrence counts to degrees) and one adjacency routine (_adjacency).
 build_windows and build_graph slice and build from scratch: the reference the
 loop is tested against.
 
@@ -42,6 +45,7 @@ pass never mixes nodes across graphs.
 from __future__ import annotations
 
 import json
+import re
 from collections import deque
 from dataclasses import dataclass
 from pathlib import Path
@@ -49,7 +53,7 @@ from typing import Iterable, Iterator, Sequence
 
 import numpy as np
 
-from .can_log import CanFrame, Record, as_records
+from .can_log import EXTENDED_ID_MAX, CanFrame, Record, as_records
 from .kernel import Matrix, check_finite
 
 DEFAULT_WINDOW_SIZE = 200
@@ -111,6 +115,21 @@ class GraphBatch:
         return len(self.labels)
 
 
+def _checked_stride(window_size: int, stride: int | None) -> int:
+    """The stride, window_size when None, once both are known to be valid."""
+    if window_size < 2:
+        raise WindowTooSmall(f"window_size {window_size} must be >= 2")
+    stride = window_size if stride is None else stride
+    if not 1 <= stride <= window_size:
+        raise GraphError(f"stride {stride} must be in 1..window_size")
+    return stride
+
+
+def _check_filled(frames: int) -> None:
+    if frames < 2:
+        raise WindowTooSmall(f"window of {frames} frames, need >= 2")
+
+
 def build_windows(
     frames: Sequence[CanFrame],
     window_size: int = DEFAULT_WINDOW_SIZE,
@@ -121,12 +140,7 @@ def build_windows(
     A trailing window with fewer than window_size frames is dropped so every
     graph obeys the window_size - 1 edge count invariant.
     """
-    if window_size < 2:
-        raise WindowTooSmall(f"window_size {window_size} must be >= 2")
-    if stride is None:
-        stride = window_size
-    if not 1 <= stride <= window_size:
-        raise GraphError(f"stride {stride} must be in 1..window_size")
+    stride = _checked_stride(window_size, stride)
     windows = []
     for start in range(0, len(frames) - window_size + 1, stride):
         windows.append(frames[start:start + window_size])
@@ -152,8 +166,7 @@ class SlidingGraph:
     """
 
     def __init__(self, window_size: int = DEFAULT_WINDOW_SIZE):
-        if window_size < 2:
-            raise WindowTooSmall(f"window_size {window_size} must be >= 2")
+        _checked_stride(window_size, None)
         self.window_size = window_size
         self.ids: deque[int] = deque(maxlen=window_size)
         self.edges: dict[tuple[int, int], int] = {}
@@ -161,8 +174,8 @@ class SlidingGraph:
         self.counts: list[int] = []
         self.free: list[int] = []
         self.support = 0
-        self._adjacency: Matrix | None = None
-        self._adjacency_support = -1
+        self._adj: Matrix | None = None
+        self._adj_support = -1
 
     def push(self, arb_id: int) -> None:
         ids, edges, slots, counts = self.ids, self.edges, self.slots, self.counts
@@ -200,35 +213,18 @@ class SlidingGraph:
             slots[arb_id] = slot
         counts[slot] += 1
 
-    def _check_size(self) -> None:
-        if len(self.ids) < 2:
-            raise WindowTooSmall(f"window of {len(self.ids)} frames, need >= 2")
-
     def snapshot(self, attacked: bool, window_index: int = 0) -> MessageGraph:
         """The ids now in the ring as a MessageGraph: nodes in order of first
-        position, edges in node-index terms. Each id's occurrence count is
-        its degree, less one incoming for the first frame's id (node 0) and
-        one outgoing for the last frame's id."""
-        self._check_size()
+        position, edges in node-index terms."""
         ids, slots, counts = self.ids, self.slots, self.counts
+        _check_filled(len(ids))
         node_ids = list(dict.fromkeys(ids))
         index = {arb_id: k for k, arb_id in enumerate(node_ids)}
         edges = {(index[src], index[dst]): mult
                  for (src, dst), mult in self.edges.items()}
-        in_deg = np.array([counts[slots[arb_id]] for arb_id in node_ids],
-                          dtype=np.int64)
-        out_deg = in_deg.copy()
-        in_deg[0] -= 1
-        out_deg[index[ids[-1]]] -= 1
-        return MessageGraph(
-            window_index=window_index,
-            node_ids=node_ids,
-            edges=edges,
-            in_degree=in_deg,
-            out_degree=out_deg,
-            label=ATTACKED if attacked else ATTACK_FREE,
-            window_size=len(ids),
-        )
+        return _message_graph(node_ids, edges,
+                              [counts[slots[arb_id]] for arb_id in node_ids],
+                              index[ids[-1]], attacked, window_index)
 
     def conv_inputs(self) -> tuple[Matrix, Matrix, int]:
         """(adjacency, features, live node count) of the window in slot order:
@@ -236,12 +232,12 @@ class SlidingGraph:
         the slot permutation they equal conv_adjacency and node_features of
         the snapshot. The adjacency is cached and re-derived only when support
         has moved; the returned arrays are valid until the next push."""
-        self._check_size()
-        if self._adjacency_support != self.support:
-            self._adjacency = self._slot_adjacency()
-            self._adjacency_support = self.support
+        _check_filled(len(self.ids))
+        if self._adj_support != self.support:
+            self._adj = self._slot_adjacency()
+            self._adj_support = self.support
         ids, slots = self.ids, self.slots
-        return (self._adjacency, _features(self.counts, slots[ids[0]], slots[ids[-1]]),
+        return (self._adj, _features(self.counts, slots[ids[0]], slots[ids[-1]]),
                 len(slots))
 
     def _slot_adjacency(self) -> Matrix:
@@ -254,25 +250,38 @@ class SlidingGraph:
             self.counts = counts = [counts[slot] for slot in slots.values()]
             self.slots = slots = {arb_id: k for k, arb_id in enumerate(slots)}
             self.free = []
-        size = len(counts)
-        src = [slots[arb_id] for arb_id, _ in self.edges]
-        dst = [slots[arb_id] for _, arb_id in self.edges]
-        live = list(slots.values())
-        sym = np.zeros((size, size), dtype=np.float64)
-        sym[src, dst] = 1.0
-        sym[dst, src] = 1.0
-        sym[live, live] += 1.0
-        return _normalized(sym, live)
+        return _adjacency([slots[arb_id] for arb_id, _ in self.edges],
+                          [slots[arb_id] for _, arb_id in self.edges],
+                          len(counts), list(slots.values()))
 
 
-def _normalized(sym: Matrix, live) -> Matrix:
-    """D^-1/2 sym D^-1/2 over the live rows of sym, the binarized symmetric
-    edges plus self-loops; rows not in live stay zero."""
-    inv_sqrt = np.zeros(len(sym), dtype=np.float64)
+def _adjacency(src, dst, size: int, live=slice(None)) -> Matrix:
+    """conv_adjacency over size nodes of the edges src[k] -> dst[k], given
+    as node indices: D^-1/2 (A_bin + I) D^-1/2 with self-loops on the live
+    nodes only, so rows not in live stay zero."""
+    sym = np.zeros((size, size), dtype=np.float64)
+    sym[src, dst] = 1.0
+    sym[dst, src] = 1.0
+    sym.reshape(-1)[::size + 1][live] += 1.0  # self-loops, on the diagonal's view
+    inv_sqrt = np.zeros(size, dtype=np.float64)
     inv_sqrt[live] = 1.0 / np.sqrt(sym.sum(axis=1)[live])
     adjacency = sym * inv_sqrt[:, None] * inv_sqrt[None, :]
     check_finite(adjacency, "adjacency")
     return adjacency
+
+
+def _message_graph(node_ids: list[int], edges: dict[tuple[int, int], int], counts,
+                   last: int, attacked: bool, window_index: int) -> MessageGraph:
+    """A window's MessageGraph from each node's occurrence count: that is the
+    node's in- and out-degree, less one in-degree for the first frame's node
+    (node 0) and one out-degree for the last frame's (node last)."""
+    in_deg = np.array(counts, dtype=np.int64)
+    out_deg = in_deg.copy()
+    in_deg[0] -= 1
+    out_deg[last] -= 1
+    return MessageGraph(window_index, node_ids, edges, in_deg, out_deg,
+                        ATTACKED if attacked else ATTACK_FREE,
+                        sum(edges.values()) + 1)  # one edge per consecutive pair
 
 
 def _features(counts, first_slot: int, last_slot: int) -> Matrix:
@@ -288,31 +297,14 @@ def _features(counts, first_slot: int, last_slot: int) -> Matrix:
 
 
 class WindowGraph:
-    """Message graph of one whole window of arbitration ids. Node k is the
-    k-th distinct id in first-position order: node_ids lists them and pos
-    holds each frame's node, numbered with a dict. counts (each node's
-    occurrences) and the edges come from pos with numpy. snapshot and
-    conv_inputs equal those of a SlidingGraph into which the same ids were
-    pushed one by one."""
+    """Message graph of one whole window of arbitration ids, numbered: node k
+    is the k-th distinct id in first-position order, node_ids lists them and
+    pos holds each frame's node. counts (each node's occurrences) and the
+    edges come from pos with numpy. snapshot and conv_inputs equal those of
+    a SlidingGraph into which the same ids were pushed one by one."""
 
-    def __init__(self, ids: Sequence[int]):
-        index: dict[int, int] = {}
-        pos = [index.setdefault(arb_id, len(index))
-               for arb_id in np.asarray(ids, dtype=np.int64).tolist()]
-        self._build(list(index), pos)
-
-    @classmethod
-    def numbered(cls, node_ids: list[int], pos: list[int]) -> WindowGraph:
-        """The WindowGraph of a window whose ids are already numbered as
-        above; sliding_windows numbers them as the frames arrive, so the
-        window-completing frame only turns pos into an array."""
-        graph = cls.__new__(cls)
-        graph._build(node_ids, pos)
-        return graph
-
-    def _build(self, node_ids: list[int], pos: list[int]) -> None:
-        if len(pos) < 2:
-            raise WindowTooSmall(f"window of {len(pos)} frames, need >= 2")
+    def __init__(self, node_ids: list[int], pos: Sequence[int]):
+        _check_filled(len(pos))
         self.node_ids = node_ids
         self.pos = np.array(pos, dtype=np.intp)
         self.counts = np.bincount(self.pos)
@@ -324,29 +316,15 @@ class WindowGraph:
                                        return_index=True, return_counts=True)
         order = np.argsort(first)
         src, dst = np.divmod(codes[order], n)
-        in_deg = self.counts.copy()
-        out_deg = self.counts.copy()
-        in_deg[0] -= 1
-        out_deg[pos[-1]] -= 1
-        return MessageGraph(
-            window_index=window_index,
-            node_ids=list(self.node_ids),
-            edges=dict(zip(zip(src.tolist(), dst.tolist()), mult[order].tolist())),
-            in_degree=in_deg,
-            out_degree=out_deg,
-            label=ATTACKED if attacked else ATTACK_FREE,
-            window_size=len(pos),
-        )
+        edges = dict(zip(zip(src.tolist(), dst.tolist()), mult[order].tolist()))
+        return _message_graph(list(self.node_ids), edges, self.counts, pos[-1],
+                              attacked, window_index)
 
     def conv_inputs(self) -> tuple[Matrix, Matrix, int]:
         """(adjacency, features, node count) in node order: conv_adjacency
         and node_features of the snapshot."""
         n, pos = len(self.node_ids), self.pos
-        sym = np.zeros((n, n), dtype=np.float64)
-        sym[pos[:-1], pos[1:]] = 1.0
-        sym[pos[1:], pos[:-1]] = 1.0
-        sym.reshape(-1)[::n + 1] += 1.0  # self-loops, on the diagonal's view
-        return _normalized(sym, slice(None)), _features(self.counts, 0, pos[-1]), n
+        return _adjacency(pos[:-1], pos[1:], n), _features(self.counts, 0, pos[-1]), n
 
 
 def graph_from_ids(
@@ -355,7 +333,10 @@ def graph_from_ids(
     window_index: int = 0,
 ) -> MessageGraph:
     """Build a MessageGraph from a window's arbitration-id sequence."""
-    return WindowGraph(ids).snapshot(attacked, window_index)
+    index: dict[int, int] = {}
+    pos = [index.setdefault(arb_id, len(index))
+           for arb_id in np.asarray(ids, dtype=np.int64).tolist()]
+    return WindowGraph(list(index), pos).snapshot(attacked, window_index)
 
 
 def build_graph(window: Sequence[CanFrame], window_index: int = 0) -> MessageGraph:
@@ -379,15 +360,11 @@ def sliding_windows(
     the window until the next item is requested: take its snapshot or
     conv_inputs before then. When stride equals window_size, windows share
     no frame, so each window's ids are numbered as they arrive and graph is
-    a WindowGraph built from them on the window's last frame. Indices are consecutive, a window is attacked
-    iff any of its frames is injected, and no partial window is yielded. A
-    bad window_size or stride raises on the first next(), before any frame
-    is read."""
-    if window_size < 2:
-        raise WindowTooSmall(f"window_size {window_size} must be >= 2")
-    stride = window_size if stride is None else stride
-    if not 1 <= stride <= window_size:
-        raise GraphError(f"stride {stride} must be in 1..window_size")
+    a WindowGraph built from them on the window's last frame. Indices are
+    consecutive, a window is attacked iff any of its frames is injected, and
+    no partial window is yielded. A bad window_size or stride raises on the
+    first next(), before any frame is read."""
+    stride = _checked_stride(window_size, stride)
     whole = stride == window_size
     graph = None if whole else SlidingGraph(window_size)
     index: dict[int, int] = {}  # whole windows: id -> node, in first-position order
@@ -405,7 +382,7 @@ def sliding_windows(
         start = position + 1 - window_size
         if start >= 0 and start % stride == 0:
             if whole:
-                graph = WindowGraph.numbered(list(index), pos)
+                graph = WindowGraph(list(index), pos)
                 index, pos = {}, []
             yield graph, start // stride, last_injected >= start, times[0], timestamp_us
 
@@ -511,14 +488,24 @@ def _int_at_least(value, low: int, what: str) -> int:
     return value
 
 
+_HEX_ID = re.compile(r"0x[0-9a-fA-F]+")
+
+
+def _node_id(text) -> int:
+    """A dump's node id: 0x and hex digits, at most EXTENDED_ID_MAX."""
+    if not _HEX_ID.fullmatch(text) or int(text, 16) > EXTENDED_ID_MAX:
+        raise ValueError(f"node id {text!r} is not 0x<hex> <= 0x{EXTENDED_ID_MAX:x}")
+    return int(text, 16)
+
+
 def _graph_from_record(line: str) -> MessageGraph:
     """One dump record as a MessageGraph; a record that no window could give
-    (bad counts, a repeated node or edge, a node no edge touches,
-    multiplicities not summing to window_size - 1) raises ValueError,
-    KeyError, IndexError or TypeError."""
+    (bad counts, a node id no log line can hold, a repeated node or edge, a
+    node no edge touches, multiplicities not summing to window_size - 1)
+    raises ValueError, KeyError, IndexError or TypeError."""
     rec = json.loads(line)
     window_size = _int_at_least(rec["window_size"], 2, "window_size")
-    node_ids = [int(s, 16) for s in rec["nodes"]]
+    node_ids = [_node_id(s) for s in rec["nodes"]]
     n = len(node_ids)
     if len(set(node_ids)) != n:
         raise ValueError("repeated node id")

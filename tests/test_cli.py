@@ -548,6 +548,52 @@ def test_detect_memory_does_not_grow_with_rejected_lines(tmp_path, monkeypatch):
     assert large - small < 64 * 1024, (small, large)
 
 
+def test_graphs_memory_does_not_hold_every_line_of_the_log(tmp_path, monkeypatch):
+    """graphs windows the log's records as its lines are read and warns on a
+    rejected line without keeping it, so its peak memory grows by the few
+    1000-frame graphs of 38k more lines, not by a list of every record or
+    every rejected line."""
+
+    def peak_bytes(lines: int) -> int:
+        log = tmp_path / f"{lines}.log"
+        log.write_text("".join(f"{i} {0x100 + i % 7:x} 0\n" if i % 10 else f"{i} 1g0 0\n"
+                               for i in range(lines)))
+        sink = _CountingSink()
+        monkeypatch.setattr("sys.stderr", sink)
+        tracemalloc.start()
+        try:
+            assert main(["graphs", "--log", str(log), "--out", str(tmp_path / "g.jsonl"),
+                         "--window-size", "1000"]) == EXIT_OK
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert sink.lines == lines // 10
+        return peak
+
+    peak_bytes(2_000)  # first-call caches
+    small, large = peak_bytes(2_000), peak_bytes(40_000)
+    assert large - small < 512 * 1024, (small, large)
+
+
+@pytest.mark.parametrize("flag,value,message", [
+    ("--epochs", "0", "epochs must be >= 1"),
+    ("--learning-rate", "0", "learning_rate must be finite and > 0"),
+    ("--learning-rate", "nan", "learning_rate must be finite and > 0"),
+    ("--learning-rate", "inf", "learning_rate must be finite and > 0"),
+    ("--batch-size", "0", "batch_size must be >= 1"),
+    ("--dropout", "1", "dropout_p must be in [0, 1)"),
+    ("--patience", "-1", "patience must be >= 0"),
+])
+def test_train_options_are_checked_before_any_input(tmp_path, capsys, flag, value,
+                                                    message):
+    """A training option TrainConfig refuses is a config error, reported
+    before the log is opened: this log does not exist."""
+    code = main(["train", "--log", str(tmp_path / "missing.log"),
+                 "--model", str(tmp_path / "m.bin"), flag, value])
+    assert code == EXIT_CONFIG
+    assert capsys.readouterr().err == f"error: {message}\n"
+
+
 def test_detect_skips_malformed_lines(tmp_path, capsys):
     log = tmp_path / "dirty.log"
     lines = ["bogus"] + [f"{i} 100 0" for i in range(120)]

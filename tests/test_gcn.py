@@ -9,6 +9,7 @@ from canids.gcn import (
     EmptyBatchLabels,
     EmptyDataset,
     GcnParams,
+    ModelError,
     ModelIoError,
     SingleClassDataset,
     TrainConfig,
@@ -320,6 +321,12 @@ def test_train_config_validation():
         TrainConfig(learning_rate=0.0)
     with pytest.raises(Exception):
         TrainConfig(dropout_p=1.0)
+    for learning_rate in (float("nan"), float("inf")):
+        with pytest.raises(ModelError, match="learning_rate"):
+            TrainConfig(learning_rate=learning_rate)
+    with pytest.raises(ModelError, match="patience"):
+        TrainConfig(patience=-1)
+    assert TrainConfig(patience=0).patience == 0
 
 
 def test_predict_zero_params_ties_to_attacked():

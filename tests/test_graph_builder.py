@@ -102,7 +102,9 @@ def test_window_graph_matches_brute_force_and_a_fresh_sliding_graph():
     for window_size in range(2, 201):
         for pool in sorted({1, 3, 25, window_size}):
             ids = _id_stream(rng, [pool], window_size)[:window_size]
-            window = WindowGraph(ids)
+            index: dict[int, int] = {}
+            pos = [index.setdefault(arb_id, len(index)) for arb_id in ids]
+            window = WindowGraph(list(index), pos)
             fresh = SlidingGraph(window_size)
             for arb_id in ids:
                 fresh.push(arb_id)
@@ -438,12 +440,20 @@ GOOD_RECORD = ('{"window_index":0,"window_size":3,"nodes":["0x1","0x2"],'
     GOOD_RECORD.replace('"window_size":3', '"window_size":4'),  # sum is not 3
     GOOD_RECORD.replace('"0x2"', '"0x01"'),             # 0x1 twice
     GOOD_RECORD.replace('"0x2"]', '"0x2","0x5"]'),      # node 2 has no edge
+    GOOD_RECORD.replace('"0x2"', '"-0x1"'),             # negative id
+    GOOD_RECORD.replace('"0x2"', '"0x20000000"'),       # past 29 bits
+    GOOD_RECORD.replace('"0x2"', '"0x1_0"'),            # digit separator
+    GOOD_RECORD.replace('"0x2"', '" 0x2"'),             # leading space
+    GOOD_RECORD.replace('"0x2"', '"2"'),                # no 0x
+    GOOD_RECORD.replace('"0x2"', '2'),                  # not a string
 ], ids=["truncated", "missing-field", "non-hex-node", "unknown-label",
         "endpoint-past-nodes", "negative-endpoint", "edge-pair", "not-object",
         "zero-multiplicity", "negative-multiplicity", "bool-multiplicity",
         "repeated-edge", "negative-window-index", "string-window-index",
         "window-size-1", "float-window-size", "multiplicity-sum",
-        "repeated-node", "isolated-node"])
+        "repeated-node", "isolated-node", "negative-node-id", "node-id-past-29-bits",
+        "node-id-underscore", "node-id-space", "node-id-no-prefix",
+        "node-id-not-string"])
 def test_load_graphs_rejects_malformed_record(bad, tmp_path):
     path = tmp_path / "graphs.jsonl"
     path.write_text(f"{GOOD_RECORD}\n\n{bad}\n", encoding="utf-8")
@@ -451,3 +461,9 @@ def test_load_graphs_rejects_malformed_record(bad, tmp_path):
         load_graphs(path)
     path.write_text(GOOD_RECORD, encoding="utf-8")
     assert len(load_graphs(path)) == 1
+
+
+def test_load_graphs_takes_node_ids_up_to_29_bits(tmp_path):
+    path = tmp_path / "graphs.jsonl"
+    path.write_text(GOOD_RECORD.replace('"0x2"', '"0x1FFFFFFF"'), encoding="utf-8")
+    assert load_graphs(path)[0].node_ids == [1, 0x1FFF_FFFF]

@@ -30,7 +30,8 @@ import json
 import math
 import os
 import sys
-from contextlib import nullcontext
+import tempfile
+from contextlib import contextmanager, nullcontext
 from pathlib import Path
 
 import numpy as np
@@ -281,23 +282,50 @@ def _warn(line_no: int, kind: str) -> None:
 
 
 def _log_graphs(args: argparse.Namespace):
-    """The graphs of the --log capture, windowed as its lines are read; a
-    malformed line is a warning, or with --strict an error, and no record of
-    a line is kept."""
+    """Yield the graphs of the --log capture, each as its window's last line
+    is read; a malformed line is a warning, or with --strict an error, and
+    no record of a line is kept."""
     with open(args.log, "r", encoding="utf-8", errors="replace") as fh:
-        return graph_builder.graphs_from_frames(
-            can_log.read_records(fh, None, args.strict, _warn), args.window_size,
-            args.stride)
+        for graph, index, attacked, _, _ in graph_builder.sliding_windows(
+                can_log.read_records(fh, None, args.strict, _warn), args.window_size,
+                args.stride):
+            yield graph.snapshot(attacked, index)
+
+
+@contextmanager
+def _replaced_on_success(path: str):
+    """A temporary sibling of path to write, moved onto path when the block
+    ends and removed when it raises, so a failed command leaves path as it
+    was."""
+    target = Path(path)
+    fd, part = tempfile.mkstemp(prefix=f".{target.name}.", suffix=".part",
+                                dir=target.parent)
+    os.close(fd)
+    try:
+        yield part
+        umask = os.umask(0)
+        os.umask(umask)
+        os.chmod(part, 0o666 & ~umask)  # the mode open() gives a new file
+        os.replace(part, target)
+    except BaseException:
+        os.unlink(part)
+        raise
 
 
 def cmd_graphs(args: argparse.Namespace) -> int:
     if not args.log or not args.out:
         raise ConfigError("graphs needs --log and --out")
 
-    graphs = _log_graphs(args)
-    graph_builder.dump_graphs(args.out, graphs)
-    attacked = sum(g.label for g in graphs)
-    total = len(graphs)
+    attacked = 0
+
+    def counted(graphs):
+        nonlocal attacked
+        for g in graphs:
+            attacked += g.label
+            yield g
+
+    with _replaced_on_success(args.out) as part:
+        total = graph_builder.dump_graphs(part, counted(_log_graphs(args)))
     share = attacked / total if total else 0.0
     print(f"windows: {total}")
     print(f"attacked: {attacked} ({share:.1%})  attack_free: {total - attacked}")
@@ -317,7 +345,7 @@ def _load_graphs_for(args: argparse.Namespace):
                                   f"does not match window_size {args.window_size}")
             _check_stride(args.stride, g.window_size)
     elif args.log:
-        graphs = _log_graphs(args)
+        graphs = list(_log_graphs(args))
     else:
         raise ConfigError("need --graphs or --log")
     if not graphs:

@@ -21,10 +21,12 @@ same results:
   keeps the last window_size ids, the edge multiset and a slot with an
   occurrence count per in-window id, and updates them in O(1) per pushed id
   with Python int and dict operations. Its conv_inputs give the window's
-  convolution inputs in slot order without a snapshot, re-deriving the
-  adjacency only when the binarized edge set has changed since the last call
-  (between stride-1 windows it mostly has not), and the features from the
-  slot counts.
+  convolution inputs in slot order without a snapshot. Once called, it keeps
+  the binary adjacency, the degrees, the normalized adjacency and the counts
+  in slot order and updates them in place: a push changes at most two
+  edges, so only the rows and columns of their slots are rewritten, with the
+  arithmetic of a full rebuild and so to the same bits. It rebuilds them in
+  full when the slot count grows or the slots are renumbered.
 - Windows that share no frame (stride == window_size) are built whole: the
   loop numbers a window's ids in a dict as its frames arrive, and on the
   window's last frame WindowGraph(node_ids, pos) takes the degrees from
@@ -32,7 +34,8 @@ same results:
   an id sequence the same way and builds the same WindowGraph.
 
 Both builders share one window check, one graph assembly (_message_graph:
-occurrence counts to degrees) and one adjacency routine (_adjacency).
+occurrence counts to degrees) and one adjacency routine (_adjacency), which
+SlidingGraph's in-place updates are tested against bit for bit.
 build_windows and build_graph slice and build from scratch: the reference the
 loop is tested against.
 
@@ -45,6 +48,7 @@ pass never mixes nodes across graphs.
 from __future__ import annotations
 
 import json
+import math
 import re
 from collections import deque
 from dataclasses import dataclass
@@ -155,14 +159,19 @@ class SlidingGraph:
     (src_id, dst_id), and a slot per in-window id: slots maps an id to its
     slot and counts holds each slot's occurrence count (0 for a free slot).
     A slot freed when its id leaves the window is handed to the next new id.
-    support counts the changes of the edge support: it goes up whenever a
-    (src, dst) multiplicity goes 0 -> 1 or 1 -> 0, which every change of the
-    slot set comes with. Pushing into a full ring drops the oldest id and its
-    outgoing edge before adding the new id and its incoming edge.
+    Pushing into a full ring drops the oldest id and its outgoing edge,
+    gives the new id its slot, then adds its incoming edge.
 
     snapshot renders the window as a MessageGraph; conv_inputs gives the
-    convolution inputs in slot order without one, re-deriving the adjacency
-    only when support has moved.
+    convolution inputs in slot order without one. Its first call builds
+    slot-indexed convolution state: the binary symmetric matrix with
+    self-loops (A_bin + I), the integer degrees, D^-1/2, the normalized
+    adjacency and the counts as floats. From then on push updates that
+    state where an edge's multiplicity goes 0 <-> 1 or a slot is freed or
+    reused, and records the slots it touched; conv_inputs rewrites only
+    their rows and columns. A push that adds a slot drops the state, and
+    the next conv_inputs builds it again, so a stream that is never scored
+    (graphs_from_frames) pays nothing for it.
     """
 
     def __init__(self, window_size: int = DEFAULT_WINDOW_SIZE):
@@ -173,12 +182,17 @@ class SlidingGraph:
         self.slots: dict[int, int] = {}
         self.counts: list[int] = []
         self.free: list[int] = []
-        self.support = 0
+        # convolution state in slot order, None until conv_inputs builds it
+        self._sym: Matrix | None = None
+        self._deg: list[int] = []
+        self._inv_sqrt: Matrix | None = None
         self._adj: Matrix | None = None
-        self._adj_support = -1
+        self._fcounts: Matrix | None = None
+        self._dirty: set[int] = set()  # slots whose row and column changed
 
     def push(self, arb_id: int) -> None:
         ids, edges, slots, counts = self.ids, self.edges, self.slots, self.counts
+        sym = self._sym
         if len(ids) == self.window_size:
             oldest = ids[0]
             key = (oldest, ids[1])
@@ -187,13 +201,32 @@ class SlidingGraph:
                 edges[key] = mult
             else:
                 del edges[key]
-                self.support += 1
+                if sym is not None:
+                    self._toggle(oldest, ids[1], 0)
             slot = slots[oldest]
             left = counts[slot] - 1
             counts[slot] = left
+            if sym is not None:
+                self._fcounts[slot] = left
             if not left:
                 del slots[oldest]
                 self.free.append(slot)
+                if sym is not None:  # its edges are gone: only the self-loop is left
+                    self._self_loop(slot, 0)
+        slot = slots.get(arb_id)
+        if slot is None:
+            if self.free:
+                slot = self.free.pop()
+                if sym is not None:
+                    self._self_loop(slot, 1)
+            else:
+                slot = len(counts)
+                counts.append(0)
+                self._sym = sym = None  # the slot count grew: rebuild in full
+            slots[arb_id] = slot
+        counts[slot] += 1
+        if sym is not None:
+            self._fcounts[slot] = counts[slot]
         if ids:
             key = (ids[-1], arb_id)
             mult = edges.get(key)
@@ -201,17 +234,32 @@ class SlidingGraph:
                 edges[key] = mult + 1
             else:
                 edges[key] = 1
-                self.support += 1
+                if sym is not None:
+                    self._toggle(ids[-1], arb_id, 1)
         ids.append(arb_id)
-        slot = slots.get(arb_id)
-        if slot is None:
-            if self.free:
-                slot = self.free.pop()
-            else:
-                slot = len(counts)
-                counts.append(0)
-            slots[arb_id] = slot
-        counts[slot] += 1
+
+    def _toggle(self, src_id: int, dst_id: int, bit: int) -> None:
+        """The edge src_id -> dst_id came (bit 1) or went (bit 0): set its
+        entries of the binary symmetric matrix, unless the reverse edge
+        still holds them. A self-edge moves the diagonal between 1 and 2."""
+        if src_id != dst_id and (dst_id, src_id) in self.edges:
+            return
+        a, b = self.slots[src_id], self.slots[dst_id]
+        step = 1 if bit else -1
+        self._deg[a] += step
+        if a == b:
+            self._sym[a, a] = 1 + bit
+        else:
+            self._sym[a, b] = self._sym[b, a] = bit
+            self._deg[b] += step
+            self._dirty.add(b)
+        self._dirty.add(a)
+
+    def _self_loop(self, slot: int, bit: int) -> None:
+        """A slot is freed (bit 0, its edges already gone) or reused (1)."""
+        self._sym[slot, slot] = bit
+        self._deg[slot] = bit
+        self._dirty.add(slot)
 
     def snapshot(self, attacked: bool, window_index: int = 0) -> MessageGraph:
         """The ids now in the ring as a MessageGraph: nodes in order of first
@@ -230,35 +278,72 @@ class SlidingGraph:
         """(adjacency, features, live node count) of the window in slot order:
         row s is the id in slot s, and a free slot's rows are all zero. Under
         the slot permutation they equal conv_adjacency and node_features of
-        the snapshot. The adjacency is cached and re-derived only when support
-        has moved; the returned arrays are valid until the next push."""
+        the snapshot, and they are bit-equal to _adjacency and _features of
+        the slots. The adjacency is updated in place, only in the rows and
+        columns of the slots pushes touched; both arrays are valid until the
+        next push."""
         _check_filled(len(self.ids))
-        if self._adj_support != self.support:
-            self._adj = self._slot_adjacency()
-            self._adj_support = self.support
+        if 2 * len(self.slots) < len(self.counts):
+            self._renumber()
+        if self._sym is None:
+            self._rebuild()
+        elif self._dirty:
+            self._update()
         ids, slots = self.ids, self.slots
-        return (self._adj, _features(self.counts, slots[ids[0]], slots[ids[-1]]),
+        return (self._adj, _features(self._fcounts, slots[ids[0]], slots[ids[-1]]),
                 len(slots))
 
-    def _slot_adjacency(self) -> Matrix:
-        """conv_adjacency in slot order, free slots left with no self-loop.
-        When more than half the slots are free, the live ids are first
-        renumbered 0..n-1, so a burst of distinct ids does not pad every
-        later window to its size."""
+    def _renumber(self) -> None:
+        """Number the live ids 0..n-1 once more than half the slots are free,
+        so a burst of distinct ids does not pad every later window to its
+        size. The convolution state is dropped, to be rebuilt."""
         slots, counts = self.slots, self.counts
-        if 2 * len(slots) < len(counts):
-            self.counts = counts = [counts[slot] for slot in slots.values()]
-            self.slots = slots = {arb_id: k for k, arb_id in enumerate(slots)}
-            self.free = []
-        return _adjacency([slots[arb_id] for arb_id, _ in self.edges],
-                          [slots[arb_id] for _, arb_id in self.edges],
-                          len(counts), list(slots.values()))
+        self.counts = [counts[slot] for slot in slots.values()]
+        self.slots = {arb_id: k for k, arb_id in enumerate(slots)}
+        self.free = []
+        self._sym = None
+
+    def _rebuild(self) -> None:
+        """Build the convolution state from the edges and slots with
+        _adjacency's arithmetic: free slots get no self-loop."""
+        slots, counts = self.slots, self.counts
+        src = [slots[arb_id] for arb_id, _ in self.edges]
+        dst = [slots[arb_id] for _, arb_id in self.edges]
+        self._sym, self._inv_sqrt, self._adj = _adjacency_parts(
+            src, dst, len(counts), list(slots.values()))
+        self._deg = self._sym.sum(axis=1).astype(np.int64).tolist()
+        self._fcounts = np.array(counts, dtype=np.float64)
+        self._dirty.clear()
+
+    def _update(self) -> None:
+        """Rewrite the rows and columns of the touched slots with the
+        elementwise products _adjacency computes, so the bits match a
+        rebuild."""
+        sym, inv_sqrt, adj, deg = self._sym, self._inv_sqrt, self._adj, self._deg
+        dirty = self._dirty
+        for s in dirty:
+            inv_sqrt[s] = 1.0 / math.sqrt(deg[s]) if deg[s] else 0.0
+        for s in dirty:
+            row = adj[s]
+            np.multiply(sym[s], inv_sqrt[s], out=row)
+            np.multiply(row, inv_sqrt, out=row)
+            col = adj[:, s]
+            np.multiply(sym[:, s], inv_sqrt, out=col)
+            np.multiply(col, inv_sqrt[s], out=col)
+        dirty.clear()
+        check_finite(adj, "adjacency")
 
 
 def _adjacency(src, dst, size: int, live=slice(None)) -> Matrix:
     """conv_adjacency over size nodes of the edges src[k] -> dst[k], given
     as node indices: D^-1/2 (A_bin + I) D^-1/2 with self-loops on the live
     nodes only, so rows not in live stay zero."""
+    return _adjacency_parts(src, dst, size, live)[2]
+
+
+def _adjacency_parts(src, dst, size: int,
+                     live=slice(None)) -> tuple[Matrix, Matrix, Matrix]:
+    """(A_bin + I, D^-1/2 as a vector, adjacency) of _adjacency."""
     sym = np.zeros((size, size), dtype=np.float64)
     sym[src, dst] = 1.0
     sym[dst, src] = 1.0
@@ -267,7 +352,7 @@ def _adjacency(src, dst, size: int, live=slice(None)) -> Matrix:
     inv_sqrt[live] = 1.0 / np.sqrt(sym.sum(axis=1)[live])
     adjacency = sym * inv_sqrt[:, None] * inv_sqrt[None, :]
     check_finite(adjacency, "adjacency")
-    return adjacency
+    return sym, inv_sqrt, adjacency
 
 
 def _message_graph(node_ids: list[int], edges: dict[tuple[int, int], int], counts,

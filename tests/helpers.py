@@ -24,6 +24,7 @@ from __future__ import annotations
 import numpy as np
 
 from canids.can_log import AttackKind, CanFrame
+from canids.graph_builder import SlidingGraph, _adjacency, _features
 from canids.traffic_synth import (
     AttackSpec,
     LabeledStream,
@@ -144,6 +145,17 @@ def brute_force_graph(ids):
         out_deg[seen[a]] += 1
         in_deg[seen[b]] += 1
     return order, edges, in_deg, out_deg
+
+
+def rebuilt_conv_inputs(sliding: SlidingGraph):
+    """(adjacency, features) of a SlidingGraph's window rebuilt in full from
+    its current slots with _adjacency and _features: the arithmetic that
+    its in-place updates must match bit for bit."""
+    slots, ids = sliding.slots, sliding.ids
+    return (_adjacency([slots[src] for src, _ in sliding.edges],
+                       [slots[dst] for _, dst in sliding.edges],
+                       len(sliding.counts), list(slots.values())),
+            _features(sliding.counts, slots[ids[0]], slots[ids[-1]]))
 
 
 def random_id_window(rng: np.random.Generator, size: int, pool: int = 40) -> list[int]:

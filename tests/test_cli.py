@@ -117,7 +117,7 @@ def test_graphs_dump_equals_the_frame_path(tmp_path, capsys):
         lines.insert(400 * k + 3, extra)
     log.write_text("".join(lines))
     frames, _ = can_log.load_log(log)
-    for window_size, stride in ((200, 200), (50, 13)):
+    for window_size, stride in ((200, 200), (50, 13), (30, 1)):
         out, want = tmp_path / "cli.jsonl", tmp_path / "lib.jsonl"
         assert main(["graphs", "--log", str(log), "--out", str(out), "--window-size",
                      str(window_size), "--stride", str(stride)]) == EXIT_OK
@@ -147,6 +147,53 @@ def test_graphs_strict_mode_exit_code(tmp_path, capsys):
     config.write_text("strict=maybe\n")
     assert main(from_file) == EXIT_CONFIG
     assert capsys.readouterr().err == "error: not a boolean: 'maybe'\n"
+
+
+def test_graphs_strict_reject_leaves_no_output(tmp_path, capsys):
+    """graphs dumps each window as it is read, into a temporary sibling of
+    --out that replaces it only when the whole log is read: a --strict
+    reject after some windows were written leaves no --out file, or the old
+    one untouched, and no temporary file."""
+    log = tmp_path / "late.log"
+    log.write_text("".join(f"{i} {0x100 + i % 3:x} 0\n" for i in range(50))
+                   + "not a frame\n")
+    out = tmp_path / "g.jsonl"
+    argv = ["graphs", "--log", str(log), "--out", str(out), "--window-size", "5",
+            "--stride", "1"]
+    assert main([*argv, "--strict"]) == EXIT_CONFIG
+    assert list(tmp_path.iterdir()) == [log]
+    out.write_text("old dump\n")
+    assert main([*argv, "--strict"]) == EXIT_CONFIG
+    assert out.read_text() == "old dump\n"
+    assert sorted(tmp_path.iterdir()) == [out, log]
+    capsys.readouterr()
+    assert main(argv) == EXIT_OK
+    assert capsys.readouterr().out.startswith("windows: 46\n")
+    assert len(graph_builder.load_graphs(out)) == 46
+    assert sorted(tmp_path.iterdir()) == [out, log]
+
+
+def test_graphs_memory_does_not_grow_with_the_window_count(tmp_path, capsys):
+    """graphs writes each window's graph as it is built instead of listing
+    them all first, so at stride 1 its peak memory stays that of a few
+    graphs, not of every window of the log."""
+
+    def peak_bytes(lines: int) -> int:
+        log = tmp_path / f"{lines}.log"
+        log.write_text("".join(f"{i} {0x100 + i * 7 % 31:x} 0\n" for i in range(lines)))
+        tracemalloc.start()
+        try:
+            assert main(["graphs", "--log", str(log), "--out", str(tmp_path / "g.jsonl"),
+                         "--window-size", "50", "--stride", "1"]) == EXIT_OK
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert capsys.readouterr().out.startswith(f"windows: {lines - 49}\n")
+        return peak
+
+    peak_bytes(300)  # first-call caches
+    small, large = peak_bytes(300), peak_bytes(3_000)
+    assert large - small < 128 * 1024, (small, large)
 
 
 def test_graphs_warns_on_non_ascii_digits(tmp_path, capsys):

@@ -4,12 +4,13 @@ from canids import gcn
 from canids.detect import verdicts
 from canids.graph_builder import (
     GraphError,
+    SlidingGraph,
     WindowTooSmall,
     build_graph,
     build_windows,
     graphs_from_frames,
 )
-from helpers import make_base_stream, make_scenario_stream
+from helpers import make_base_stream, make_scenario_stream, rebuilt_conv_inputs
 
 
 @pytest.fixture(scope="module")
@@ -66,6 +67,26 @@ def test_verdicts_equal_library(dos_stream, fuzzy_stream, window_size, stride):
             assert v.label == int(v.probability >= 0.5)
             assert v.probability == pytest.approx(probs[k], abs=1e-12)
     assert max(g.num_nodes for g in graphs) > 2 * min(g.num_nodes for g in graphs)
+
+
+@pytest.mark.parametrize("stride", [1, 7, 13])
+def test_verdicts_equal_a_full_rebuild(monkeypatch, dos_stream, fuzzy_stream,
+                                       mixed_stream, stride):
+    """The adjacency and features that SlidingGraph updates in place give
+    exactly the probabilities of a run that rebuilds both from the slots at
+    every window."""
+    params = gcn.init_params(2)
+    streams = (dos_stream, fuzzy_stream, mixed_stream)
+    got = [[v.probability for v in verdicts(s, params, 200, stride)] for s in streams]
+    conv_inputs = SlidingGraph.conv_inputs
+
+    def rebuilt(self):
+        live = conv_inputs(self)[2]  # renumbers the slots as it would
+        return (*rebuilt_conv_inputs(self), live)
+
+    monkeypatch.setattr(SlidingGraph, "conv_inputs", rebuilt)
+    want = [[v.probability for v in verdicts(s, params, 200, stride)] for s in streams]
+    assert all(want) and got == want
 
 
 def test_no_verdict_before_the_window_fills(dos_stream):

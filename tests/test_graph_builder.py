@@ -24,7 +24,7 @@ from canids.graph_builder import (
     sliding_windows,
 )
 from canids.kernel import make_rng
-from helpers import brute_force_graph, random_id_window
+from helpers import brute_force_graph, random_id_window, rebuilt_conv_inputs
 
 
 def frames_for(ids, labels=None):
@@ -294,26 +294,32 @@ def test_sliding_windows_match_build_windows_oracle(pool):
                 assert {g.label for g, _, _ in got} == {ATTACK_FREE, ATTACKED}
 
 
-def _check_conv_inputs_at_every_push(ids, window_size, params):
-    """After every push, SlidingGraph.conv_inputs equal conv_adjacency and
-    node_features of the snapshot under the slot permutation (free slots all
-    zero), the cached adjacency is kept exactly while the edge support has
-    not moved, and gcn.probability equals gcn.predict."""
+def _same_bits(got, want):
+    return (got.shape == want.shape and got.strides == want.strides
+            and got.tobytes() == want.tobytes())
+
+
+def _check_conv_inputs_at_every_push(ids, window_size, params, every=1):
+    """After every push (or every every-th, so that touched slots pile up
+    between calls), SlidingGraph.conv_inputs are byte-equal, memory layout
+    included, to a full rebuild of the current slots, equal conv_adjacency
+    and node_features of the snapshot under the slot permutation (free
+    slots all zero), and gcn.probability equals gcn.predict. Returns the
+    slot count of each call."""
     sliding = SlidingGraph(window_size)
-    adj = support = None
-    for arb_id in ids:
-        edge_set = set(sliding.edges)
+    sizes = []
+    for k, arb_id in enumerate(ids):
         sliding.push(arb_id)
         if len(sliding.ids) < 2:
             with pytest.raises(WindowTooSmall):
                 sliding.conv_inputs()
             continue
-        prev_adj, prev_support = adj, support
+        if k % every:
+            continue
         adj, feats, live = sliding.conv_inputs()
-        if set(sliding.edges) != edge_set:
-            assert sliding.support != prev_support
-        assert (adj is prev_adj) == (sliding.support == prev_support)
-        support = sliding.support
+        want_adj, want_feats = rebuilt_conv_inputs(sliding)
+        assert _same_bits(adj, want_adj) and _same_bits(feats, want_feats)
+        sizes.append(len(adj))
         g = sliding.snapshot(False)
         perm = [sliding.slots[node] for node in g.node_ids]
         free = np.setdiff1d(np.arange(len(adj)), perm)
@@ -326,6 +332,7 @@ def _check_conv_inputs_at_every_push(ids, window_size, params):
         prob = gcn.probability(adj, feats, live, params)
         assert abs(prob - want_prob) <= 1e-12
         assert int(prob >= 0.5) == want_label
+    return sizes
 
 
 def _id_stream(rng, pools, segment, repeat_p=0.3):
@@ -341,17 +348,38 @@ def _id_stream(rng, pools, segment, repeat_p=0.3):
     return ids
 
 
-@pytest.mark.parametrize("window_size, pools, segment", [
+_GROWING_AND_RENUMBERING_STREAMS = pytest.mark.parametrize("window_size, pools, segment", [
     (2, (1, 2, 3), 60),
     (3, (2, 5, 1, 5), 60),
     (7, (3, 12, 2, 12), 80),
     (50, (5, 40, 3, 60, 5), 120),
     (200, (15, 200, 10, 150, 15), 250),  # fuzzy-sized pools, then few ids again
 ])
-def test_conv_inputs_match_snapshot_at_every_push(window_size, pools, segment):
+
+
+def _check_stream(window_size, pools, segment, every):
+    """Each stream grows the slot count and, but for a 2-frame window (at
+    most two slots, never more than twice the live ids), renumbers the slots
+    (the count falls) between calls, besides freeing and reusing slots."""
     rng = make_rng(window_size)
     ids = _id_stream(rng, pools, segment)
-    _check_conv_inputs_at_every_push(ids, window_size, gcn.init_params(window_size))
+    sizes = _check_conv_inputs_at_every_push(ids, window_size,
+                                             gcn.init_params(window_size), every)
+    steps = np.diff(sizes)
+    assert (steps > 0).any() and ((steps < 0).any() or window_size == 2)
+
+
+@_GROWING_AND_RENUMBERING_STREAMS
+def test_conv_inputs_match_snapshot_at_every_push(window_size, pools, segment):
+    _check_stream(window_size, pools, segment, every=1)
+
+
+@_GROWING_AND_RENUMBERING_STREAMS
+def test_conv_inputs_match_a_rebuild_when_called_every_7th_push(window_size, pools,
+                                                                segment):
+    """The slots touched by the pushes between two calls pile up, and one
+    call rewrites them all."""
+    _check_stream(window_size, pools, segment, every=7)
 
 
 def test_conv_inputs_property():
@@ -386,6 +414,21 @@ def test_graphs_from_frames_pushes_each_frame_once(monkeypatch):
     pushes = 0
     assert len(graphs_from_frames(frames, window_size=200, stride=200)) == 3
     assert pushes == 0
+
+
+def test_graphs_from_frames_builds_no_convolution_state(monkeypatch):
+    """The in-place convolution state is built by conv_inputs alone, so
+    snapshots at stride 1 neither build nor update it."""
+    def no_rebuild(self):
+        raise AssertionError("convolution state built")
+
+    monkeypatch.setattr(SlidingGraph, "_rebuild", no_rebuild)
+    frames = frames_for(list(range(40)) * 5 + list(range(7)) * 100)
+    graphs = []
+    for graph, index, attacked, _, _ in sliding_windows(frames, 200, 1):
+        graphs.append(graph.snapshot(attacked, index))
+        assert graph._sym is None and not graph._dirty
+    assert len(graphs) == len(graphs_from_frames(frames, 200, 1)) == 701
 
 
 def test_dump_load_round_trip(tmp_path):

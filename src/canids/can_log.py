@@ -301,16 +301,11 @@ def _parse_tokens(text: str) -> CanFrame:
 
 def serialize_frame(frame: CanFrame) -> str:
     """Render a frame in canonical form; parse_line round-trips it exactly."""
-    id_width = 8 if frame.extended else 3
-    parts = [
-        format_timestamp(frame.timestamp_us),
-        f"{frame.arbitration_id:0{id_width}x}",
-        str(frame.dlc),
-    ]
-    parts.extend(f"{b:02x}" for b in frame.payload)
-    if frame.label is not None:
-        parts.append(f"{LABEL_PREFIX}{frame.label.value}")
-    return " ".join(parts)
+    payload = f" {frame.payload.hex(' ')}" if frame.dlc else ""
+    label = "" if frame.label is None else f" {LABEL_PREFIX}{frame.label.value}"
+    return (f"{format_timestamp(frame.timestamp_us)} "
+            f"{frame.arbitration_id:0{8 if frame.extended else 3}x} "
+            f"{frame.dlc}{payload}{label}")
 
 
 def _read(

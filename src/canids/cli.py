@@ -334,9 +334,9 @@ def cmd_graphs(args: argparse.Namespace) -> int:
 
 # ---------------------------------------------------------------- train ----
 
-def _load_graphs_for(args: argparse.Namespace):
-    """The --graphs dump, whose window size must match a set window_size, or
-    the graphs of the --log capture; an input with no graph is EmptyDataset."""
+def _input_graphs(args: argparse.Namespace):
+    """The --graphs dump, whose window size must match a set window_size, as
+    a list, or a generator of the graphs of the --log capture."""
     if args.graphs:
         graphs = graph_builder.load_graphs(args.graphs)
         for g in graphs:
@@ -344,19 +344,18 @@ def _load_graphs_for(args: argparse.Namespace):
                 raise ConfigError(f"{args.graphs}: dump window_size {g.window_size} "
                                   f"does not match window_size {args.window_size}")
             _check_stride(args.stride, g.window_size)
-    elif args.log:
-        graphs = list(_log_graphs(args))
-    else:
-        raise ConfigError("need --graphs or --log")
-    if not graphs:
-        raise EmptyDataset("no graphs in the input")
-    return graphs
+        return graphs
+    if args.log:
+        return _log_graphs(args)
+    raise ConfigError("need --graphs or --log")
 
 
 def cmd_train(args: argparse.Namespace) -> int:
     if not args.model:
         raise ConfigError("train needs --model")
-    graphs = _load_graphs_for(args)
+    graphs = list(_input_graphs(args))
+    if not graphs:
+        raise EmptyDataset("no graphs in the input")
     train_graphs, val_graphs = stratified_split(graphs, args.train_fraction, args.split_seed)
     params, history = gcn.train(train_graphs, args.train_config, val_graphs=val_graphs)
     gcn.save_params(params, args.model)
@@ -383,10 +382,20 @@ def cmd_eval(args: argparse.Namespace) -> int:
     if args.scenario not in SCENARIOS:
         raise ConfigError(f"scenario must be one of {', '.join(SCENARIOS)}")
 
-    graphs = _load_graphs_for(args)
+    labels = []
+
+    def labelled(graphs):
+        for g in graphs:
+            labels.append(g.label)
+            yield g
+
+    # Each graph of a --log capture is scored as its window completes, and
+    # only its label and probability are kept.
+    graphs = _input_graphs(args)
     params = gcn.load_params(args.model)
-    predictions, _ = gcn.predict_many(graphs, params, threshold=args.threshold)
-    labels = [g.label for g in graphs]
+    predictions, _ = gcn.predict_many(labelled(graphs), params, threshold=args.threshold)
+    if not labels:
+        raise EmptyDataset("no graphs in the input")
     report = scenario_report(
         args.scenario, predictions.tolist(), labels, PAPER_TARGETS.get(args.scenario)
     )

@@ -1,9 +1,15 @@
 """Two-layer graph convolution classifier with hand-derived backprop.
 
-Training runs the forward pass on a batch of normalized adjacencies A and
-node features X, each graph zero-padded to the batch's largest node count
-(graph_builder's GraphBatch). Inference (predict, predict_many, validation)
-runs it on one graph at a time through probability, as detect does per window:
+Training runs the forward pass on stacks of normalized adjacencies A and
+node features X, each graph zero-padded to its stack's largest node count
+(graph_builder's GraphBatch). A training step's graphs form one stack, or
+two when their node counts are far apart (size_groups): a stack costs
+b * n^2 adjacency entries for b graphs padded to n nodes, and attacked
+windows can have five times the nodes of clean ones, so padding them all to
+one n wastes most of the step. The step's gradient is the b / B-weighted sum
+of the stacks' mean gradients, equal to one padded batch's up to rounding.
+Inference (predict, predict_many, validation) runs the forward pass on one
+graph at a time through probability, as detect does per window:
 
     H1 = act(A @ X @ W1)           2 -> 8
     H2 = act(A @ H1 @ W2)          8 -> 8
@@ -39,7 +45,7 @@ import struct
 import warnings
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Sequence
+from typing import Iterable, Sequence
 
 import numpy as np
 
@@ -60,6 +66,10 @@ LEAKY_SLOPE = 0.01
 ADAM_BETA1 = 0.9
 ADAM_BETA2 = 0.999
 ADAM_EPS = 1e-8
+
+# A training step is padded as two stacks only if the large stack's node
+# count is at least this multiple of the small one's (see size_groups).
+SPLIT_RATIO = 2
 
 
 class ModelError(ValueError):
@@ -353,6 +363,48 @@ def _probabilities(prepared, params: GcnParams) -> np.ndarray:
                         for adj, feats, _ in prepared), dtype=np.float64)
 
 
+def size_groups(num_nodes) -> list[np.ndarray]:
+    """Indices of a training step's graphs, in batch order, for at most two
+    padded stacks: the cut by node count that minimizes the padded
+    adjacency entries, sum of b * n^2 over the stacks (b graphs padded to n
+    nodes). The step is split only when the large stack's n is at least
+    SPLIT_RATIO times the small one's; otherwise, as for uniform sizes, a
+    second stack costs more numpy calls than its padding saves."""
+    sizes = np.asarray(num_nodes, dtype=np.int64)
+    if sizes.max() >= SPLIT_RATIO * sizes.min():  # else no cut passes the rule
+        ordered = np.sort(sizes)
+        cuts = np.flatnonzero(ordered[:-1] < ordered[1:]) + 1  # between distinct sizes
+        cost = cuts * ordered[cuts - 1] ** 2 + (len(sizes) - cuts) * ordered[-1] ** 2
+        small = ordered[cuts[np.argmin(cost)] - 1]
+        if ordered[-1] >= SPLIT_RATIO * small:
+            return [np.flatnonzero(sizes <= small), np.flatnonzero(sizes > small)]
+    return [np.arange(len(sizes))]
+
+
+def _step_gradients(prepared, params: GcnParams, rng: np.random.Generator,
+                    dropout_p: float) -> tuple[list[np.ndarray], float, int]:
+    """(gradients, summed loss, correct count) of one training step over
+    prepared graphs. Each size_groups stack runs assemble_batch, forward and
+    backward; its gradients, means over its b of the step's B graphs, are
+    weighted by b / B to give the step's mean. The stacks draw B x HIDDEN
+    dropout entries in all, as one batch would; in a split step the small
+    stack takes the draw's first rows."""
+    parts = []
+    loss_sum = 0.0
+    correct = 0
+    for idx in size_groups([len(adj) for adj, _, _ in prepared]):
+        batch = assemble_batch([prepared[i] for i in idx])
+        y = batch.labels
+        probs, cache = forward(batch, params, rng=rng, dropout_p=dropout_p)
+        loss_sum += bce_loss(probs, y) * len(y)
+        correct += int(np.sum((probs[:, 1] >= 0.5) == (y == 1)))
+        parts.append((len(idx) / len(prepared), backward(cache, y).arrays()))
+    if len(parts) == 1:
+        return parts[0][1], loss_sum, correct
+    (w_small, small), (w_large, large) = parts
+    return [w_small * a + w_large * b for a, b in zip(small, large)], loss_sum, correct
+
+
 def train(
     graphs: Sequence[MessageGraph],
     config: TrainConfig | None = None,
@@ -360,10 +412,11 @@ def train(
 ) -> tuple[GcnParams, list[EpochRecord]]:
     """Mini-batch training loop; returns final params and per-epoch history.
 
-    Graphs are reshuffled every epoch with a seeded generator, zero-padded
-    into batches of batch_size graphs, and pushed through forward/backward
-    with Adam steps. Deterministic: same data, same config, bit-identical
-    params.
+    Graphs are reshuffled every epoch with a seeded generator and cut into
+    steps of batch_size graphs. Each step is zero-padded into one or two
+    stacks by node count (size_groups), pushed through forward/backward and
+    ends in one Adam step. Deterministic: same data, same config,
+    bit-identical params.
     """
     config = config or TrainConfig()
     if not graphs:
@@ -394,17 +447,12 @@ def train(
         loss_sum = 0.0
         correct = 0
         for lo in range(0, len(order), config.batch_size):
-            batch = assemble_batch(
-                [prepared[i] for i in order[lo:lo + config.batch_size]]
-            )
-            y = batch.labels
-
-            probs, cache = forward(batch, params, rng=dropout_rng,
-                                   dropout_p=config.dropout_p)
-            loss_sum += bce_loss(probs, y) * len(y)
-            correct += int(np.sum((probs[:, 1] >= 0.5) == (y == 1)))
-            grads = backward(cache, y)
-            opt.step(params.arrays(), grads.arrays())
+            grads, step_loss, step_correct = _step_gradients(
+                [prepared[i] for i in order[lo:lo + config.batch_size]], params,
+                dropout_rng, config.dropout_p)
+            loss_sum += step_loss
+            correct += step_correct
+            opt.step(params.arrays(), grads)
 
         record = EpochRecord(
             epoch=epoch,
@@ -443,14 +491,15 @@ def predict(
 
 
 def predict_many(
-    graphs: Sequence[MessageGraph],
+    graphs: Iterable[MessageGraph],
     params: GcnParams,
     threshold: float = 0.5,
     batch_size: int = 256,
 ) -> tuple[np.ndarray, np.ndarray]:
     """predict's labels and probabilities for each graph, as two arrays
-    (empty for no graphs). batch_size changes nothing, as every graph is
-    scored alone; it stays for callers outside the package that pass it."""
+    (empty for no graphs). Each graph is scored as the iterable yields it and
+    not kept. batch_size changes nothing, as every graph is scored alone; it
+    stays for callers outside the package that pass it."""
     probs = _probabilities(map(prepare_graph, graphs), params)
     return (probs >= threshold).astype(np.int64), probs
 

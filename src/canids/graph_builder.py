@@ -40,9 +40,12 @@ build_windows and build_graph slice and build from scratch: the reference the
 loop is tested against.
 
 The convolution sees one adjacency form: the edges symmetrized and binarized,
-self-loops added, then symmetrically degree-normalized. Batches pad every
-graph to the largest node count in the batch and stack them, so one batched
-pass never mixes nodes across graphs.
+self-loops added, then symmetrically degree-normalized. assemble_batch pads
+every graph it is given to their largest node count and stacks them, so one
+batched pass never mixes nodes across graphs. Training pads each step as one
+such stack, or as two when the largest node count is at least twice that of
+the small stack (gcn.size_groups picks the cut): clean windows of ~15 nodes
+are then not padded to the ~80 of attacked ones.
 """
 
 from __future__ import annotations
@@ -58,7 +61,7 @@ from typing import Iterable, Iterator, Sequence
 import numpy as np
 
 from .can_log import EXTENDED_ID_MAX, CanFrame, Record, as_records
-from .kernel import Matrix, check_finite
+from .kernel import FiniteViolation, Matrix, check_finite
 
 DEFAULT_WINDOW_SIZE = 200
 
@@ -318,7 +321,8 @@ class SlidingGraph:
     def _update(self) -> None:
         """Rewrite the rows and columns of the touched slots with the
         elementwise products _adjacency computes, so the bits match a
-        rebuild."""
+        rebuild. Only the rewritten entries are checked for finiteness: every
+        other entry was checked when it was last written."""
         sym, inv_sqrt, adj, deg = self._sym, self._inv_sqrt, self._adj, self._deg
         dirty = self._dirty
         for s in dirty:
@@ -330,8 +334,12 @@ class SlidingGraph:
             col = adj[:, s]
             np.multiply(sym[:, s], inv_sqrt, out=col)
             np.multiply(col, inv_sqrt[s], out=col)
+            # A NaN or Inf in either vector makes their dot product NaN or
+            # Inf (Inf times 0 is NaN): one call checks both, where two
+            # check_finite calls cost more than checking all of adj.
+            if not math.isfinite(row @ col):
+                raise FiniteViolation("adjacency contains NaN or Inf")
         dirty.clear()
-        check_finite(adj, "adjacency")
 
 
 def _adjacency(src, dst, size: int, live=slice(None)) -> Matrix:

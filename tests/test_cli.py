@@ -196,6 +196,32 @@ def test_graphs_memory_does_not_grow_with_the_window_count(tmp_path, capsys):
     assert large - small < 128 * 1024, (small, large)
 
 
+def test_eval_log_memory_does_not_grow_with_the_window_count(tmp_path, capsys):
+    """eval --log scores each window's graph as it is built and keeps only
+    its label and probability, so at stride 1 its peak memory does not hold
+    a graph per window of the log."""
+    model = tmp_path / "m.bin"
+    gcn.save_params(gcn.init_params(0), model)
+
+    def peak_bytes(lines: int) -> int:
+        log = tmp_path / f"{lines}.log"
+        log.write_text("".join(f"{i} {0x100 + i * 7 % 31:x} 0\n" for i in range(lines)))
+        tracemalloc.start()
+        try:
+            assert main(["eval", "--log", str(log), "--model", str(model),
+                         "--scenario", "DoS", "--window-size", "50",
+                         "--stride", "1"]) == EXIT_OK
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert f" total={lines - 49}\n" in capsys.readouterr().out
+        return peak
+
+    peak_bytes(300)  # first-call caches
+    small, large = peak_bytes(300), peak_bytes(3_000)
+    assert large - small < 128 * 1024, (small, large)
+
+
 def test_graphs_warns_on_non_ascii_digits(tmp_path, capsys):
     log = tmp_path / "sup.log"
     log.write_text("10 100 0\n11 100 \u00b2\n12 100 0\n", encoding="utf-8")

@@ -3,6 +3,7 @@ import math
 import numpy as np
 import pytest
 
+from canids import gcn
 from canids.gcn import (
     BadMagic,
     CacheMismatch,
@@ -22,9 +23,16 @@ from canids.gcn import (
     predict,
     predict_many,
     save_params,
+    size_groups,
     train,
 )
-from canids.graph_builder import GraphBatch, batch_graphs, graph_from_ids
+from canids.graph_builder import (
+    GraphBatch,
+    assemble_batch,
+    batch_graphs,
+    graph_from_ids,
+    prepare_graph,
+)
 from canids.kernel import FiniteViolation, ShapeMismatch, make_rng
 from helpers import random_id_window
 
@@ -301,6 +309,122 @@ def test_train_validation_and_early_stop():
     assert history[0].val_loss is not None
     assert history[0].val_accuracy is not None
     assert len(history) <= 40
+
+
+def sized_graph(rng, nodes, attacked):
+    """A random window over exactly `nodes` distinct ids."""
+    ids = rng.permutation(nodes).tolist() + rng.integers(0, nodes, size=3 * nodes).tolist()
+    return graph_from_ids([0x100 + i for i in ids], attacked=attacked)
+
+
+def bimodal_graphs(rng, count):
+    """Clean-sized (12-16 nodes) and attacked-sized (50-80 nodes) graphs."""
+    graphs = []
+    for _ in range(count):
+        attacked = bool(rng.random() < 0.4)
+        nodes = int(rng.integers(50, 81) if attacked else rng.integers(12, 17))
+        graphs.append(sized_graph(rng, nodes, attacked))
+    return graphs
+
+
+def padded_cost(sizes, groups):
+    return sum(len(g) * int(sizes[g].max()) ** 2 for g in groups)
+
+
+def test_size_groups_keeps_near_sizes_in_one_stack():
+    for sizes in ([16] * 64, [10, 19, 12, 15, 11], [30, 16, 16, 31], [7], [4, 4]):
+        groups = size_groups(sizes)
+        assert len(groups) == 1
+        assert groups[0].tolist() == list(range(len(sizes)))
+
+
+def test_size_groups_splits_a_bimodal_batch_at_the_cheapest_cut():
+    groups = size_groups([15, 60, 15, 70, 16, 50])
+    assert [g.tolist() for g in groups] == [[0, 2, 4], [1, 3, 5]]
+    assert [g.tolist() for g in size_groups([10, 20])] == [[0], [1]]
+    rng = make_rng(21)
+    splits = 0
+    for _ in range(50):
+        b = int(rng.integers(2, 65))
+        sizes = np.where(rng.random(b) < 0.6, rng.integers(14, 17, b),
+                         rng.integers(40, 83, b))
+        groups = size_groups(sizes)
+        assert sorted(np.concatenate(groups).tolist()) == list(range(b))
+        assert all(np.all(np.diff(g) > 0) for g in groups)  # batch order
+        ordered = np.sort(sizes).tolist()
+        cuts = [c for c in range(1, b) if ordered[c - 1] < ordered[c]]
+        costs = [c * ordered[c - 1] ** 2 + (b - c) * ordered[-1] ** 2 for c in cuts]
+        if cuts and ordered[-1] >= 2 * ordered[cuts[costs.index(min(costs))] - 1]:
+            small, large = groups
+            assert sizes[small].max() < sizes[large].min()
+            assert padded_cost(sizes, groups) == min(costs)
+            splits += 1
+        else:
+            assert len(groups) == 1
+    assert splits >= 30
+
+
+def test_grouped_step_equals_one_padded_batch():
+    """With no dropout, the b/B-weighted gradients of the two stacks are one
+    padded batch's, the loss and correct count add up, and the stacks draw
+    the B x HIDDEN dropout entries one batch draws."""
+    rng = make_rng(22)
+    for trial in range(3):
+        graphs = bimodal_graphs(rng, 64)
+        prepared = [prepare_graph(g) for g in graphs]
+        assert len(size_groups([g.num_nodes for g in graphs])) == 2
+        params = init_params(trial)
+        step_rng, batch_rng = make_rng(trial), make_rng(trial)
+        grads, loss_sum, correct = gcn._step_gradients(prepared, params, step_rng, 0.0)
+        batch = assemble_batch(prepared)
+        probs, cache = forward(batch, params, rng=batch_rng, dropout_p=0.0)
+        for got, want in zip(grads, backward(cache, batch.labels).arrays()):
+            np.testing.assert_allclose(got, want, rtol=1e-12, atol=0)
+        y = batch.labels
+        assert loss_sum == pytest.approx(bce_loss(probs, y) * len(y), rel=1e-12)
+        assert correct == int(np.sum((probs[:, 1] >= 0.5) == (y == 1)))
+        assert step_rng.random() == batch_rng.random()
+
+
+def test_uniform_training_set_pads_one_stack_per_step(monkeypatch):
+    calls = []
+
+    def counted(prepared):
+        calls.append(len(prepared))
+        return assemble_batch(prepared)
+
+    monkeypatch.setattr(gcn, "assemble_batch", counted)
+    rng = make_rng(23)
+    graphs = [sized_graph(rng, 16, bool(i % 2)) for i in range(150)]
+    train(graphs, TrainConfig(epochs=3))
+    assert calls == [64, 64, 22] * 3
+
+
+def single_stack_train(graphs, config):
+    """train as one padded stack per step, the layout before size grouping."""
+    init_ss, shuffle_ss, dropout_ss = np.random.SeedSequence(config.seed).spawn(3)
+    params = init_params(init_ss)
+    shuffle_rng, dropout_rng = make_rng(shuffle_ss), make_rng(dropout_ss)
+    prepared = [prepare_graph(g) for g in graphs]
+    opt = gcn._Adam([a.shape for a in params.arrays()], config.learning_rate)
+    for _ in range(config.epochs):
+        order = shuffle_rng.permutation(len(prepared))
+        for lo in range(0, len(order), config.batch_size):
+            batch = assemble_batch([prepared[i] for i in order[lo:lo + config.batch_size]])
+            _, cache = forward(batch, params, rng=dropout_rng, dropout_p=config.dropout_p)
+            opt.step(params.arrays(), backward(cache, batch.labels).arrays())
+    return params
+
+
+def test_training_that_never_splits_keeps_the_single_stack_bits():
+    rng = make_rng(24)
+    graphs = [sized_graph(rng, int(rng.integers(10, 20)), bool(i % 3 == 0))
+              for i in range(100)]
+    config = TrainConfig(seed=5, epochs=4, batch_size=32)
+    params, _ = train(graphs, config)
+    want = single_stack_train(graphs, config)
+    for got, ref in zip(params.arrays(), want.arrays()):
+        assert got.tobytes() == ref.tobytes()
 
 
 def test_train_errors():

@@ -23,7 +23,7 @@ from canids.graph_builder import (
     node_features,
     sliding_windows,
 )
-from canids.kernel import make_rng
+from canids.kernel import FiniteViolation, make_rng
 from helpers import brute_force_graph, random_id_window, rebuilt_conv_inputs
 
 
@@ -395,6 +395,20 @@ def test_conv_inputs_property():
         _check_conv_inputs_at_every_push(ids, window_size, gcn.init_params(seed))
 
     check()
+
+
+def test_in_place_update_checks_the_rewritten_entries():
+    """conv_inputs checks the rows and columns it rewrites in place: a NaN
+    scale of an untouched slot enters every rewritten entry."""
+    sliding = SlidingGraph(window_size=5)
+    for arb_id in (1, 2, 3, 4, 1):
+        sliding.push(arb_id)
+    sliding.conv_inputs()
+    sliding.push(3)  # drops the edge 1 -> 2 and adds 1 -> 3; no slot is added
+    assert sliding._sym is not None and sliding._dirty
+    sliding._inv_sqrt[:] = np.nan
+    with pytest.raises(FiniteViolation, match="adjacency"):
+        sliding.conv_inputs()
 
 
 def test_graphs_from_frames_pushes_each_frame_once(monkeypatch):

@@ -60,6 +60,7 @@ from .graph_builder import (
     graphs_from_frames,
     load_graphs,
     node_features,
+    read_graphs,
     sliding_windows,
 )
 from .kernel import make_rng

@@ -10,17 +10,19 @@ truth inline; real captures without it parse as normal traffic). Lines whose
 first non-blank character is ``#`` are comments.
 
 A line in canonical form, as ``serialize_frame`` writes it, is parsed with
-one regular-expression match; any other spelling (tabs, runs of
-spaces, CRLF, upper-case labels, zero-padded dlc) and every malformed line go
-through a walk over its whitespace-separated tokens. Both give the same frame
+one regular-expression match, which also proves that the payload holds
+exactly dlc bytes; any other spelling (tabs, runs of spaces, CRLF, upper-case
+labels, zero-padded dlc) and every malformed line go through a walk over its
+whitespace-separated tokens. A canonical line whose id exceeds 29 bits, the
+one check a match can still fail, goes there too. Both give the same frame
 or the same error kind; the token walk alone names the error.
 
 Two parsers share that match. parse_line gives a validated CanFrame with its
 payload bytes; parse_record gives only the (timestamp_us, arbitration_id,
-label) record the graph pipeline reads, checking the payload by its length
-and decoding no bytes. read_frames and read_records run one line loop (blank
-and comment lines, strict mode, rejects, backwards-timestamp warnings) over
-either parser; as_records turns a stream of frames into records.
+label) record the graph pipeline reads, decoding no bytes. read_frames and
+read_records run one line loop (blank and comment lines, strict mode,
+rejects, backwards-timestamp warnings) over either parser; as_records turns a
+stream of frames into records.
 
 Canonical serialization: timestamps print as integer seconds when the
 microsecond remainder is zero, otherwise with the fractional part trailing-zero
@@ -168,12 +170,19 @@ def _parse_hex(token: str, what: str) -> int:
 # label text of a canonical match -> AttackKind; no label group -> None
 _LABELS = {None: None, **{kind.value: kind for kind in AttackKind}}
 
+# The dlc and payload of a canonical line as one group, one alternative per
+# dlc ("0|1 XX|2 XX XX|..."), so a match holds exactly dlc payload bytes: the
+# group is 3 * dlc + 1 characters long. Each alternative starts with its own
+# digit, so the match never backtracks between them, and it repeats no group
+# per byte, which Python's re pays for byte by byte.
+_DLC_PAYLOAD = "|".join(f"{dlc}{' [0-9a-fA-F][0-9a-fA-F]' * dlc}"
+                        for dlc in range(MAX_DLC + 1))
+
 # The canonical line: single spaces, a known lower-case label, at most one
 # trailing newline. The seconds run stops at 640 digits, the lowest
 # int-string limit Python allows, so int() on a match cannot raise.
 _match_canonical = re.compile(
-    r"([0-9]{1,640})(?:\.([0-9]{1,6}))? ([0-9a-fA-F]{1,8}) ([0-8])"
-    r"((?: [0-9a-fA-F]{2})*)"
+    rf"([0-9]{{1,640}})(?:\.([0-9]{{1,6}}))? ([0-9a-fA-F]{{1,8}}) ({_DLC_PAYLOAD})"
     rf"(?: {LABEL_PREFIX}({'|'.join(kind.value for kind in AttackKind)}))?\n?"
 ).fullmatch
 
@@ -183,22 +192,21 @@ def parse_line(text: str) -> CanFrame:
 
     Hex parsing is case-insensitive and tolerant of leading zeros; a frame is
     extended iff its id token is 8 digits wide or its value exceeds 11 bits.
-    A canonical line is parsed by one match; any other line, and a canonical
-    one whose id, dlc or payload fails a check, by the token walk, which gives
-    the same frame or raises the error.
+    A canonical line is parsed by one match, which holds exactly dlc payload
+    bytes; any other line, and a canonical one whose id exceeds 29 bits, by
+    the token walk, which gives the same frame or raises the error.
     """
     match = _match_canonical(text)
     if match is not None:
-        seconds, frac, id_text, dlc_text, payload_text, label_text = match.groups()
+        seconds, frac, id_text, dlc_payload, label_text = match.groups()
         arb_id = int(id_text, 16)
-        dlc = int(dlc_text)
-        payload = bytes.fromhex(payload_text)
-        if arb_id <= EXTENDED_ID_MAX and len(payload) == dlc:
+        if arb_id <= EXTENDED_ID_MAX:
             timestamp_us = int(seconds) * US_PER_SECOND
             if frac:
                 timestamp_us += int(frac.ljust(6, "0"))
             return CanFrame(
-                timestamp_us, arb_id, dlc, payload, _LABELS[label_text],
+                timestamp_us, arb_id, len(dlc_payload) // 3,
+                bytes.fromhex(dlc_payload[1:]), _LABELS[label_text],
                 len(id_text) == 8 or arb_id > STANDARD_ID_MAX,
             )
     return _parse_tokens(text)
@@ -210,15 +218,15 @@ Record = tuple[int, int, AttackKind | None]
 
 def parse_record(text: str) -> Record:
     """parse_line without the frame: the line's (timestamp_us,
-    arbitration_id, label). A canonical line's payload is checked by its
-    length, three characters per byte, and not decoded; every other line
-    goes through the token walk, so it gives parse_line's values or raises
-    parse_line's error."""
+    arbitration_id, label). A canonical line's payload, whose length the
+    match has checked, is not decoded; every other line, and a canonical one
+    whose id exceeds 29 bits, goes through the token walk, so it gives
+    parse_line's values or raises parse_line's error."""
     match = _match_canonical(text)
     if match is not None:
-        seconds, frac, id_text, dlc_text, payload_text, label_text = match.groups()
+        seconds, frac, id_text, _, label_text = match.groups()
         arb_id = int(id_text, 16)
-        if arb_id <= EXTENDED_ID_MAX and len(payload_text) == 3 * int(dlc_text):
+        if arb_id <= EXTENDED_ID_MAX:
             timestamp_us = int(seconds) * US_PER_SECOND
             if frac:
                 timestamp_us += int(frac.ljust(6, "0"))

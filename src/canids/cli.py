@@ -334,17 +334,21 @@ def cmd_graphs(args: argparse.Namespace) -> int:
 
 # ---------------------------------------------------------------- train ----
 
+def _dump_graphs(args: argparse.Namespace):
+    """Yield the graphs of the --graphs dump as its records are read, each
+    checked against a set window_size and stride."""
+    for g in graph_builder.read_graphs(args.graphs):
+        if args.window_size not in (None, g.window_size):
+            raise ConfigError(f"{args.graphs}: dump window_size {g.window_size} "
+                              f"does not match window_size {args.window_size}")
+        _check_stride(args.stride, g.window_size)
+        yield g
+
+
 def _input_graphs(args: argparse.Namespace):
-    """The --graphs dump, whose window size must match a set window_size, as
-    a list, or a generator of the graphs of the --log capture."""
+    """A generator of the graphs of the --graphs dump or the --log capture."""
     if args.graphs:
-        graphs = graph_builder.load_graphs(args.graphs)
-        for g in graphs:
-            if args.window_size not in (None, g.window_size):
-                raise ConfigError(f"{args.graphs}: dump window_size {g.window_size} "
-                                  f"does not match window_size {args.window_size}")
-            _check_stride(args.stride, g.window_size)
-        return graphs
+        return _dump_graphs(args)
     if args.log:
         return _log_graphs(args)
     raise ConfigError("need --graphs or --log")
@@ -389,10 +393,16 @@ def cmd_eval(args: argparse.Namespace) -> int:
             labels.append(g.label)
             yield g
 
-    # Each graph of a --log capture is scored as its window completes, and
-    # only its label and probability are kept.
+    # Each graph is scored as its dump record is read or its window of the
+    # --log capture completes, and only its label and probability are kept.
     graphs = _input_graphs(args)
-    params = gcn.load_params(args.model)
+    try:
+        params = gcn.load_params(args.model)
+    except (ModelError, OSError):
+        if args.graphs:  # a bad dump is reported before a bad model
+            for _ in graphs:
+                pass
+        raise
     predictions, _ = gcn.predict_many(labelled(graphs), params, threshold=args.threshold)
     if not labels:
         raise EmptyDataset("no graphs in the input")

@@ -631,20 +631,24 @@ def _graph_from_record(line: str) -> MessageGraph:
     )
 
 
-def load_graphs(path: str | Path) -> list[MessageGraph]:
-    """Read a JSON-lines graph dump file back into MessageGraph objects; a
-    line that is not a valid record (undecodable bytes included) raises
-    MalformedGraphRecord naming it."""
-    graphs = []
+def read_graphs(path: str | Path) -> Iterator[MessageGraph]:
+    """Yield the MessageGraph of each record of a JSON-lines graph dump file
+    as its line is read; a line that is not a valid record (undecodable bytes
+    included) raises MalformedGraphRecord naming it."""
     with open(path, "r", encoding="utf-8", errors="replace") as fh:
         for line_no, line in enumerate(fh, start=1):
             line = line.strip()
             if not line:
                 continue
             try:
-                graphs.append(_graph_from_record(line))
+                graph = _graph_from_record(line)
             except (ValueError, KeyError, IndexError, TypeError) as err:
                 raise MalformedGraphRecord(
                     f"graph dump line {line_no}: {type(err).__name__}: {err}"
                 ) from err
-    return graphs
+            yield graph
+
+
+def load_graphs(path: str | Path) -> list[MessageGraph]:
+    """read_graphs as a list."""
+    return list(read_graphs(path))

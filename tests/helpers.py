@@ -21,9 +21,11 @@ near-identical. Attack scenarios:
 
 from __future__ import annotations
 
+import re
+
 import numpy as np
 
-from canids.can_log import AttackKind, CanFrame
+from canids.can_log import LABEL_PREFIX, AttackKind, CanFrame
 from canids.graph_builder import SlidingGraph, _adjacency, _features
 from canids.traffic_synth import (
     AttackSpec,
@@ -156,6 +158,17 @@ def rebuilt_conv_inputs(sliding: SlidingGraph):
                        [slots[dst] for _, dst in sliding.edges],
                        len(sliding.counts), list(slots.values())),
             _features(sliding.counts, slots[ids[0]], slots[ids[-1]]))
+
+
+# The canonical-line pattern with the payload as a repeated group of bytes
+# after a dlc digit, its length left unchecked: an oracle for the one-group
+# match, which must succeed where this one does with 3 * dlc payload
+# characters, and give the same timestamp, id and label.
+repeated_byte_match = re.compile(
+    r"([0-9]{1,640})(?:\.([0-9]{1,6}))? ([0-9a-fA-F]{1,8}) ([0-8])"
+    r"((?: [0-9a-fA-F]{2})*)"
+    rf"(?: {LABEL_PREFIX}({'|'.join(kind.value for kind in AttackKind)}))?\n?"
+).fullmatch
 
 
 def random_id_window(rng: np.random.Generator, size: int, pool: int = 40) -> list[int]:

@@ -12,6 +12,7 @@ from canids.can_log import (
     DlcOutOfRange,
     EXTENDED_ID_MAX,
     IdOutOfRange,
+    MAX_DLC,
     MalformedLine,
     PayloadLengthMismatch,
     as_records,
@@ -26,7 +27,7 @@ from canids.can_log import (
     serialize_frame,
 )
 from canids.kernel import make_rng
-from helpers import random_frames
+from helpers import random_frames, repeated_byte_match
 
 RAW_TABLE_ROWS = [
     "1478198376 0316 8 05 21 68 09 21 21 00 6f",
@@ -294,12 +295,14 @@ def test_canonical_match_agrees_with_token_walk():
         assert _outcome(parse_line, line) == expected, line
         seen.add((can_log._match_canonical(line) is not None,
                   expected.__name__ if isinstance(expected, type) else "frame"))
-    # Both paths gave frames, a match that fails a check came up, and so did
-    # every error kind.
+    # Both paths gave frames, a match that fails the id check came up, and so
+    # did every error kind. A match holds exactly dlc payload bytes, so a
+    # payload of the wrong length never matches.
     kinds = (MalformedLine, BadHex, DlcOutOfRange, PayloadLengthMismatch, IdOutOfRange)
     assert {(True, "frame"), (False, "frame"), (True, "IdOutOfRange"),
-            (True, "PayloadLengthMismatch"),
             *((False, kind.__name__) for kind in kinds)} <= seen
+    assert (True, "PayloadLengthMismatch") not in seen
+    assert (False, "PayloadLengthMismatch") in seen
 
 
 def test_canonical_match_agrees_with_token_walk_hypothesis():
@@ -326,6 +329,101 @@ def test_canonical_match_agrees_with_token_walk_hypothesis():
         assert _outcome(parse_line, line) == _outcome(can_log._parse_tokens, line)
 
     check()
+
+
+def _assert_agrees_with_repeated_byte_match(line):
+    """The one-group match succeeds exactly where the repeated-byte oracle
+    does with 3 * dlc payload characters, and gives its timestamp, id and
+    label, and its dlc digit and payload as one group."""
+    match, oracle = can_log._match_canonical(line), repeated_byte_match(line)
+    if oracle is None:
+        assert match is None, line
+        return
+    seconds, frac, id_text, dlc_text, payload_text, label_text = oracle.groups()
+    if len(payload_text) != 3 * int(dlc_text):
+        assert match is None, line
+        return
+    assert match is not None, line
+    assert match.groups() == (seconds, frac, id_text, dlc_text + payload_text,
+                              label_text), line
+
+
+def test_canonical_match_agrees_with_repeated_byte_match():
+    """On the seeded mutation corpus, the one-group match agrees with the
+    repeated-byte oracle."""
+    matched = set()
+    for line in _mutation_corpus():
+        _assert_agrees_with_repeated_byte_match(line)
+        oracle = repeated_byte_match(line)
+        matched.add((oracle is not None,
+                     can_log._match_canonical(line) is not None))
+    # lines both match, lines neither matches, and lines only the oracle
+    # matches (a payload of the wrong length) all came up
+    assert matched == {(True, True), (False, False), (True, False)}
+
+
+def test_canonical_match_agrees_with_repeated_byte_match_hypothesis():
+    hypothesis = pytest.importorskip("hypothesis")
+    st = pytest.importorskip("hypothesis.strategies")
+
+    @hypothesis.settings(max_examples=500, deadline=None, database=None)
+    @hypothesis.given(st.lists(st.sampled_from(MUTATION_PIECES + ID_TOKENS + DLC_TOKENS)
+                               | st.text("0123456789abcdefABCDEF.", min_size=1, max_size=10),
+                               max_size=12),
+                      st.sampled_from(["", "\n", "\r\n"]))
+    def check(tokens, end):
+        _assert_agrees_with_repeated_byte_match(" ".join(tokens) + end)
+
+    check()
+
+
+def _edge_case_lines():
+    """Lines at the edges of the canonical form: each dlc with one byte
+    short, exact and one byte over, with and without a label, at each line
+    end; upper-case hex, a 3-digit payload token, an 8-digit id over 29
+    bits, 640- and 641-digit seconds, 6 and 7 fraction digits."""
+    for dlc in range(MAX_DLC + 1):
+        for count in (dlc - 1, dlc, dlc + 1):
+            if count < 0:
+                continue
+            payload = "".join(f" {k * 17 % 256:02x}" for k in range(count))
+            for label in ("", " #label=replay"):
+                for end in ("", "\n", "\r\n"):
+                    yield f"5 316 {dlc}{payload}{label}{end}"
+    for end in ("", "\n", "\r\n"):
+        yield f"1 7FF 2 AB cD{end}"
+        yield f"1 7ff 1 abc{end}"
+        yield f"1 7ff 2 ab abc #label=dos{end}"
+        yield f"1 20000000 0{end}"
+        yield f"1 3fffffff 1 00 #label=fuzzy{end}"
+        yield f"{'9' * 640} 100 0{end}"
+        yield f"{'9' * 641} 100 1 01{end}"
+        yield f"1.123456 100 0{end}"
+        yield f"1.1234567 100 0{end}"
+        yield f"{'1' * 640}.000001 100 0 #label=spoofing{end}"
+
+
+def test_edge_cases_agree_across_parsers():
+    """parse_line, parse_record and the token walk give the same frame or
+    record, or the same error type and message, at every edge case."""
+    outcomes = set()
+    for line in _edge_case_lines():
+        expected = _record_outcome(can_log._parse_tokens, line)
+        assert _record_outcome(parse_line, line) == expected, line
+        if isinstance(expected, CanFrame):
+            expected = expected.timestamp_us, expected.arbitration_id, expected.label
+        assert _record_outcome(parse_record, line) == expected, line
+        outcomes.add("record" if isinstance(expected[0], int) else expected[0].__name__)
+    assert outcomes == {"record", "PayloadLengthMismatch", "BadHex", "IdOutOfRange",
+                        "MalformedLine"}
+
+
+def test_canonical_pattern_needs_no_python_3_11_syntax():
+    """Possessive quantifiers and atomic groups are Python 3.11 regex syntax;
+    on 3.10, the oldest version the package supports, they fail to compile."""
+    pattern = can_log._match_canonical.__self__.pattern
+    for syntax in ("*+", "++", "?+", "}+", "(?>"):
+        assert syntax not in pattern, syntax
 
 
 def test_parse_record_agrees_with_parse_line():

@@ -222,6 +222,53 @@ def test_eval_log_memory_does_not_grow_with_the_window_count(tmp_path, capsys):
     assert large - small < 128 * 1024, (small, large)
 
 
+def test_eval_graphs_memory_does_not_grow_with_the_dump(tmp_path, capsys):
+    """eval --graphs scores each graph as its dump record is read and keeps
+    only its label and probability, so its peak memory does not hold the
+    whole dump."""
+    model = tmp_path / "m.bin"
+    gcn.save_params(gcn.init_params(0), model)
+
+    def peak_bytes(lines: int) -> int:
+        log, dump = tmp_path / f"{lines}.log", tmp_path / f"{lines}.jsonl"
+        log.write_text("".join(f"{i} {0x100 + i * 7 % 31:x} 0\n" for i in range(lines)))
+        assert main(["graphs", "--log", str(log), "--out", str(dump),
+                     "--window-size", "50", "--stride", "1"]) == EXIT_OK
+        capsys.readouterr()
+        tracemalloc.start()
+        try:
+            assert main(["eval", "--graphs", str(dump), "--model", str(model),
+                         "--scenario", "DoS", "--stride", "1"]) == EXIT_OK
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert f" total={lines - 49}\n" in capsys.readouterr().out
+        return peak
+
+    peak_bytes(300)  # first-call caches
+    small, large = peak_bytes(300), peak_bytes(3_000)
+    assert large < 2 * small, (small, large)
+
+
+def test_eval_graphs_checks_each_record(tmp_path):
+    """The window size and stride checks of --graphs hold for every record of
+    the dump as eval scores it, the last one read included."""
+    dump = tmp_path / "g.jsonl"
+    graph_builder.dump_graphs(dump, [graph_from_ids([1, 2, 1], False),
+                                     graph_from_ids([1, 2, 1, 2], True)])
+    model = tmp_path / "m.bin"
+    gcn.save_params(gcn.init_params(0), model)
+    source = ["eval", "--graphs", str(dump), "--model", str(model), "--scenario", "DoS"]
+    assert main(source + ["--window-size", "3"]) == EXIT_CONFIG
+    assert main(source + ["--stride", "4"]) == EXIT_CONFIG
+    assert main(source + ["--stride", "3"]) == EXIT_OK
+    # an error in the dump is reported before one in the model
+    missing = ["eval", "--graphs", str(dump), "--model", str(tmp_path / "no.bin"),
+               "--scenario", "DoS"]
+    assert main(missing + ["--window-size", "3"]) == EXIT_CONFIG
+    assert main(missing) == EXIT_IO
+
+
 def test_graphs_warns_on_non_ascii_digits(tmp_path, capsys):
     log = tmp_path / "sup.log"
     log.write_text("10 100 0\n11 100 \u00b2\n12 100 0\n", encoding="utf-8")

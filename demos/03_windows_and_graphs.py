@@ -15,8 +15,6 @@ from canids import (
     AttackSpec,
     NormalTrafficSpec,
     batch_graphs,
-    build_graph,
-    build_windows,
     conv_adjacency,
     default_id_pool,
     generate_normal,
@@ -35,11 +33,12 @@ stream = inject_dos(
     rng=3,
 )
 
-# Slice into non-overlapping 200-frame windows (stride is configurable).
-windows = build_windows(stream.frames, window_size=200)
-print(f"{len(stream.frames)} frames -> {len(windows)} windows")
+# One pass over the frames cuts non-overlapping 200-frame windows (the stride
+# is configurable) and renders each as a message graph.
+graphs = graphs_from_frames(stream.frames, window_size=200)
+print(f"{len(stream.frames)} frames -> {len(graphs)} windows")
 
-graph = build_graph(windows[0], window_index=0)
+graph = graphs[0]
 print(f"\nwindow 0: {graph.num_nodes} nodes, {len(graph.edges)} distinct edges, "
       f"label={'attacked' if graph.label == ATTACKED else 'attack-free'}")
 
@@ -60,7 +59,6 @@ print(f"\nnormalized adjacency is symmetric: "
       f"{np.allclose(adjacency, adjacency.T)}; shape {adjacency.shape}")
 
 # A DoS window looks structurally different: one flood hub dominates.
-graphs = graphs_from_frames(stream.frames)
 flooded = next(g for g in graphs if g.label == ATTACKED)
 hub = int(np.argmax(flooded.in_degree))
 print(f"\nflooded window {flooded.window_index}: hub id "

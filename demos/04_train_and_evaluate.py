@@ -15,7 +15,6 @@ from canids import (
     generate_normal,
     graphs_from_frames,
     mix_attacks,
-    predict,
     predict_many,
     scenario_report,
     train,
@@ -54,8 +53,8 @@ report = scenario_report("DoS", predictions.tolist(), labels, PAPER_TARGETS["DoS
 print()
 print(report.format_table())
 
-# Single-window prediction returns (label, attacked probability).
-label, prob = predict(test_graphs[0], params)
+# predict_many gives each window's label and attacked probability.
+label, prob = predictions[0], probabilities[0]
 print(f"\nfirst held-out window: predicted "
       f"{'attacked' if label else 'attack-free'} (p={prob:.4f}), "
       f"truth {'attacked' if test_graphs[0].label else 'attack-free'}")

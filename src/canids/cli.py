@@ -15,9 +15,10 @@ else the flat key=value config file (--config), keyed by flag dest
 the seed of synth and train (the subcommands with randomness) only,
 CANIDS_SEED in the environment; else the flag's default. Each subcommand
 reads the file keys it has flags for, and a key that no subcommand has a
-flag for, config itself included, is a config error. With --graphs, a
-window_size that differs from the dump's is a config error, and the dump's
-size bounds the stride. Options are checked before any input is read.
+flag for, config itself included, is a config error. A negative seed or
+split_seed is a config error. With --graphs, every record of the dump must
+have the window_size that is set, or else its first record's, and that size
+bounds the stride. Options are checked before any input is read.
 
 Exit codes: 0 success, 2 configuration or parse error, 3 I/O error,
 4 data error (e.g. single-class training set), 5 model file error.
@@ -26,12 +27,13 @@ Exit codes: 0 success, 2 configuration or parse error, 3 I/O error,
 from __future__ import annotations
 
 import argparse
+import io
 import json
 import math
 import os
 import sys
 import tempfile
-from contextlib import contextmanager, nullcontext
+from contextlib import contextmanager
 from pathlib import Path
 
 import numpy as np
@@ -137,6 +139,9 @@ def parse_options(argv=None) -> argparse.Namespace:
             args.seed = int(env) if env else 0
         except ValueError:
             raise ConfigError(f"CANIDS_SEED={env!r} is not a valid int") from None
+    for name in ("seed", "split_seed"):  # numpy seeds only from ints >= 0
+        if args.command in _SEEDED and getattr(args, name, 0) < 0:
+            raise ConfigError(f"{name} must be >= 0, got {getattr(args, name)}")
     if "window_size" in args:
         if args.window_size is None and not getattr(args, "graphs", None):
             args.window_size = graph_builder.DEFAULT_WINDOW_SIZE
@@ -336,12 +341,17 @@ def cmd_graphs(args: argparse.Namespace) -> int:
 
 def _dump_graphs(args: argparse.Namespace):
     """Yield the graphs of the --graphs dump as its records are read, each
-    checked against a set window_size and stride."""
+    checked against the set window_size, else against the first record's,
+    which must also bound the stride."""
+    window_size = args.window_size
     for g in graph_builder.read_graphs(args.graphs):
-        if args.window_size not in (None, g.window_size):
+        if window_size is None:
+            _check_stride(args.stride, g.window_size)
+            window_size = g.window_size
+        elif g.window_size != window_size:
+            bound = "" if args.window_size is not None else " of its first record"
             raise ConfigError(f"{args.graphs}: dump window_size {g.window_size} "
-                              f"does not match window_size {args.window_size}")
-        _check_stride(args.stride, g.window_size)
+                              f"does not match window_size {window_size}{bound}")
         yield g
 
 
@@ -418,11 +428,27 @@ def cmd_eval(args: argparse.Namespace) -> int:
 
 # --------------------------------------------------------------- detect ----
 
+@contextmanager
+def _stdin_text():
+    """stdin's bytes read as UTF-8 with undecodable bytes replaced, as a log
+    file is read, whatever stdin's own error handler; sys.stdin is left
+    open. A stdin with no byte buffer is read as it is."""
+    buffer = getattr(sys.stdin, "buffer", None)
+    if buffer is None:
+        yield sys.stdin
+        return
+    text = io.TextIOWrapper(buffer, encoding="utf-8", errors="replace")
+    try:
+        yield text
+    finally:
+        text.detach()  # closing the wrapper would close stdin's buffer
+
+
 def cmd_detect(args: argparse.Namespace) -> int:
     if not args.model:
         raise ConfigError("detect needs --model")
     params = gcn.load_params(args.model)
-    with (nullcontext(sys.stdin) if args.log == "-" else
+    with (_stdin_text() if args.log == "-" else
           open(args.log, "r", encoding="utf-8", errors="replace")) as source:
         records = can_log.read_records(source, None, args.strict, _warn)
         for verdict in verdicts(records, params, args.window_size, args.stride,

@@ -150,7 +150,6 @@ class ForwardCache:
     """Intermediate values of one training forward pass, kept for backward."""
 
     adjacency: Matrix
-    features: Matrix
     num_nodes: np.ndarray
     m0: Matrix           # A @ X
     z1: Matrix
@@ -158,10 +157,8 @@ class ForwardCache:
     m1: Matrix           # A @ H1
     z2: Matrix
     h2: Matrix
-    readout: Matrix
     mask: Matrix
     readout_dropped: Matrix
-    logits: Matrix
     probs: Matrix
     params: GcnParams
 
@@ -272,10 +269,9 @@ def forward(
     logits = dropped @ params.wc + params.bc
     probs = kernel.softmax_rows(logits)
     cache = ForwardCache(
-        adjacency=adj, features=x, num_nodes=num_nodes,
+        adjacency=adj, num_nodes=num_nodes,
         m0=m0, z1=z1, h1=h1, m1=m1, z2=z2, h2=h2,
-        readout=readout, mask=mask, readout_dropped=dropped,
-        logits=logits, probs=probs, params=params,
+        mask=mask, readout_dropped=dropped, probs=probs, params=params,
     )
     return probs, cache
 

@@ -33,11 +33,13 @@ same results:
   bincount and the edges from pair codes with numpy. graph_from_ids numbers
   an id sequence the same way and builds the same WindowGraph.
 
-Both builders share one window check, one graph assembly (_message_graph:
-occurrence counts to degrees) and one adjacency routine (_adjacency), which
-SlidingGraph's in-place updates are tested against bit for bit.
-build_windows and build_graph slice and build from scratch: the reference the
-loop is tested against.
+Both builders share one window check and one graph assembly (_message_graph:
+occurrence counts to degrees). One routine, _adjacency, computes every
+convolution adjacency: WindowGraph's, SlidingGraph's (whose in-place updates
+are tested against it bit for bit) and conv_adjacency's, which prepare_graph
+takes for training, inference and dumped graphs. build_windows and
+build_graph slice and build from scratch: the reference the loop is tested
+against.
 
 The convolution sees one adjacency form: the edges symmetrized and binarized,
 self-loops added, then symmetrically degree-normalized. assemble_batch pads
@@ -55,6 +57,7 @@ import math
 import re
 from collections import deque
 from dataclasses import dataclass
+from itertools import chain
 from pathlib import Path
 from typing import Iterable, Iterator, Sequence
 
@@ -343,9 +346,9 @@ class SlidingGraph:
 
 
 def _adjacency(src, dst, size: int, live=slice(None)) -> Matrix:
-    """conv_adjacency over size nodes of the edges src[k] -> dst[k], given
-    as node indices: D^-1/2 (A_bin + I) D^-1/2 with self-loops on the live
-    nodes only, so rows not in live stay zero."""
+    """The one adjacency routine: D^-1/2 (A_bin + I) D^-1/2 over size nodes
+    of the edges src[k] -> dst[k], given as node indices, with self-loops on
+    the live nodes only, so rows not in live stay zero."""
     return _adjacency_parts(src, dst, size, live)[2]
 
 
@@ -509,15 +512,10 @@ def conv_adjacency(graph: MessageGraph) -> Matrix:
     sums of A~. I is added after binarizing, so a node with a self-edge (an
     id repeated in consecutive frames) has diagonal 2 in A~, others 1. The
     self-loops keep every node's own features in its update and the
-    normalization keeps high-degree hubs from scaling their neighbours."""
-    n = graph.num_nodes
-    a = np.zeros((n, n), dtype=np.float64)
-    for src, dst in graph.edges:
-        a[src, dst] = 1.0
-    sym = ((a + a.T) > 0).astype(np.float64)
-    sym += np.eye(n)
-    inv_sqrt = 1.0 / np.sqrt(sym.sum(axis=1))
-    return sym * inv_sqrt[:, None] * inv_sqrt[None, :]
+    normalization keeps high-degree hubs from scaling their neighbours.
+    It is _adjacency, the one adjacency routine, over the graph's edges."""
+    ends = np.fromiter(chain.from_iterable(graph.edges), np.intp, 2 * len(graph.edges))
+    return _adjacency(ends[0::2], ends[1::2], graph.num_nodes)
 
 
 def prepare_graph(graph: MessageGraph) -> tuple[Matrix, Matrix, int]:

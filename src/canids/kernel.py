@@ -1,9 +1,9 @@
 """Numeric checks and seeded randomness for the GCN.
 
 What the GCN's forward pass does not inline: finiteness checks, row softmax
-and inverted dropout masks, plus a mean over sorted row segments. softmax_rows
-and segment_mean take plain 2-D float64 numpy arrays, validate their shapes
-and reject NaN/Inf inputs instead of propagating them.
+and inverted dropout masks. softmax_rows takes a plain 2-D float64 array and
+rejects NaN/Inf input instead of propagating it. segment_mean has no pipeline
+caller: it stays only because perfbench/spans.py names it.
 
 Randomness comes from numpy's PCG64 generator seeded with a 64-bit integer;
 the algorithm is pinned so seeded streams (and therefore test vectors and
@@ -58,7 +58,7 @@ def as_matrix(values, name: str = "matrix") -> Matrix:
 
 
 def check_finite(m: Matrix, name: str = "matrix") -> None:
-    if not np.all(np.isfinite(m)):
+    if not np.isfinite(m).all():  # the method skips np.all's Python dispatch
         raise FiniteViolation(f"{name} contains NaN or Inf")
 
 

@@ -149,6 +149,20 @@ def brute_force_graph(ids):
     return order, edges, in_deg, out_deg
 
 
+def oracle_adjacency(graph):
+    """D^-1/2 (A_bin + I) D^-1/2 of a MessageGraph by an edge loop and
+    np.eye: the adjacency oracle, sharing no code with graph_builder's
+    _adjacency."""
+    n = graph.num_nodes
+    a = np.zeros((n, n), dtype=np.float64)
+    for src, dst in graph.edges:
+        a[src, dst] = 1.0
+    sym = ((a + a.T) > 0).astype(np.float64)
+    sym += np.eye(n)
+    inv_sqrt = 1.0 / np.sqrt(sym.sum(axis=1))
+    return sym * inv_sqrt[:, None] * inv_sqrt[None, :]
+
+
 def rebuilt_conv_inputs(sliding: SlidingGraph):
     """(adjacency, features) of a SlidingGraph's window rebuilt in full from
     its current slots with _adjacency and _features: the arithmetic that

@@ -253,20 +253,24 @@ def test_eval_graphs_memory_does_not_grow_with_the_dump(tmp_path, capsys):
 def test_eval_graphs_checks_each_record(tmp_path):
     """The window size and stride checks of --graphs hold for every record of
     the dump as eval scores it, the last one read included."""
-    dump = tmp_path / "g.jsonl"
+    dump, mixed = tmp_path / "g.jsonl", tmp_path / "mixed.jsonl"
     graph_builder.dump_graphs(dump, [graph_from_ids([1, 2, 1], False),
-                                     graph_from_ids([1, 2, 1, 2], True)])
+                                     graph_from_ids([2, 1, 1], True)])
+    graph_builder.dump_graphs(mixed, [graph_from_ids([1, 2, 1], False),
+                                      graph_from_ids([1, 2, 1, 2], True)])
     model = tmp_path / "m.bin"
     gcn.save_params(gcn.init_params(0), model)
-    source = ["eval", "--graphs", str(dump), "--model", str(model), "--scenario", "DoS"]
-    assert main(source + ["--window-size", "3"]) == EXIT_CONFIG
-    assert main(source + ["--stride", "4"]) == EXIT_CONFIG
-    assert main(source + ["--stride", "3"]) == EXIT_OK
+    source = ["eval", "--model", str(model), "--scenario", "DoS", "--graphs"]
+    assert main(source + [str(mixed), "--window-size", "3"]) == EXIT_CONFIG
+    assert main(source + [str(mixed)]) == EXIT_CONFIG
+    assert main(source + [str(dump), "--stride", "4"]) == EXIT_CONFIG
+    assert main(source + [str(dump), "--stride", "3"]) == EXIT_OK
     # an error in the dump is reported before one in the model
-    missing = ["eval", "--graphs", str(dump), "--model", str(tmp_path / "no.bin"),
-               "--scenario", "DoS"]
-    assert main(missing + ["--window-size", "3"]) == EXIT_CONFIG
-    assert main(missing) == EXIT_IO
+    missing = ["eval", "--model", str(tmp_path / "no.bin"), "--scenario", "DoS",
+               "--graphs"]
+    assert main(missing + [str(mixed), "--window-size", "3"]) == EXIT_CONFIG
+    assert main(missing + [str(mixed)]) == EXIT_CONFIG
+    assert main(missing + [str(dump)]) == EXIT_IO
 
 
 def test_graphs_warns_on_non_ascii_digits(tmp_path, capsys):
@@ -628,6 +632,90 @@ def test_graph_dump_window_size_and_stride_are_checked(tmp_path, capsys, command
         assert captured.out == ""
     assert main([*args, "--window-size", "80"]) == EXIT_OK
     assert main([*args, "--stride", "80"]) == EXIT_OK
+
+
+@pytest.mark.parametrize("command", ["train", "eval"])
+def test_graph_dump_that_mixes_window_sizes_is_config_error(tmp_path, capsys, command):
+    """With no window size set, the dump's first record sets it for the rest:
+    a dump of 80-frame windows followed by 50-frame ones is refused, naming
+    the dump, not trained on or scored."""
+    dump = _make_training_dump(tmp_path)  # 80-frame windows
+    rng = make_rng(6)
+    short = tmp_path / "short.jsonl"
+    graph_builder.dump_graphs(short, [
+        graph_from_ids(random_id_window(rng, 50, pool=10), attacked=bool(i % 2))
+        for i in range(4)])
+    mixed = tmp_path / "mixed.jsonl"
+    mixed.write_text(dump.read_text() + short.read_text())
+    model = tmp_path / "model.bin"
+    gcn.save_params(gcn.init_params(0), model)
+    new_model = tmp_path / "new.bin"
+    argv = {
+        "train": ["train", "--model", str(new_model), "--epochs", "2"],
+        "eval": ["eval", "--model", str(model), "--scenario", "DoS"],
+    }[command] + ["--graphs", str(mixed)]
+    assert main(argv) == EXIT_CONFIG
+    captured = capsys.readouterr()
+    assert captured.err == (f"error: {mixed}: dump window_size 50 does not match "
+                            f"window_size 80 of its first record\n")
+    assert captured.out == ""
+    assert not new_model.exists()
+
+
+@pytest.mark.parametrize("argv, env, config, message", [
+    (["synth", "--seed", "-1"], None, None, "seed must be >= 0, got -1"),
+    (["synth"], "-3", None, "seed must be >= 0, got -3"),
+    (["synth"], None, "seed=-4", "seed must be >= 0, got -4"),
+    (["train", "--seed", "-2"], None, None, "seed must be >= 0, got -2"),
+    (["train"], "-3", None, "seed must be >= 0, got -3"),
+    (["train"], None, "seed=-4", "seed must be >= 0, got -4"),
+    (["train", "--split-seed", "-2"], None, None, "split_seed must be >= 0, got -2"),
+    (["train"], None, "split_seed=-5", "split_seed must be >= 0, got -5"),
+], ids=["synth-flag", "synth-env", "synth-config", "train-flag", "train-env",
+        "train-config", "split-flag", "split-config"])
+def test_negative_seed_is_config_error(tmp_path, capsys, monkeypatch, argv, env,
+                                       config, message):
+    """numpy seeds only from ints >= 0: a negative seed or split seed, from
+    the flag, the config file or CANIDS_SEED, is refused before any input is
+    read (train's log does not exist) or any output written."""
+    out = tmp_path / "s.log"
+    extra = {"synth": ["--normal", "100", "--out", str(out)],
+             "train": ["--log", str(tmp_path / "missing.log"),
+                       "--model", str(tmp_path / "m.bin")]}[argv[0]]
+    if env is None:
+        monkeypatch.delenv("CANIDS_SEED", raising=False)
+    else:
+        monkeypatch.setenv("CANIDS_SEED", env)
+    if config is not None:
+        path = tmp_path / "exp.conf"
+        path.write_text(config + "\n")
+        extra += ["--config", str(path)]
+    assert main([*argv, *extra]) == EXIT_CONFIG
+    assert capsys.readouterr().err == f"error: {message}\n"
+    assert not out.exists() and not (tmp_path / "m.bin").exists()
+
+
+def test_detect_reads_stdin_bytes_as_the_log_file(tmp_path, capsys, monkeypatch):
+    """An undecodable byte on stdin is a per-line warning, as in a log file,
+    even when stdin itself decodes strictly; stdin stays open."""
+    import io
+
+    model = tmp_path / "model.bin"
+    gcn.save_params(gcn.init_params(0), model)
+    data = b"".join(b"%d 100 0\n" % i if i != 25 else b"25 1\xff0 0\n"
+                    for i in range(40))
+    log = tmp_path / "t.log"
+    log.write_bytes(data)
+    argv = ["detect", "--model", str(model), "--window-size", "10"]
+    assert main([*argv, "--log", str(log)]) == EXIT_OK
+    want = capsys.readouterr()
+    assert "warning: line 26: " in want.err and len(want.out.splitlines()) == 3
+    stdin = io.TextIOWrapper(io.BytesIO(data), encoding="utf-8", errors="strict")
+    monkeypatch.setattr("sys.stdin", stdin)
+    assert main([*argv, "--log", "-"]) == EXIT_OK
+    got = capsys.readouterr()
+    assert (got.out, got.err) == (want.out, want.err)
+    assert not stdin.closed
 
 
 class _CountingSink:

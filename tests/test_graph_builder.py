@@ -21,10 +21,16 @@ from canids.graph_builder import (
     graphs_from_frames,
     load_graphs,
     node_features,
+    read_graphs,
     sliding_windows,
 )
 from canids.kernel import FiniteViolation, make_rng
-from helpers import brute_force_graph, random_id_window, rebuilt_conv_inputs
+from helpers import (
+    brute_force_graph,
+    oracle_adjacency,
+    random_id_window,
+    rebuilt_conv_inputs,
+)
 
 
 def frames_for(ids, labels=None):
@@ -215,15 +221,7 @@ def test_sym_norm_properties():
         g = graph_from_ids(ids, attacked=False)
         adj = conv_adjacency(g)
         np.testing.assert_allclose(adj, adj.T, atol=1e-12)
-        # recover A~ and D~ and check A_ij = A~_ij / sqrt(d_i d_j)
-        n = g.num_nodes
-        a = np.zeros((n, n))
-        for s, d in g.edges:
-            a[s, d] = 1.0
-        tilde = ((a + a.T) > 0).astype(float) + np.eye(n)
-        deg = tilde.sum(axis=1)
-        expected = tilde / np.sqrt(np.outer(deg, deg))
-        np.testing.assert_allclose(adj, expected, atol=1e-12)
+        np.testing.assert_allclose(adj, oracle_adjacency(g), atol=1e-12)
 
 
 def test_batch_single_graph_equals_graph():
@@ -302,8 +300,8 @@ def _same_bits(got, want):
 def _check_conv_inputs_at_every_push(ids, window_size, params, every=1):
     """After every push (or every every-th, so that touched slots pile up
     between calls), SlidingGraph.conv_inputs are byte-equal, memory layout
-    included, to a full rebuild of the current slots, equal conv_adjacency
-    and node_features of the snapshot under the slot permutation (free
+    included, to a full rebuild of the current slots, equal the adjacency
+    oracle and node_features of the snapshot under the slot permutation (free
     slots all zero), and gcn.probability equals gcn.predict. Returns the
     slot count of each call."""
     sliding = SlidingGraph(window_size)
@@ -325,7 +323,7 @@ def _check_conv_inputs_at_every_push(ids, window_size, params, every=1):
         free = np.setdiff1d(np.arange(len(adj)), perm)
         assert live == g.num_nodes == len(perm)
         assert adj.shape == (len(feats), len(feats))
-        np.testing.assert_array_equal(adj[np.ix_(perm, perm)], conv_adjacency(g))
+        np.testing.assert_array_equal(adj[np.ix_(perm, perm)], oracle_adjacency(g))
         np.testing.assert_array_equal(feats[perm], node_features(g))
         assert not adj[free].any() and not adj[:, free].any() and not feats[free].any()
         want_label, want_prob = gcn.predict(g, params)
@@ -346,6 +344,26 @@ def _id_stream(rng, pools, segment, repeat_p=0.3):
             while rng.random() < repeat_p:
                 ids.append(arb_id)
     return ids
+
+
+def test_conv_adjacency_is_bit_equal_to_the_oracle(tmp_path):
+    """conv_adjacency gives the oracle's bytes and strides: on seeded windows
+    at strides 1, 7 and 200, on a window with self-edges and a 2-cycle, and
+    on the same graphs read back from a dump, whose edges come in sorted
+    order."""
+    ids = _id_stream(make_rng(3), (15, 80, 4), 300)
+    graphs = [graph_from_ids([1, 1, 2, 1, 3, 3, 2], attacked=False)]
+    for stride in (1, 7, 200):
+        graphs += graphs_from_frames(frames_for(ids), 200, stride)
+    assert any(s == d for g in graphs for s, d in g.edges)
+    assert any(s != d and (d, s) in g.edges for g in graphs for s, d in g.edges)
+    path = tmp_path / "graphs.jsonl"
+    dump_graphs(path, graphs)
+    loaded = list(read_graphs(path))
+    assert all(list(g.edges) == sorted(g.edges) for g in loaded)
+    assert any(list(g.edges) != sorted(g.edges) for g in graphs)
+    for g in graphs + loaded:
+        assert _same_bits(conv_adjacency(g), oracle_adjacency(g))
 
 
 _GROWING_AND_RENUMBERING_STREAMS = pytest.mark.parametrize("window_size, pools, segment", [

@@ -12,13 +12,14 @@ the library modules, so whole pipelines are reproducible from a shell script:
 parse_options resolves every option, in this order: the command-line flag;
 else the flat key=value config file (--config), keyed by flag dest
 (window_size, epochs, ...) and converted as that flag converts it; else, for
-the seed of synth and train (the subcommands with randomness) only,
-CANIDS_SEED in the environment; else the flag's default. Each subcommand
-reads the file keys it has flags for, and a key that no subcommand has a
-flag for, config itself included, is a config error. A negative seed or
-split_seed is a config error. With --graphs, every record of the dump must
-have the window_size that is set, or else its first record's, and that size
-bounds the stride. Options are checked before any input is read.
+the seed, CANIDS_SEED in the environment; else the flag's default. Only
+synth and train, the subcommands with randomness, have --seed. Each
+subcommand reads the file keys it has flags for, and a key that no
+subcommand has a flag for, config itself included, is a config error. A
+negative seed or split_seed is a config error, and so is setting both
+--graphs and --log. With --graphs, every record of the dump must have the
+window_size that is set, or else its first record's, and that size bounds
+the stride. Options are checked before any input is read.
 
 Exit codes: 0 success, 2 configuration or parse error, 3 I/O error,
 4 data error (e.g. single-class training set), 5 model file error.
@@ -108,12 +109,9 @@ def _check_stride(stride: int | None, window_size: int | None) -> None:
         raise ConfigError(f"stride {stride} must be in 1..window_size")
 
 
-_SEEDED = ("synth", "train")  # the subcommands that read args.seed
-
-
 def parse_options(argv=None) -> argparse.Namespace:
     """Resolve every option of one run: command-line flag, then --config file,
-    then CANIDS_SEED (the seed of synth and train only), then the flag's
+    then CANIDS_SEED (for the seed), then the flag's
     default. The values are checked before any input is read; train's are
     also gathered into args.train_config."""
     parser = build_parser()
@@ -133,15 +131,17 @@ def parse_options(argv=None) -> argparse.Namespace:
         command.set_defaults(**{key: _from_file(own[key], raw)
                                 for key, raw in values.items() if key in own})
         args = parser.parse_args(argv)  # flags still win over file defaults
-    if args.command in _SEEDED and args.seed is None:
+    if "seed" in args and args.seed is None:
         env = os.environ.get("CANIDS_SEED")
         try:
             args.seed = int(env) if env else 0
         except ValueError:
             raise ConfigError(f"CANIDS_SEED={env!r} is not a valid int") from None
     for name in ("seed", "split_seed"):  # numpy seeds only from ints >= 0
-        if args.command in _SEEDED and getattr(args, name, 0) < 0:
+        if getattr(args, name, 0) < 0:
             raise ConfigError(f"{name} must be >= 0, got {getattr(args, name)}")
+    if getattr(args, "graphs", None) and args.log:
+        raise ConfigError("--graphs and --log exclude each other")
     if "window_size" in args:
         if args.window_size is None and not getattr(args, "graphs", None):
             args.window_size = graph_builder.DEFAULT_WINDOW_SIZE
@@ -466,7 +466,6 @@ def cmd_detect(args: argparse.Namespace) -> int:
 
 def _add_common(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--config", help="flat key=value config file")
-    parser.add_argument("--seed", type=int, help="PRNG seed (env CANIDS_SEED fallback)")
 
 
 def _add_window_opts(parser: argparse.ArgumentParser) -> None:
@@ -485,6 +484,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("synth", help="generate labeled synthetic traffic")
     _add_common(p)
+    p.add_argument("--seed", type=int, help="PRNG seed (env CANIDS_SEED fallback)")
     p.add_argument("--out", default="canids_synth.log", help="output log path")
     p.add_argument("--manifest", help="manifest JSON path")
     p.add_argument("--normal", type=int, default=100_000, help="normal frame count")
@@ -504,6 +504,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("train", help="train the classifier")
     _add_common(p)
+    p.add_argument("--seed", type=int, help="PRNG seed (env CANIDS_SEED fallback)")
     _add_window_opts(p)
     p.add_argument("--log", help="input CAN log")
     p.add_argument("--graphs", help="input graph dump")
@@ -531,7 +532,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--model", help="model file")
     p.add_argument("--scenario", help=f"one of {', '.join(SCENARIOS)}")
     p.add_argument("--report", help="output report JSON")
-    p.add_argument("--threshold", type=float, default=0.5)
+    p.add_argument("--threshold", type=float, default=gcn.THRESHOLD)
     p.set_defaults(func=cmd_eval)
 
     p = sub.add_parser("detect", help="streaming window verdicts")
@@ -539,7 +540,7 @@ def build_parser() -> argparse.ArgumentParser:
     _add_window_opts(p)
     p.add_argument("--model", help="model file")
     p.add_argument("--log", default="-", help="input CAN log, or - for stdin")
-    p.add_argument("--threshold", type=float, default=0.5)
+    p.add_argument("--threshold", type=float, default=gcn.THRESHOLD)
     p.set_defaults(func=cmd_detect)
 
     return parser

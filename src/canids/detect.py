@@ -48,7 +48,7 @@ def verdicts(
     params: GcnParams,
     window_size: int = DEFAULT_WINDOW_SIZE,
     stride: int | None = None,
-    threshold: float = 0.5,
+    threshold: float = gcn.THRESHOLD,
 ) -> Iterator[Verdict]:
     """Yield the verdict of each window of window_size frames starting every
     stride frames, as soon as its last frame is read from frames (CanFrames

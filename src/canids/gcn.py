@@ -57,6 +57,20 @@ IN_FEATURES = 2
 HIDDEN = 8
 NUM_CLASSES = 2
 
+# The trainable arrays and their shapes, in model-file order. GcnParams
+# checks its arrays against this table, and the model file stores each array
+# as a (1, *shape)[-2:] matrix, the bias as 1 x NUM_CLASSES.
+PARAM_SHAPES = {
+    "w1": (IN_FEATURES, HIDDEN),
+    "w2": (HIDDEN, HIDDEN),
+    "wc": (HIDDEN, NUM_CLASSES),
+    "bc": (NUM_CLASSES,),
+}
+
+# The decision rule: a graph is attacked iff its attacked probability is >=
+# THRESHOLD. A tie flags the window, the safer failure for an IDS.
+THRESHOLD = 0.5
+
 MODEL_MAGIC = b"GCNIDS01"
 _MAGIC_FAMILY = b"GCNIDS"
 
@@ -106,7 +120,9 @@ class ModelIoError(ModelError):
 
 @dataclass
 class GcnParams:
-    """The trainable weights: two conv layers, linear head, head bias."""
+    """The trainable weights (two conv layers, linear head, head bias), or
+    the gradients of a loss with respect to them. Each array is made float64
+    and must have its PARAM_SHAPES shape and finite entries."""
 
     w1: Matrix
     w2: Matrix
@@ -114,34 +130,15 @@ class GcnParams:
     bc: np.ndarray
 
     def __post_init__(self):
-        self.w1 = np.asarray(self.w1, dtype=np.float64)
-        self.w2 = np.asarray(self.w2, dtype=np.float64)
-        self.wc = np.asarray(self.wc, dtype=np.float64)
-        self.bc = np.asarray(self.bc, dtype=np.float64)
-        expected = {
-            "w1": (IN_FEATURES, HIDDEN),
-            "w2": (HIDDEN, HIDDEN),
-            "wc": (HIDDEN, NUM_CLASSES),
-            "bc": (NUM_CLASSES,),
-        }
-        for name, shape in expected.items():
-            arr = getattr(self, name)
+        for name, shape in PARAM_SHAPES.items():
+            arr = np.asarray(getattr(self, name), dtype=np.float64)
             if arr.shape != shape:
                 raise ShapeMismatch(f"{name} has shape {arr.shape}, expected {shape}")
-            kernel.check_finite(arr.reshape(1, -1), name)
+            kernel.check_finite(arr, name)
+            setattr(self, name, arr)
 
     def arrays(self) -> list[np.ndarray]:
-        return [self.w1, self.w2, self.wc, self.bc]
-
-
-@dataclass
-class Gradients:
-    w1: Matrix
-    w2: Matrix
-    wc: Matrix
-    bc: np.ndarray
-
-    def arrays(self) -> list[np.ndarray]:
+        """The arrays in PARAM_SHAPES order."""
         return [self.w1, self.w2, self.wc, self.bc]
 
 
@@ -299,8 +296,10 @@ def bce_loss(probs, labels) -> float:
     return float(-np.mean(y * np.log(p) + (1.0 - y) * np.log1p(-p)))
 
 
-def backward(cache: ForwardCache, labels) -> Gradients:
-    """Exact gradients of bce_loss(forward(...)) for every parameter.
+def backward(cache: ForwardCache, labels) -> GcnParams:
+    """Exact gradients of bce_loss(forward(...)) for every parameter, as a
+    GcnParams: a NaN or Inf gradient raises FiniteViolation here instead of
+    reaching the weights.
 
     The softmax + binary cross-entropy composite collapses to
     (probs - onehot) / B at the logits; everything else is the chain rule
@@ -331,7 +330,7 @@ def backward(cache: ForwardCache, labels) -> Gradients:
     dz1 = np.where(cache.z1 > 0.0, dh1, LEAKY_SLOPE * dh1)
     dw1 = cache.m0.reshape(-1, IN_FEATURES).T @ dz1.reshape(-1, HIDDEN)
 
-    return Gradients(w1=dw1, w2=dw2, wc=dwc, bc=dbc)
+    return GcnParams(w1=dw1, w2=dw2, wc=dwc, bc=dbc)
 
 
 class _Adam:
@@ -393,7 +392,7 @@ def _step_gradients(prepared, params: GcnParams, rng: np.random.Generator,
         y = batch.labels
         probs, cache = forward(batch, params, rng=rng, dropout_p=dropout_p)
         loss_sum += bce_loss(probs, y) * len(y)
-        correct += int(np.sum((probs[:, 1] >= 0.5) == (y == 1)))
+        correct += int(np.sum((probs[:, 1] >= THRESHOLD) == (y == 1)))
         parts.append((len(idx) / len(prepared), backward(cache, y).arrays()))
     if len(parts) == 1:
         return parts[0][1], loss_sum, correct
@@ -459,7 +458,7 @@ def train(
             val_probs = _probabilities(prepared_val, params)
             val_y = np.array([g.label for g in val_graphs], dtype=np.int64)
             record.val_loss = bce_loss(val_probs, val_y)
-            record.val_accuracy = float(np.mean((val_probs >= 0.5) == (val_y == 1)))
+            record.val_accuracy = float(np.mean((val_probs >= THRESHOLD) == (val_y == 1)))
             if config.patience is not None:
                 if record.val_loss < best_val - 1e-12:
                     best_val = record.val_loss
@@ -476,11 +475,10 @@ def train(
 def predict(
     graph: MessageGraph,
     params: GcnParams,
-    threshold: float = 0.5,
+    threshold: float = THRESHOLD,
 ) -> tuple[int, float]:
     """(label, attacked probability) of one graph from prepare_graph and
-    probability. Attacked iff the probability is >= threshold: a tie flags
-    the window, the safer failure for an IDS."""
+    probability. Attacked iff the probability is >= threshold."""
     adjacency, features, _ = prepare_graph(graph)
     prob = probability(adjacency, features, graph.num_nodes, params)
     return int(prob >= threshold), prob
@@ -489,7 +487,7 @@ def predict(
 def predict_many(
     graphs: Iterable[MessageGraph],
     params: GcnParams,
-    threshold: float = 0.5,
+    threshold: float = THRESHOLD,
     batch_size: int = 256,
 ) -> tuple[np.ndarray, np.ndarray]:
     """predict's labels and probabilities for each graph, as two arrays
@@ -537,14 +535,13 @@ def probability(
 def save_params(params: GcnParams, path: str | Path) -> None:
     """Versioned binary model file; the float payload is bit-preserved.
 
-    Layout: 8-byte magic, then for each of w1, w2, wc, bc (bias stored as a
-    1 x 2 matrix): two little-endian uint32 dims followed by row-major
-    little-endian float64 values.
+    Layout: 8-byte magic, then for each array of PARAM_SHAPES, stored as a
+    (1, *shape)[-2:] matrix (the bias as 1 x 2): two little-endian uint32
+    dims followed by row-major little-endian float64 values.
     """
     blobs = [MODEL_MAGIC]
-    matrices = [params.w1, params.w2, params.wc, params.bc.reshape(1, NUM_CLASSES)]
-    for arr in matrices:
-        blobs.append(struct.pack("<II", arr.shape[0], arr.shape[1]))
+    for arr in params.arrays():
+        blobs.append(struct.pack("<II", *(1, *arr.shape)[-2:]))
         blobs.append(np.ascontiguousarray(arr, dtype="<f8").tobytes())
     Path(path).write_bytes(b"".join(blobs))
 
@@ -559,31 +556,21 @@ def load_params(path: str | Path) -> GcnParams:
             f"model format {data[len(_MAGIC_FAMILY):len(MODEL_MAGIC)]!r}, "
             f"expected {MODEL_MAGIC[len(_MAGIC_FAMILY):]!r}"
         )
-    expected = [
-        ("w1", (IN_FEATURES, HIDDEN)),
-        ("w2", (HIDDEN, HIDDEN)),
-        ("wc", (HIDDEN, NUM_CLASSES)),
-        ("bc", (1, NUM_CLASSES)),
-    ]
     offset = len(MODEL_MAGIC)
     arrays = {}
-    for name, shape in expected:
+    for name, shape in PARAM_SHAPES.items():
         if offset + 8 > len(data):
             raise ModelIoError(f"model file truncated in {name} header")
-        rows, cols = struct.unpack_from("<II", data, offset)
+        dims, stored = struct.unpack_from("<II", data, offset), (1, *shape)[-2:]
         offset += 8
-        if (rows, cols) != shape:
-            raise ShapeMismatch(f"{name} stored as {(rows, cols)}, expected {shape}")
-        nbytes = rows * cols * 8
-        if offset + nbytes > len(data):
+        if dims != stored:
+            raise ShapeMismatch(f"{name} stored as {dims}, expected {stored}")
+        count = math.prod(shape)
+        if offset + 8 * count > len(data):
             raise ModelIoError(f"model file truncated in {name} payload")
-        arrays[name] = np.frombuffer(
-            data, dtype="<f8", count=rows * cols, offset=offset
-        ).reshape(rows, cols).astype(np.float64)
-        offset += nbytes
+        arrays[name] = np.frombuffer(  # astype copies: owned, writable arrays
+            data, dtype="<f8", count=count, offset=offset).reshape(shape).astype(np.float64)
+        offset += 8 * count
     if offset != len(data):
         raise ModelIoError(f"{len(data) - offset} trailing bytes in model file")
-    return GcnParams(
-        w1=arrays["w1"], w2=arrays["w2"], wc=arrays["wc"],
-        bc=arrays["bc"].reshape(NUM_CLASSES),
-    )
+    return GcnParams(**arrays)

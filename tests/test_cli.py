@@ -389,6 +389,50 @@ def test_train_eval_round_trip(tmp_path, capsys):
     assert "scenario: DoS" in out
 
 
+def _graphs_and_log(tmp_path, dump, source):
+    """Arguments that set --graphs to dump and --log to a missing file, each
+    from a flag or from a config file as source names."""
+    log = tmp_path / "missing.log"
+    if source == "flags":
+        return ["--graphs", str(dump), "--log", str(log)]
+    config = tmp_path / "exp.conf"
+    if source == "log-in-config":
+        config.write_text(f"log={log}\n")
+        return ["--config", str(config), "--graphs", str(dump)]
+    config.write_text(f"graphs={dump}\n")
+    return ["--config", str(config), "--log", str(log)]
+
+
+_GRAPHS_AND_LOG_SOURCES = ["flags", "log-in-config", "graphs-in-config"]
+
+
+@pytest.mark.parametrize("source", _GRAPHS_AND_LOG_SOURCES)
+def test_train_refuses_graphs_with_log(tmp_path, capsys, source):
+    """train reads one input: with --graphs and --log both set, one of them
+    would be silently ignored, so the pair is refused before either is
+    opened and no model is written."""
+    model = tmp_path / "m.bin"
+    argv = ["train", *_graphs_and_log(tmp_path, _make_training_dump(tmp_path), source),
+            "--model", str(model), "--epochs", "2"]
+    assert main(argv) == EXIT_CONFIG
+    assert capsys.readouterr().err == "error: --graphs and --log exclude each other\n"
+    assert not model.exists()
+
+
+@pytest.mark.parametrize("source", _GRAPHS_AND_LOG_SOURCES)
+def test_eval_refuses_graphs_with_log(tmp_path, capsys, source):
+    """eval, like train, refuses --graphs with --log before either input or
+    the model is opened, and writes no report."""
+    model = tmp_path / "m.bin"
+    gcn.save_params(gcn.init_params(0), model)
+    report = tmp_path / "report.json"
+    argv = ["eval", *_graphs_and_log(tmp_path, _make_training_dump(tmp_path), source),
+            "--model", str(model), "--scenario", "DoS", "--report", str(report)]
+    assert main(argv) == EXIT_CONFIG
+    assert capsys.readouterr().err == "error: --graphs and --log exclude each other\n"
+    assert not report.exists()
+
+
 def test_train_deterministic_model_bytes(tmp_path):
     dump = _make_training_dump(tmp_path)
     model_a, model_b = tmp_path / "a.bin", tmp_path / "b.bin"
@@ -1006,12 +1050,23 @@ def test_env_seed_is_read_only_by_subcommands_with_randomness(tmp_path, capsys,
                  ["detect", "--model", str(model), "--log", str(log),
                   "--window-size", "10"]):
         assert main(argv) == EXIT_OK
-        assert parse_options(argv).seed is None
+        assert "seed" not in parse_options(argv)
     capsys.readouterr()
     for argv in (["synth", "--normal", "100", "--out", str(tmp_path / "s.log")],
                  ["train", "--graphs", str(dump), "--model", str(tmp_path / "m.bin")]):
         assert main(argv) == EXIT_CONFIG
         assert "CANIDS_SEED='seven'" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("command", ["graphs", "eval", "detect"])
+def test_seed_flag_is_only_for_subcommands_with_randomness(tmp_path, capsys, command):
+    """graphs, eval and detect draw no random numbers, so they have no --seed
+    to accept and ignore; a seed= config key stays valid for synth and train."""
+    assert main([command, "--seed", "1"]) == EXIT_CONFIG
+    assert "unrecognized arguments: --seed 1" in capsys.readouterr().err
+    config = tmp_path / "exp.conf"
+    config.write_text("seed=1\n")
+    assert "seed" not in parse_options([command, "--config", str(config)])
 
 
 def test_config_file_shared_across_subcommands(tmp_path, capsys):

@@ -509,6 +509,7 @@ def test_save_load_round_trip(tmp_path):
     loaded = load_params(path)
     for x, y in zip(params.arrays(), loaded.arrays()):
         np.testing.assert_array_equal(x, y)
+        assert y.dtype == np.float64 and y.flags.writeable  # not a view of the bytes
     graphs = random_graphs(rng, 5)
     p1, _ = forward(batch_graphs(graphs), params)
     p2, _ = forward(batch_graphs(graphs), loaded)
@@ -553,6 +554,37 @@ def test_load_rejects_wrong_shapes(tmp_path):
     path.write_bytes(blob)
     with pytest.raises(ShapeMismatch):
         load_params(path)
+
+
+# save_params(init_params(0)): the magic, then (offset, dims) of w1, w2, wc
+# and the bias, each dims pair followed by its float64 values.
+_MODEL_LAYOUT = [(8, (2, 8)), (144, (8, 8)), (664, (8, 2)), (800, (1, 2))]
+_MODEL_SHA256 = "26057c42ca90d058de28b527ce37930823f28770a742f76e67e17b73dd5efa36"
+
+
+def test_model_file_layout_is_pinned(tmp_path):
+    import hashlib
+    import struct
+
+    path = tmp_path / "model.bin"
+    save_params(init_params(0), path)
+    data = path.read_bytes()
+    assert len(data) == 824
+    assert data[:8] == b"GCNIDS01"
+    assert [(offset, struct.unpack_from("<II", data, offset))
+            for offset, _ in _MODEL_LAYOUT] == _MODEL_LAYOUT
+    assert hashlib.sha256(data).hexdigest() == _MODEL_SHA256
+
+
+def test_backward_rejects_non_finite_gradients():
+    """Gradients are a GcnParams, so a NaN in the cache raises at backward
+    instead of reaching the weights through Adam."""
+    rng = make_rng(14)
+    batch = batch_graphs(random_graphs(rng, 3))
+    _, cache = forward(batch, init_params(0), rng=make_rng(0))
+    cache.probs[0, 0] = np.nan
+    with pytest.raises(FiniteViolation, match="NaN or Inf"):
+        backward(cache, batch.labels)
 
 
 def test_backward_without_training_cache():

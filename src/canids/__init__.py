@@ -55,10 +55,10 @@ from .graph_builder import (
     batch_graphs,
     build_graph,
     build_windows,
+    checked_stride,
     conv_adjacency,
     dump_graphs,
     graphs_from_frames,
-    load_graphs,
     node_features,
     read_graphs,
     sliding_windows,

@@ -19,7 +19,10 @@ subcommand has a flag for, config itself included, is a config error. A
 negative seed or split_seed is a config error, and so is setting both
 --graphs and --log. With --graphs, every record of the dump must have the
 window_size that is set, or else its first record's, and that size bounds
-the stride. Options are checked before any input is read.
+the stride (graph_builder.checked_stride). Options are checked before any
+input is read. Every --log takes - for stdin, and eval --log scores windows
+with detect.verdicts, as detect does. Every output is written whole or not
+at all, and a bad output path fails before any input is read.
 
 Exit codes: 0 success, 2 configuration or parse error, 3 I/O error,
 4 data error (e.g. single-class training set), 5 model file error.
@@ -103,12 +106,6 @@ def _from_file(action: argparse.Action, raw: str):
                           f"{convert.__name__}") from None
 
 
-def _check_stride(stride: int | None, window_size: int | None) -> None:
-    """A window_size of None (a graph dump not yet read) bounds only below."""
-    if stride is not None and not 1 <= stride <= (window_size or stride):
-        raise ConfigError(f"stride {stride} must be in 1..window_size")
-
-
 def parse_options(argv=None) -> argparse.Namespace:
     """Resolve every option of one run: command-line flag, then --config file,
     then CANIDS_SEED (for the seed), then the flag's
@@ -145,9 +142,7 @@ def parse_options(argv=None) -> argparse.Namespace:
     if "window_size" in args:
         if args.window_size is None and not getattr(args, "graphs", None):
             args.window_size = graph_builder.DEFAULT_WINDOW_SIZE
-        if args.window_size is not None and args.window_size < 2:
-            raise ConfigError("window_size must be >= 2")
-        _check_stride(args.stride, args.window_size)
+        graph_builder.checked_stride(args.window_size, args.stride)
     if "train_fraction" in args and not 0.0 < args.train_fraction < 1.0:
         raise ConfigError("train_fraction must be strictly between 0 and 1")
     if "threshold" in args and not 0.0 <= args.threshold <= 1.0:  # also rejects nan
@@ -250,26 +245,23 @@ def cmd_synth(args: argparse.Namespace) -> int:
             raise ConfigError(f"--{kind.value} intensity must be finite and >= 0, "
                               f"got {intensity}")
     manifest_path = args.manifest or args.out + ".manifest.json"
-    spec = NormalTrafficSpec(
-        id_pool=traffic_synth.default_id_pool(args.ids, args.base_period_us, args.jitter),
-        message_count=args.normal,
-        seed=args.seed,
-    )
-    stream = traffic_synth.generate_normal(spec)
-
-    intensities = {kind: getattr(args, kind.value) for kind in _ATTACK_ORDER
-                   if getattr(args, kind.value) > 0}
-    if intensities and stream.frames:
-        duration = stream.frames[-1].timestamp_us + 1
-        target_pool = [spec.id_pool[i][0] for i in range(min(3, len(spec.id_pool)))]
-        specs = plan_attack_specs(duration, intensities)
-        for aspec in specs:
-            if aspec.kind is AttackKind.SPOOFING:
-                aspec.target_ids = tuple(target_pool)
-        stream = traffic_synth.mix_attacks(stream, specs, seed=args.seed)
-
-    can_log.save_log(args.out, stream.frames)
-    stream.manifest.save(manifest_path)
+    with (_replaced_on_success(args.out) as log_part,
+          _replaced_on_success(manifest_path) as manifest_part):
+        pool = traffic_synth.default_id_pool(args.ids, args.base_period_us, args.jitter)
+        spec = NormalTrafficSpec(id_pool=pool, message_count=args.normal, seed=args.seed)
+        stream = traffic_synth.generate_normal(spec)
+        intensities = {kind: getattr(args, kind.value) for kind in _ATTACK_ORDER
+                       if getattr(args, kind.value) > 0}
+        if intensities and stream.frames:
+            duration = stream.frames[-1].timestamp_us + 1
+            target_pool = [spec.id_pool[i][0] for i in range(min(3, len(spec.id_pool)))]
+            specs = plan_attack_specs(duration, intensities)
+            for aspec in specs:
+                if aspec.kind is AttackKind.SPOOFING:
+                    aspec.target_ids = tuple(target_pool)
+            stream = traffic_synth.mix_attacks(stream, specs, seed=args.seed)
+        can_log.save_log(log_part, stream.frames)
+        stream.manifest.save(manifest_part)
     counts = stream.manifest.counts_by_kind()
     print(f"wrote {len(stream.frames)} frames to {args.out}")
     print(f"normal: {stream.manifest.normal_frames}")
@@ -286,22 +278,34 @@ def _warn(line_no: int, kind: str) -> None:
     print(f"warning: line {line_no}: {kind}", file=sys.stderr)
 
 
-def _log_graphs(args: argparse.Namespace):
-    """Yield the graphs of the --log capture, each as its window's last line
-    is read; a malformed line is a warning, or with --strict an error, and
-    no record of a line is kept."""
-    with open(args.log, "r", encoding="utf-8", errors="replace") as fh:
-        for graph, index, attacked, _, _ in graph_builder.sliding_windows(
-                can_log.read_records(fh, None, args.strict, _warn), args.window_size,
-                args.stride):
-            yield graph.snapshot(attacked, index)
+@contextmanager
+def _log_records(args: argparse.Namespace):
+    """read_records' own iterator over --log, the one place a log is opened: a
+    file, or for - stdin's bytes (stdin left open; one with no byte buffer is
+    read as it is), as UTF-8 with undecodable bytes replaced. A malformed
+    line is a warning, or with --strict an error."""
+    if args.log != "-":
+        source = open(args.log, "r", encoding="utf-8", errors="replace")
+        release = source.close
+    elif (buffer := getattr(sys.stdin, "buffer", None)) is not None:
+        source = io.TextIOWrapper(buffer, encoding="utf-8", errors="replace")
+        release = source.detach  # closing the wrapper would close stdin's buffer
+    else:
+        source, release = sys.stdin, lambda: None
+    try:
+        yield can_log.read_records(source, None, args.strict, _warn)
+    finally:
+        release()
 
 
 @contextmanager
-def _replaced_on_success(path: str):
+def _replaced_on_success(path: str | None):
     """A temporary sibling of path to write, moved onto path when the block
     ends and removed when it raises, so a failed command leaves path as it
-    was."""
+    was; with no path, None, and nothing is written."""
+    if not path:
+        yield None
+        return
     target = Path(path)
     fd, part = tempfile.mkstemp(prefix=f".{target.name}.", suffix=".part",
                                 dir=target.parent)
@@ -323,14 +327,15 @@ def cmd_graphs(args: argparse.Namespace) -> int:
 
     attacked = 0
 
-    def counted(graphs):
+    def snapshots(records):
         nonlocal attacked
-        for g in graphs:
-            attacked += g.label
-            yield g
+        for graph, index, window_attacked, _, _ in graph_builder.sliding_windows(
+                records, args.window_size, args.stride):
+            attacked += window_attacked
+            yield graph.snapshot(window_attacked, index)
 
-    with _replaced_on_success(args.out) as part:
-        total = graph_builder.dump_graphs(part, counted(_log_graphs(args)))
+    with _replaced_on_success(args.out) as part, _log_records(args) as records:
+        total = graph_builder.dump_graphs(part, snapshots(records))
     share = attacked / total if total else 0.0
     print(f"windows: {total}")
     print(f"attacked: {attacked} ({share:.1%})  attack_free: {total - attacked}")
@@ -343,10 +348,12 @@ def _dump_graphs(args: argparse.Namespace):
     """Yield the graphs of the --graphs dump as its records are read, each
     checked against the set window_size, else against the first record's,
     which must also bound the stride."""
+    if not args.graphs:
+        raise ConfigError("need --graphs or --log")
     window_size = args.window_size
     for g in graph_builder.read_graphs(args.graphs):
         if window_size is None:
-            _check_stride(args.stride, g.window_size)
+            graph_builder.checked_stride(g.window_size, args.stride)
             window_size = g.window_size
         elif g.window_size != window_size:
             bound = "" if args.window_size is not None else " of its first record"
@@ -355,29 +362,27 @@ def _dump_graphs(args: argparse.Namespace):
         yield g
 
 
-def _input_graphs(args: argparse.Namespace):
-    """A generator of the graphs of the --graphs dump or the --log capture."""
-    if args.graphs:
-        return _dump_graphs(args)
-    if args.log:
-        return _log_graphs(args)
-    raise ConfigError("need --graphs or --log")
-
-
 def cmd_train(args: argparse.Namespace) -> int:
     if not args.model:
         raise ConfigError("train needs --model")
-    graphs = list(_input_graphs(args))
-    if not graphs:
-        raise EmptyDataset("no graphs in the input")
-    train_graphs, val_graphs = stratified_split(graphs, args.train_fraction, args.split_seed)
-    params, history = gcn.train(train_graphs, args.train_config, val_graphs=val_graphs)
-    gcn.save_params(params, args.model)
-
-    if args.history:
-        with open(args.history, "w", encoding="utf-8") as fh:
-            for rec in history:
-                fh.write(json.dumps(vars(rec)) + "\n")
+    with (_replaced_on_success(args.model) as model_part,
+          _replaced_on_success(args.history) as history_part):
+        if args.log:
+            with _log_records(args) as records:
+                graphs = graph_builder.graphs_from_frames(records, args.window_size,
+                                                          args.stride)
+        else:
+            graphs = list(_dump_graphs(args))
+        if not graphs:
+            raise EmptyDataset("no graphs in the input")
+        train_graphs, val_graphs = stratified_split(graphs, args.train_fraction,
+                                                    args.split_seed)
+        params, history = gcn.train(train_graphs, args.train_config, val_graphs=val_graphs)
+        gcn.save_params(params, model_part)
+        if history_part:
+            with open(history_part, "w", encoding="utf-8") as fh:
+                for rec in history:
+                    fh.write(json.dumps(vars(rec)) + "\n")
 
     last = history[-1]
     print(f"trained on {len(train_graphs)} graphs, validated on {len(val_graphs)}")
@@ -395,7 +400,33 @@ def cmd_eval(args: argparse.Namespace) -> int:
         raise ConfigError("eval needs --model and --scenario")
     if args.scenario not in SCENARIOS:
         raise ConfigError(f"scenario must be one of {', '.join(SCENARIOS)}")
+    with _replaced_on_success(args.report) as report_part:
+        predicted, labels = _scored_labels(args)
+        if not labels:
+            raise EmptyDataset("no graphs in the input")
+        report = scenario_report(args.scenario, predicted, labels,
+                                 PAPER_TARGETS.get(args.scenario))
+        print(report.format_table())
+        if report_part:
+            Path(report_part).write_text(report.to_json() + "\n", encoding="utf-8")
+    if args.report:
+        print(f"report: {args.report}")
+    return EXIT_OK
 
+
+def _scored_labels(args: argparse.Namespace) -> tuple[list[int], list[int]]:
+    """(predicted, true) labels of the input's windows, and nothing else kept:
+    each --graphs record is scored as it is read, and each window of the
+    --log capture by detect.verdicts, as detect scores it."""
+    if args.log:
+        params = gcn.load_params(args.model)
+        predicted, labels = [], []
+        with _log_records(args) as records:
+            for verdict in verdicts(records, params, args.window_size, args.stride,
+                                    args.threshold):
+                predicted.append(verdict.label)
+                labels.append(int(verdict.injected))
+        return predicted, labels
     labels = []
 
     def labelled(graphs):
@@ -403,54 +434,24 @@ def cmd_eval(args: argparse.Namespace) -> int:
             labels.append(g.label)
             yield g
 
-    # Each graph is scored as its dump record is read or its window of the
-    # --log capture completes, and only its label and probability are kept.
-    graphs = _input_graphs(args)
+    graphs = _dump_graphs(args)
     try:
         params = gcn.load_params(args.model)
     except (ModelError, OSError):
-        if args.graphs:  # a bad dump is reported before a bad model
-            for _ in graphs:
-                pass
+        for _ in graphs:  # a bad dump is reported before a bad model
+            pass
         raise
     predictions, _ = gcn.predict_many(labelled(graphs), params, threshold=args.threshold)
-    if not labels:
-        raise EmptyDataset("no graphs in the input")
-    report = scenario_report(
-        args.scenario, predictions.tolist(), labels, PAPER_TARGETS.get(args.scenario)
-    )
-    print(report.format_table())
-    if args.report:
-        Path(args.report).write_text(report.to_json() + "\n", encoding="utf-8")
-        print(f"report: {args.report}")
-    return EXIT_OK
+    return predictions.tolist(), labels
 
 
 # --------------------------------------------------------------- detect ----
-
-@contextmanager
-def _stdin_text():
-    """stdin's bytes read as UTF-8 with undecodable bytes replaced, as a log
-    file is read, whatever stdin's own error handler; sys.stdin is left
-    open. A stdin with no byte buffer is read as it is."""
-    buffer = getattr(sys.stdin, "buffer", None)
-    if buffer is None:
-        yield sys.stdin
-        return
-    text = io.TextIOWrapper(buffer, encoding="utf-8", errors="replace")
-    try:
-        yield text
-    finally:
-        text.detach()  # closing the wrapper would close stdin's buffer
-
 
 def cmd_detect(args: argparse.Namespace) -> int:
     if not args.model:
         raise ConfigError("detect needs --model")
     params = gcn.load_params(args.model)
-    with (_stdin_text() if args.log == "-" else
-          open(args.log, "r", encoding="utf-8", errors="replace")) as source:
-        records = can_log.read_records(source, None, args.strict, _warn)
+    with _log_records(args) as records:
         for verdict in verdicts(records, params, args.window_size, args.stride,
                                 args.threshold):
             print(

@@ -33,13 +33,14 @@ same results:
   bincount and the edges from pair codes with numpy. graph_from_ids numbers
   an id sequence the same way and builds the same WindowGraph.
 
-Both builders share one window check and one graph assembly (_message_graph:
-occurrence counts to degrees). One routine, _adjacency, computes every
-convolution adjacency: WindowGraph's, SlidingGraph's (whose in-place updates
-are tested against it bit for bit) and conv_adjacency's, which prepare_graph
-takes for training, inference and dumped graphs. build_windows and
-build_graph slice and build from scratch: the reference the loop is tested
-against.
+Every window loop checks its window size and stride with checked_stride.
+Both builders share one counts-to-degrees rule (_degrees, also behind
+_message_graph) and one featurization (_features, also behind
+node_features). One routine, _adjacency, computes every convolution
+adjacency: WindowGraph's, SlidingGraph's (whose in-place updates are tested
+against it bit for bit) and conv_adjacency's, which prepare_graph takes for
+training, inference and dumped graphs. build_windows and build_graph slice
+and build from scratch: the reference the loop is tested against.
 
 The convolution sees one adjacency form: the edges symmetrized and binarized,
 self-loops added, then symmetrically degree-normalized. assemble_batch pads
@@ -125,12 +126,13 @@ class GraphBatch:
         return len(self.labels)
 
 
-def _checked_stride(window_size: int, stride: int | None) -> int:
-    """The stride, window_size when None, once both are known to be valid."""
-    if window_size < 2:
+def checked_stride(window_size: int | None, stride: int | None) -> int | None:
+    """The stride, window_size when None, once window_size >= 2 and stride in
+    1..window_size; a window_size of None (a dump not yet read) bounds only below."""
+    if window_size is not None and window_size < 2:
         raise WindowTooSmall(f"window_size {window_size} must be >= 2")
     stride = window_size if stride is None else stride
-    if not 1 <= stride <= window_size:
+    if stride is not None and not 1 <= stride <= (window_size or stride):
         raise GraphError(f"stride {stride} must be in 1..window_size")
     return stride
 
@@ -150,7 +152,7 @@ def build_windows(
     A trailing window with fewer than window_size frames is dropped so every
     graph obeys the window_size - 1 edge count invariant.
     """
-    stride = _checked_stride(window_size, stride)
+    stride = checked_stride(window_size, stride)
     windows = []
     for start in range(0, len(frames) - window_size + 1, stride):
         windows.append(frames[start:start + window_size])
@@ -181,7 +183,7 @@ class SlidingGraph:
     """
 
     def __init__(self, window_size: int = DEFAULT_WINDOW_SIZE):
-        _checked_stride(window_size, None)
+        checked_stride(window_size, None)
         self.window_size = window_size
         self.ids: deque[int] = deque(maxlen=window_size)
         self.edges: dict[tuple[int, int], int] = {}
@@ -284,10 +286,10 @@ class SlidingGraph:
         """(adjacency, features, live node count) of the window in slot order:
         row s is the id in slot s, and a free slot's rows are all zero. Under
         the slot permutation they equal conv_adjacency and node_features of
-        the snapshot, and they are bit-equal to _adjacency and _features of
-        the slots. The adjacency is updated in place, only in the rows and
-        columns of the slots pushes touched; both arrays are valid until the
-        next push."""
+        the snapshot, and they are bit-equal to _adjacency and
+        _features(_degrees(...)) of the slots. The adjacency is updated in
+        place, only in the rows and columns of the slots pushes touched; both
+        arrays are valid until the next push."""
         _check_filled(len(self.ids))
         if 2 * len(self.slots) < len(self.counts):
             self._renumber()
@@ -296,7 +298,9 @@ class SlidingGraph:
         elif self._dirty:
             self._update()
         ids, slots = self.ids, self.slots
-        return (self._adj, _features(self._fcounts, slots[ids[0]], slots[ids[-1]]),
+        return (self._adj,
+                _features(_degrees(self._fcounts, slots[ids[0]], slots[ids[-1]],
+                                   np.float64)),
                 len(slots))
 
     def _renumber(self) -> None:
@@ -366,30 +370,32 @@ def _adjacency_parts(src, dst, size: int,
     return sym, inv_sqrt, adjacency
 
 
+def _degrees(counts, first: int, last: int, dtype) -> np.ndarray:
+    """(2, n) in- and out-degrees from each node's (or slot's) occurrence count:
+    less one in-degree for the first frame's node, one out for the last's."""
+    degrees = np.array((counts, counts), dtype=dtype)
+    degrees[0, first] -= 1
+    degrees[1, last] -= 1
+    return degrees
+
+
 def _message_graph(node_ids: list[int], edges: dict[tuple[int, int], int], counts,
                    last: int, attacked: bool, window_index: int) -> MessageGraph:
-    """A window's MessageGraph from each node's occurrence count: that is the
-    node's in- and out-degree, less one in-degree for the first frame's node
-    (node 0) and one out-degree for the last frame's (node last)."""
-    in_deg = np.array(counts, dtype=np.int64)
-    out_deg = in_deg.copy()
-    in_deg[0] -= 1
-    out_deg[last] -= 1
+    """A window's MessageGraph from each node's occurrence count; node 0 is
+    the first frame's and node last the last frame's."""
+    in_deg, out_deg = _degrees(counts, 0, last, np.int64)
     return MessageGraph(window_index, node_ids, edges, in_deg, out_deg,
                         ATTACKED if attacked else ATTACK_FREE,
                         sum(edges.values()) + 1)  # one edge per consecutive pair
 
 
-def _features(counts, first_slot: int, last_slot: int) -> Matrix:
-    """node_features from per-slot occurrence counts: each count is the
-    slot's in- and out-degree, less one in-degree for the first frame's slot
-    and one out-degree for the last frame's."""
-    feats = np.array((counts, counts), dtype=np.float64)
-    feats[0, first_slot] -= 1.0
-    feats[1, last_slot] -= 1.0
-    # both degree sums are window size - 1 >= 1, so each column max is > 0
-    feats /= feats.max(axis=1, keepdims=True)
-    return feats.T
+def _features(degrees: Matrix) -> Matrix:
+    """n x 2 features from (2, n) float64 degrees, each row divided in place
+    by its max, which is > 0 as every degree sum is window_size - 1 >= 1. It
+    is the (2, n) array transposed: BLAS sums A @ X in an order set by the
+    layout, and one layout keeps predict and detect bit-equal."""
+    degrees /= degrees.max(axis=1, keepdims=True)
+    return degrees.T
 
 
 class WindowGraph:
@@ -420,7 +426,8 @@ class WindowGraph:
         """(adjacency, features, node count) in node order: conv_adjacency
         and node_features of the snapshot."""
         n, pos = len(self.node_ids), self.pos
-        return _adjacency(pos[:-1], pos[1:], n), _features(self.counts, 0, pos[-1]), n
+        return (_adjacency(pos[:-1], pos[1:], n),
+                _features(_degrees(self.counts, 0, pos[-1], np.float64)), n)
 
 
 def graph_from_ids(
@@ -460,7 +467,7 @@ def sliding_windows(
     consecutive, a window is attacked iff any of its frames is injected, and
     no partial window is yielded. A bad window_size or stride raises on the
     first next(), before any frame is read."""
-    stride = _checked_stride(window_size, stride)
+    stride = checked_stride(window_size, stride)
     whole = stride == window_size
     graph = None if whole else SlidingGraph(window_size)
     index: dict[int, int] = {}  # whole windows: id -> node, in first-position order
@@ -496,13 +503,8 @@ def graphs_from_frames(
 
 def node_features(graph: MessageGraph) -> Matrix:
     """n x 2 feature matrix: row i is (in_degree, out_degree) of node i, each
-    column divided by its max (a column whose max is 0 stays zero). It is the
-    transpose of a (2, n) array, as _features is: BLAS sums A @ X in an order
-    set by the layout, and this keeps predict and detect bit-equal."""
-    feats = np.array((graph.in_degree, graph.out_degree), dtype=np.float64)
-    col_max = feats.max(axis=1, keepdims=True)
-    np.divide(feats, col_max, out=feats, where=col_max > 0)
-    return feats.T
+    column divided by its max; _features of the graph's degrees."""
+    return _features(np.array((graph.in_degree, graph.out_degree), dtype=np.float64))
 
 
 def conv_adjacency(graph: MessageGraph) -> Matrix:
@@ -645,8 +647,3 @@ def read_graphs(path: str | Path) -> Iterator[MessageGraph]:
                     f"graph dump line {line_no}: {type(err).__name__}: {err}"
                 ) from err
             yield graph
-
-
-def load_graphs(path: str | Path) -> list[MessageGraph]:
-    """read_graphs as a list."""
-    return list(read_graphs(path))

@@ -26,7 +26,7 @@ import re
 import numpy as np
 
 from canids.can_log import LABEL_PREFIX, AttackKind, CanFrame
-from canids.graph_builder import SlidingGraph, _adjacency, _features
+from canids.graph_builder import SlidingGraph, _adjacency, _degrees, _features
 from canids.traffic_synth import (
     AttackSpec,
     LabeledStream,
@@ -165,13 +165,14 @@ def oracle_adjacency(graph):
 
 def rebuilt_conv_inputs(sliding: SlidingGraph):
     """(adjacency, features) of a SlidingGraph's window rebuilt in full from
-    its current slots with _adjacency and _features: the arithmetic that
-    its in-place updates must match bit for bit."""
+    its current slots with _adjacency and _features(_degrees(...)): the
+    arithmetic that its in-place updates must match bit for bit."""
     slots, ids = sliding.slots, sliding.ids
     return (_adjacency([slots[src] for src, _ in sliding.edges],
                        [slots[dst] for _, dst in sliding.edges],
                        len(sliding.counts), list(slots.values())),
-            _features(sliding.counts, slots[ids[0]], slots[ids[-1]]))
+            _features(_degrees(sliding.counts, slots[ids[0]], slots[ids[-1]],
+                               np.float64)))
 
 
 # The canonical-line pattern with the payload as a repeated group of bytes

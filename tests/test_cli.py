@@ -80,6 +80,22 @@ def test_synth_no_attacks(tmp_path):
     assert manifest["attacks"] == []
 
 
+def test_synth_with_a_bad_output_path_leaves_no_output(tmp_path, capsys):
+    """synth writes its log and its manifest through temporary siblings set
+    up before any traffic is made: a manifest in a missing directory is an
+    I/O error that leaves no log behind, and an existing log as it was."""
+    out = tmp_path / "s.log"
+    argv = ["synth", "--normal", "300", "--dos", "1.0", "--out", str(out),
+            "--manifest", str(tmp_path / "nodir" / "m.json")]
+    assert main(argv) == EXIT_IO
+    assert list(tmp_path.iterdir()) == []
+    out.write_text("old log\n")
+    assert main(argv) == EXIT_IO
+    assert out.read_text() == "old log\n"
+    assert list(tmp_path.iterdir()) == [out]
+    assert capsys.readouterr().out == ""
+
+
 def test_synth_mixed_kinds(tmp_path):
     out = tmp_path / "mix.log"
     assert main([
@@ -98,7 +114,7 @@ def test_graphs_command(tmp_path, capsys):
     assert main(["graphs", "--log", str(log), "--out", str(out),
                  "--window-size", "100"]) == EXIT_OK
     captured = capsys.readouterr()
-    graphs = graph_builder.load_graphs(out)
+    graphs = list(graph_builder.read_graphs(out))
     frames, _ = can_log.load_log(log)
     assert len(graphs) == len(frames) // 100
     assert f"windows: {len(graphs)}" in captured.out
@@ -169,7 +185,7 @@ def test_graphs_strict_reject_leaves_no_output(tmp_path, capsys):
     capsys.readouterr()
     assert main(argv) == EXIT_OK
     assert capsys.readouterr().out.startswith("windows: 46\n")
-    assert len(graph_builder.load_graphs(out)) == 46
+    assert len(list(graph_builder.read_graphs(out))) == 46
     assert sorted(tmp_path.iterdir()) == [out, log]
 
 
@@ -280,7 +296,7 @@ def test_graphs_warns_on_non_ascii_digits(tmp_path, capsys):
     assert main(["graphs", "--log", str(log), "--out", str(out),
                  "--window-size", "2"]) == EXIT_OK
     assert capsys.readouterr().err == "warning: line 2: MalformedLine\n"
-    assert len(graph_builder.load_graphs(out)) == 1
+    assert len(list(graph_builder.read_graphs(out))) == 1
 
 
 def test_graphs_on_a_backwards_timestamp_at_the_digit_limit(tmp_path, capsys):
@@ -290,7 +306,7 @@ def test_graphs_on_a_backwards_timestamp_at_the_digit_limit(tmp_path, capsys):
     assert main(["graphs", "--log", str(log), "--out", str(out),
                  "--window-size", "2"]) == EXIT_OK
     assert capsys.readouterr().err == ""
-    assert len(graph_builder.load_graphs(out)) == 1
+    assert len(list(graph_builder.read_graphs(out))) == 1
 
 
 def test_train_and_eval_log_warn_per_malformed_line(tmp_path, capsys):
@@ -433,6 +449,27 @@ def test_eval_refuses_graphs_with_log(tmp_path, capsys, source):
     assert not report.exists()
 
 
+def test_train_with_a_bad_history_path_leaves_no_model(tmp_path, capsys):
+    """train writes its model and its history through temporary siblings set
+    up before any input is read: a history in a missing directory is an I/O
+    error, reported before a missing log, that leaves no model behind and an
+    existing model as it was."""
+    dump = _make_training_dump(tmp_path)
+    model = tmp_path / "m.bin"
+    argv = ["train", "--graphs", str(dump), "--model", str(model), "--epochs", "2",
+            "--history", str(tmp_path / "nodir" / "h.jsonl")]
+    assert main(argv) == EXIT_IO
+    assert list(tmp_path.iterdir()) == [dump]
+    model.write_bytes(b"old model")
+    assert main(argv) == EXIT_IO
+    assert model.read_bytes() == b"old model"
+    assert sorted(tmp_path.iterdir()) == [model, dump]
+    capsys.readouterr()
+    assert main(["train", "--log", str(tmp_path / "missing.log"), *argv[3:]]) == EXIT_IO
+    captured = capsys.readouterr()
+    assert "nodir" in captured.err and captured.out == ""
+
+
 def test_train_deterministic_model_bytes(tmp_path):
     dump = _make_training_dump(tmp_path)
     model_a, model_b = tmp_path / "a.bin", tmp_path / "b.bin"
@@ -521,7 +558,7 @@ def test_inference_never_pads_a_batch(tmp_path, monkeypatch):
     monkeypatch.setattr(gcn, "assemble_batch", padded)
     monkeypatch.setattr(graph_builder, "assemble_batch", padded)
     dump = _make_training_dump(tmp_path, n=8)
-    graphs = graph_builder.load_graphs(dump)
+    graphs = list(graph_builder.read_graphs(dump))
     params = gcn.init_params(0)
     label, prob = gcn.predict(graphs[0], params)
     labels, probs = gcn.predict_many(graphs, params)
@@ -934,6 +971,69 @@ def test_detect_matches_library(tmp_path, capsys, stride):
         assert last_ts == can_log.format_timestamp(frames[k * stride + 19].timestamp_us)
         assert label == ("attacked" if labels[k] else "attack_free")
         assert abs(float(prob) - probs[k]) <= 5e-7 + 1e-12
+
+
+@pytest.mark.parametrize("window_size, stride", [(20, 1), (20, 7), (200, 200)])
+def test_eval_log_confusion_equals_detect_labels(tmp_path, capsys, window_size, stride):
+    """eval --log scores each window as detect does: its tp/fp/tn/fn equal
+    those of detect's printed labels against the windows' true labels."""
+    log = _dirty_log(tmp_path, normal=2000)
+    frames, _ = can_log.load_log(log)
+    truth = [g.label for g in graph_builder.graphs_from_frames(frames, window_size, stride)]
+    model = tmp_path / "model.bin"
+    gcn.save_params(gcn.init_params(0), model)
+    window = ["--window-size", str(window_size), "--stride", str(stride)]
+
+    def detect_columns(*extra):
+        capsys.readouterr()
+        assert main(["detect", "--model", str(model), "--log", str(log),
+                     *window, *extra]) == EXIT_OK
+        return [line.split() for line in capsys.readouterr().out.splitlines()]
+
+    # a threshold between two middle probabilities gives both labels
+    probs = np.unique([float(columns[4]) for columns in detect_columns()])
+    threshold = repr(float(probs[len(probs) // 2 - 1] + probs[len(probs) // 2]) / 2)
+    predicted = [int(columns[3] == "attacked")
+                 for columns in detect_columns("--threshold", threshold)]
+    assert len(predicted) == len(truth)
+    assert set(predicted) == set(truth) == {0, 1}
+    pairs = list(zip(predicted, truth))
+    want = {"tp": pairs.count((1, 1)), "fp": pairs.count((1, 0)),
+            "tn": pairs.count((0, 0)), "fn": pairs.count((0, 1))}
+    report = tmp_path / "report.json"
+    assert main(["eval", "--log", str(log), "--model", str(model), "--scenario", "DoS",
+                 "--report", str(report), "--threshold", threshold, *window]) == EXIT_OK
+    assert json.loads(report.read_text())["confusion"] == want
+
+
+@pytest.mark.parametrize("command", ["graphs", "train", "eval"])
+def test_log_dash_reads_stdin_as_the_log_file(tmp_path, capsys, monkeypatch, command):
+    """graphs, train and eval read --log - from stdin as detect does: its
+    bytes, an undecodable one included, give the file's stdout, stderr and
+    output file, even when stdin itself decodes strictly; stdin stays open."""
+    import io
+
+    log = _dirty_log(tmp_path)
+    log.write_bytes(log.read_bytes() + b"25 1\xff0 0\n")
+    model = tmp_path / "model.bin"
+    gcn.save_params(gcn.init_params(0), model)
+    out = tmp_path / "out"
+    argv = {
+        "graphs": ["graphs", "--out", str(out)],
+        "train": ["train", "--model", str(out), "--epochs", "2"],
+        "eval": ["eval", "--model", str(model), "--scenario", "DoS", "--report", str(out)],
+    }[command] + ["--window-size", "20", "--stride", "7"]
+    capsys.readouterr()
+    assert main([*argv, "--log", str(log)]) == EXIT_OK
+    want = capsys.readouterr(), out.read_bytes()
+    assert "warning: line " in want[0].err
+    out.unlink()
+    stdin = io.TextIOWrapper(io.BytesIO(log.read_bytes()), encoding="utf-8",
+                             errors="strict")
+    monkeypatch.setattr("sys.stdin", stdin)
+    assert main([*argv, "--log", "-"]) == EXIT_OK
+    assert (capsys.readouterr(), out.read_bytes()) == want
+    assert not stdin.closed
 
 
 @pytest.mark.parametrize("value", ["1.5", "-0.1", "nan", "inf"])

@@ -15,11 +15,11 @@ from canids.graph_builder import (
     batch_graphs,
     build_graph,
     build_windows,
+    checked_stride,
     conv_adjacency,
     dump_graphs,
     graph_from_ids,
     graphs_from_frames,
-    load_graphs,
     node_features,
     read_graphs,
     sliding_windows,
@@ -180,6 +180,21 @@ def test_sliding_graph_window_too_small():
 def test_window_too_small():
     with pytest.raises(WindowTooSmall):
         build_graph(frames_for([1]))
+
+
+def test_checked_stride():
+    """The one window rule: window_size >= 2 and stride in 1..window_size,
+    window_size when not given; a window_size not yet known (None) bounds
+    the stride only below."""
+    assert checked_stride(None, 5) == 5
+    assert checked_stride(None, None) is None
+    assert checked_stride(10, None) == 10
+    assert checked_stride(10, 1) == 1
+    for window_size, stride in ((None, 0), (10, 0), (10, 11)):
+        with pytest.raises(GraphError, match=f"stride {stride} must be in 1..window_size"):
+            checked_stride(window_size, stride)
+    with pytest.raises(WindowTooSmall):
+        checked_stride(1, None)
 
 
 def test_label_rule():
@@ -471,7 +486,7 @@ def test_dump_load_round_trip(tmp_path):
     ]
     path = tmp_path / "graphs.jsonl"
     assert dump_graphs(path, graphs) == 10
-    loaded = load_graphs(path)
+    loaded = list(read_graphs(path))
     assert len(loaded) == 10
     for a, b in zip(graphs, loaded):
         assert a.window_index == b.window_index
@@ -487,7 +502,7 @@ def test_dump_load_file_round_trip(tmp_path):
     g = graph_from_ids([1, 2, 1, 3], attacked=True, window_index=4)
     path = tmp_path / "graphs.jsonl"
     dump_graphs(path, [g])
-    loaded = load_graphs(path)
+    loaded = list(read_graphs(path))
     assert loaded[0].edges == g.edges and loaded[0].label == ATTACKED
 
 
@@ -533,12 +548,12 @@ def test_load_graphs_rejects_malformed_record(bad, tmp_path):
     path = tmp_path / "graphs.jsonl"
     path.write_text(f"{GOOD_RECORD}\n\n{bad}\n", encoding="utf-8")
     with pytest.raises(MalformedGraphRecord, match="line 3"):
-        load_graphs(path)
+        list(read_graphs(path))
     path.write_text(GOOD_RECORD, encoding="utf-8")
-    assert len(load_graphs(path)) == 1
+    assert len(list(read_graphs(path))) == 1
 
 
 def test_load_graphs_takes_node_ids_up_to_29_bits(tmp_path):
     path = tmp_path / "graphs.jsonl"
     path.write_text(GOOD_RECORD.replace('"0x2"', '"0x1FFFFFFF"'), encoding="utf-8")
-    assert load_graphs(path)[0].node_ids == [1, 0x1FFF_FFFF]
+    assert list(read_graphs(path))[0].node_ids == [1, 0x1FFF_FFFF]

@@ -20,8 +20,9 @@ negative seed or split_seed is a config error, and so is setting both
 --graphs and --log. With --graphs, every record of the dump must have the
 window_size that is set, or else its first record's, and that size bounds
 the stride (graph_builder.checked_stride). Options are checked before any
-input is read. Every --log takes - for stdin, and eval --log scores windows
-with detect.verdicts, as detect does. Every output is written whole or not
+input is read. Every --log takes - for stdin. eval --log scores windows
+with detect.verdicts, as detect does, and eval --graphs scores each dump
+record with gcn.predict as it is read. Every output is written whole or not
 at all, and a bad output path fails before any input is read.
 
 Exit codes: 0 success, 2 configuration or parse error, 3 I/O error,
@@ -37,7 +38,7 @@ import math
 import os
 import sys
 import tempfile
-from contextlib import contextmanager
+from contextlib import ExitStack, contextmanager
 from pathlib import Path
 
 import numpy as np
@@ -416,33 +417,28 @@ def cmd_eval(args: argparse.Namespace) -> int:
 
 def _scored_labels(args: argparse.Namespace) -> tuple[list[int], list[int]]:
     """(predicted, true) labels of the input's windows, and nothing else kept:
-    each --graphs record is scored as it is read, and each window of the
-    --log capture by detect.verdicts, as detect scores it."""
-    if args.log:
-        params = gcn.load_params(args.model)
-        predicted, labels = [], []
-        with _log_records(args) as records:
-            for verdict in verdicts(records, params, args.window_size, args.stride,
-                                    args.threshold):
-                predicted.append(verdict.label)
-                labels.append(int(verdict.injected))
-        return predicted, labels
-    labels = []
-
-    def labelled(graphs):
-        for g in graphs:
-            labels.append(g.label)
-            yield g
-
-    graphs = _dump_graphs(args)
-    try:
-        params = gcn.load_params(args.model)
-    except (ModelError, OSError):
-        for _ in graphs:  # a bad dump is reported before a bad model
-            pass
-        raise
-    predictions, _ = gcn.predict_many(labelled(graphs), params, threshold=args.threshold)
-    return predictions.tolist(), labels
+    each --graphs record is scored by gcn.predict where its label is read, and
+    each window of the --log capture by detect.verdicts, as detect scores it."""
+    predicted, labels = [], []
+    with ExitStack() as stack:
+        if args.log:
+            params = gcn.load_params(args.model)
+            records = stack.enter_context(_log_records(args))
+            scored = ((verdict.label, int(verdict.injected)) for verdict in verdicts(
+                records, params, args.window_size, args.stride, args.threshold))
+        else:
+            graphs = _dump_graphs(args)
+            try:
+                params = gcn.load_params(args.model)
+            except (ModelError, OSError):
+                for _ in graphs:  # a bad dump is reported before a bad model
+                    pass
+                raise
+            scored = ((gcn.predict(g, params, args.threshold)[0], g.label) for g in graphs)
+        for label, truth in scored:
+            predicted.append(label)
+            labels.append(truth)
+    return predicted, labels
 
 
 # --------------------------------------------------------------- detect ----

@@ -4,16 +4,24 @@ The positive class is "attacked" throughout. Precision and recall are left
 undefined (None, rendered as "undefined") when their denominators are zero;
 silently reporting 0 would distort attack-scarce scenarios.
 
-Each scenario report can carry the reference precision/recall/F1 triple
-published for that scenario, in which case per-metric deltas (ours minus
+confusion counts the (prediction, truth) pairs in one pass, and metrics turns
+the counts into a Metrics. A scenario's MetricsReport is that Metrics plus the
+scenario name, the counts and, optionally, the reference precision/recall/F1
+triple published for the scenario, in which case per-metric deltas (ours minus
 reference) are included. The references are reporting aids only and are never
 asserted against.
+
+Two name tuples drive every rendering (format_table, to_json and deltas):
+METRIC_NAMES, read from the fields of Metrics, and REFERENCE_NAMES, the order
+of a PAPER_TARGETS triple. A metric added to Metrics and to metrics() shows up
+in every report with no other change.
 """
 
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass
+from collections import Counter
+from dataclasses import dataclass, fields
 from typing import Sequence
 
 SCENARIOS = ("DoS", "Fuzzy", "Spoofing", "Replay", "Mixed-DFS", "Mixed-DFSR")
@@ -67,102 +75,72 @@ class Metrics:
     f1: float | None
 
 
+METRIC_NAMES = tuple(f.name for f in fields(Metrics))
+REFERENCE_NAMES = ("precision", "recall", "f1")  # the order of a PAPER_TARGETS triple
+
+
+def _fmt(value: float | None) -> str:
+    return "undefined" if value is None else f"{value:.4f}"
+
+
 @dataclass
-class MetricsReport:
-    """One scenario's confusion counts, metrics, and optional reference deltas."""
+class MetricsReport(Metrics):
+    """One scenario's metrics with its confusion counts and optional reference."""
 
     scenario: str
     confusion: ConfusionMatrix
-    accuracy: float
-    precision: float | None
-    recall: float | None
-    f1: float | None
     paper_precision: float | None = None
     paper_recall: float | None = None
     paper_f1: float | None = None
 
     def deltas(self) -> dict[str, float | None]:
         """ours - paper per metric; None when either side is undefined."""
+        deltas = {}
+        for name in REFERENCE_NAMES:
+            ours, ref = getattr(self, name), getattr(self, f"paper_{name}")
+            deltas[name] = None if ours is None or ref is None else ours - ref
+        return deltas
 
-        def sub(ours, ref):
-            return None if ours is None or ref is None else ours - ref
-
-        return {
-            "precision": sub(self.precision, self.paper_precision),
-            "recall": sub(self.recall, self.paper_recall),
-            "f1": sub(self.f1, self.paper_f1),
-        }
+    def _columns(self) -> dict[str, dict[str, float | None]]:
+        """Our metrics by name, then the reference triple and deltas() when
+        the report has a reference: the one place that decides it has one."""
+        columns = {"metrics": {name: getattr(self, name) for name in METRIC_NAMES}}
+        paper = {name: getattr(self, f"paper_{name}") for name in REFERENCE_NAMES}
+        if any(value is not None for value in paper.values()):
+            columns.update(paper=paper, delta=self.deltas())
+        return columns
 
     def to_json(self) -> str:
-        payload = {
-            "scenario": self.scenario,
-            "confusion": vars(self.confusion),
-            "metrics": {
-                "accuracy": self.accuracy,
-                "precision": self.precision,
-                "recall": self.recall,
-                "f1": self.f1,
-            },
-        }
-        if self.paper_f1 is not None or self.paper_precision is not None:
-            payload["paper"] = {
-                "precision": self.paper_precision,
-                "recall": self.paper_recall,
-                "f1": self.paper_f1,
-            }
-            payload["delta"] = self.deltas()
-        return json.dumps(payload, indent=2)
+        return json.dumps({"scenario": self.scenario, "confusion": vars(self.confusion),
+                           **self._columns()}, indent=2)
 
     def format_table(self) -> str:
-        """Aligned plain-text rendering."""
-
-        def fmt(v):
-            return "undefined" if v is None else f"{v:.4f}"
-
+        """Aligned plain-text rendering: our metrics, then the reference and
+        delta columns when the report has a reference."""
+        columns = list(self._columns().values())
+        titles = ("ours", "paper", "delta")[:len(columns)]
         cm = self.confusion
         lines = [
             f"scenario: {self.scenario}",
             f"  counts    tp={cm.tp} fp={cm.fp} tn={cm.tn} fn={cm.fn} total={cm.total}",
-            f"  {'metric':<10}{'ours':>10}",
+            f"  {'metric':<10}" + "".join(f"{title:>10}" for title in titles),
         ]
-        has_ref = self.paper_f1 is not None or self.paper_precision is not None
-        if has_ref:
-            lines[-1] += f"{'paper':>10}{'delta':>10}"
-        rows = [
-            ("accuracy", self.accuracy, None),
-            ("precision", self.precision, self.paper_precision),
-            ("recall", self.recall, self.paper_recall),
-            ("f1", self.f1, self.paper_f1),
-        ]
-        deltas = self.deltas()
-        for name, ours, ref in rows:
-            line = f"  {name:<10}{fmt(ours):>10}"
-            if has_ref:
-                delta = deltas.get(name)
-                line += f"{fmt(ref):>10}{fmt(delta):>10}"
-            lines.append(line)
+        for name in METRIC_NAMES:
+            cells = (_fmt(column.get(name)) for column in columns)
+            lines.append(f"  {name:<10}" + "".join(f"{cell:>10}" for cell in cells))
         return "\n".join(lines)
 
 
 def confusion(predictions: Sequence[int], labels: Sequence[int]) -> ConfusionMatrix:
-    """Count tp/fp/tn/fn; inputs are 0 (attack-free) / 1 (attacked)."""
+    """Count tp/fp/tn/fn; inputs are 0 (attack-free) / 1 (attacked), read
+    by truth value."""
     if len(predictions) != len(labels):
         raise LengthMismatch(f"{len(predictions)} predictions for {len(labels)} labels")
     if len(predictions) == 0:
         raise EmptyInput("nothing to evaluate")
-    cm = ConfusionMatrix()
-    for pred, truth in zip(predictions, labels):
-        if truth:
-            if pred:
-                cm.tp += 1
-            else:
-                cm.fn += 1
-        else:
-            if pred:
-                cm.fp += 1
-            else:
-                cm.tn += 1
-    return cm
+    pairs = Counter(zip(map(bool, predictions), map(bool, labels)))
+    return ConfusionMatrix(tp=pairs[True, True], fp=pairs[True, False],
+                           tn=pairs[False, False], fn=pairs[False, True])
 
 
 def metrics(cm: ConfusionMatrix) -> Metrics:
@@ -193,15 +171,7 @@ def scenario_report(
     if name not in SCENARIOS:
         raise EvalError(f"unknown scenario {name!r}; expected one of {SCENARIOS}")
     cm = confusion(predictions, labels)
-    m = metrics(cm)
-    report = MetricsReport(
-        scenario=name,
-        confusion=cm,
-        accuracy=m.accuracy,
-        precision=m.precision,
-        recall=m.recall,
-        f1=m.f1,
-    )
-    if paper_targets is not None:
-        report.paper_precision, report.paper_recall, report.paper_f1 = paper_targets
-    return report
+    paper = {} if paper_targets is None else {
+        f"paper_{metric}": value
+        for metric, value in zip(REFERENCE_NAMES, paper_targets, strict=True)}
+    return MetricsReport(**vars(metrics(cm)), scenario=name, confusion=cm, **paper)

@@ -139,7 +139,7 @@ class GcnParams:
 
     def arrays(self) -> list[np.ndarray]:
         """The arrays in PARAM_SHAPES order."""
-        return [self.w1, self.w2, self.wc, self.bc]
+        return [getattr(self, name) for name in PARAM_SHAPES]
 
 
 @dataclass

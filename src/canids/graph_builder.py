@@ -30,10 +30,12 @@ same results:
 - Windows that share no frame (stride == window_size) are built whole: the
   loop numbers a window's ids in a dict as its frames arrive, and on the
   window's last frame WindowGraph(node_ids, pos) takes the degrees from
-  bincount and the edges from pair codes with numpy. graph_from_ids numbers
-  an id sequence the same way and builds the same WindowGraph.
+  bincount and counts the edges over consecutive pairs. graph_from_ids
+  numbers an id sequence the same way and builds the same WindowGraph.
 
-Every window loop checks its window size and stride with checked_stride.
+Every window loop refuses a window size that is not an int >= 2 with a
+GraphError before it reads a record, then checks its stride with
+checked_stride, which also admits the CLI's not-yet-known window size (None).
 Both builders share one counts-to-degrees rule (_degrees, also behind
 _message_graph) and one featurization (_features, also behind
 node_features). One routine, _adjacency, computes every convolution
@@ -55,8 +57,9 @@ from __future__ import annotations
 
 import json
 import math
+import operator
 import re
-from collections import deque
+from collections import Counter, deque
 from dataclasses import dataclass
 from itertools import chain
 from pathlib import Path
@@ -126,11 +129,24 @@ class GraphBatch:
         return len(self.labels)
 
 
+def _window_size(window_size) -> int:
+    """window_size as an int, once it is an integer >= 2."""
+    try:
+        size = operator.index(window_size)
+    except TypeError:
+        raise GraphError(f"window_size {window_size!r} must be an int >= 2") from None
+    if size < 2:
+        raise WindowTooSmall(f"window_size {size} must be >= 2")
+    return size
+
+
 def checked_stride(window_size: int | None, stride: int | None) -> int | None:
-    """The stride, window_size when None, once window_size >= 2 and stride in
-    1..window_size; a window_size of None (a dump not yet read) bounds only below."""
-    if window_size is not None and window_size < 2:
-        raise WindowTooSmall(f"window_size {window_size} must be >= 2")
+    """The stride, window_size when None, once window_size is an int >= 2 and
+    stride in 1..window_size; a window_size of None (a dump not yet read)
+    bounds only below. The window loops take no None: they check
+    _window_size first."""
+    if window_size is not None:
+        window_size = _window_size(window_size)
     stride = window_size if stride is None else stride
     if stride is not None and not 1 <= stride <= (window_size or stride):
         raise GraphError(f"stride {stride} must be in 1..window_size")
@@ -152,6 +168,7 @@ def build_windows(
     A trailing window with fewer than window_size frames is dropped so every
     graph obeys the window_size - 1 edge count invariant.
     """
+    window_size = _window_size(window_size)
     stride = checked_stride(window_size, stride)
     windows = []
     for start in range(0, len(frames) - window_size + 1, stride):
@@ -183,8 +200,7 @@ class SlidingGraph:
     """
 
     def __init__(self, window_size: int = DEFAULT_WINDOW_SIZE):
-        checked_stride(window_size, None)
-        self.window_size = window_size
+        self.window_size = window_size = _window_size(window_size)
         self.ids: deque[int] = deque(maxlen=window_size)
         self.edges: dict[tuple[int, int], int] = {}
         self.slots: dict[int, int] = {}
@@ -401,9 +417,10 @@ def _features(degrees: Matrix) -> Matrix:
 class WindowGraph:
     """Message graph of one whole window of arbitration ids, numbered: node k
     is the k-th distinct id in first-position order, node_ids lists them and
-    pos holds each frame's node. counts (each node's occurrences) and the
-    edges come from pos with numpy. snapshot and conv_inputs equal those of
-    a SlidingGraph into which the same ids were pushed one by one."""
+    pos holds each frame's node. counts (each node's occurrences) come from
+    pos with bincount, and the snapshot's edges from its consecutive pairs.
+    snapshot and conv_inputs equal those of a SlidingGraph into which the
+    same ids were pushed one by one."""
 
     def __init__(self, node_ids: list[int], pos: Sequence[int]):
         _check_filled(len(pos))
@@ -413,12 +430,8 @@ class WindowGraph:
 
     def snapshot(self, attacked: bool, window_index: int = 0) -> MessageGraph:
         """The window as a MessageGraph, edges in order of first position."""
-        n, pos = len(self.node_ids), self.pos
-        codes, first, mult = np.unique(pos[:-1] * n + pos[1:],
-                                       return_index=True, return_counts=True)
-        order = np.argsort(first)
-        src, dst = np.divmod(codes[order], n)
-        edges = dict(zip(zip(src.tolist(), dst.tolist()), mult[order].tolist()))
+        pos = self.pos.tolist()
+        edges = dict(Counter(zip(pos, pos[1:])))
         return _message_graph(list(self.node_ids), edges, self.counts, pos[-1],
                               attacked, window_index)
 
@@ -467,6 +480,7 @@ def sliding_windows(
     consecutive, a window is attacked iff any of its frames is injected, and
     no partial window is yielded. A bad window_size or stride raises on the
     first next(), before any frame is read."""
+    window_size = _window_size(window_size)
     stride = checked_stride(window_size, stride)
     whole = stride == window_size
     graph = None if whole else SlidingGraph(window_size)

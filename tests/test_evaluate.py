@@ -1,5 +1,6 @@
 import json
 
+import numpy as np
 import pytest
 
 from canids.evaluate import (
@@ -167,3 +168,85 @@ def test_undefined_rendered_explicitly():
     assert "undefined" in report.format_table()
     payload = json.loads(report.to_json())
     assert payload["metrics"]["precision"] is None
+
+
+# Golden renderings of three reports: one with a reference, one without, and
+# one whose precision, recall and F1 are all undefined.
+GOLDEN_REPORTS = {
+    "reference": (
+        ("Mixed-DFSR", [1, 1, 0, 0, 1, 0, 1], [1, 0, 0, 1, 1, 0, 1],
+         PAPER_TARGETS["Mixed-DFSR"]),
+        "scenario: Mixed-DFSR\n"
+        "  counts    tp=3 fp=1 tn=2 fn=1 total=7\n"
+        "  metric          ours     paper     delta\n"
+        "  accuracy      0.7143 undefined undefined\n"
+        "  precision     0.7500    0.9800   -0.2300\n"
+        "  recall        0.7500    1.0000   -0.2500\n"
+        "  f1            0.7500    0.9900   -0.2400",
+        '{\n  "scenario": "Mixed-DFSR",\n'
+        '  "confusion": {\n    "tp": 3,\n    "fp": 1,\n    "tn": 2,\n    "fn": 1\n  },\n'
+        '  "metrics": {\n    "accuracy": 0.7142857142857143,\n'
+        '    "precision": 0.75,\n    "recall": 0.75,\n    "f1": 0.75\n  },\n'
+        '  "paper": {\n    "precision": 0.98,\n    "recall": 1.0,\n    "f1": 0.99\n  },\n'
+        '  "delta": {\n    "precision": -0.22999999999999998,\n'
+        '    "recall": -0.25,\n    "f1": -0.24\n  }\n}',
+        {"precision": -0.22999999999999998, "recall": -0.25, "f1": -0.24},
+    ),
+    "no-reference": (
+        ("Fuzzy", [1, 0, 0, 1, 1], [1, 0, 1, 1, 1], None),
+        "scenario: Fuzzy\n"
+        "  counts    tp=3 fp=0 tn=1 fn=1 total=5\n"
+        "  metric          ours\n"
+        "  accuracy      0.8000\n"
+        "  precision     1.0000\n"
+        "  recall        0.7500\n"
+        "  f1            0.8571",
+        '{\n  "scenario": "Fuzzy",\n'
+        '  "confusion": {\n    "tp": 3,\n    "fp": 0,\n    "tn": 1,\n    "fn": 1\n  },\n'
+        '  "metrics": {\n    "accuracy": 0.8,\n    "precision": 1.0,\n'
+        '    "recall": 0.75,\n    "f1": 0.8571428571428571\n  }\n}',
+        {"precision": None, "recall": None, "f1": None},
+    ),
+    "undefined": (
+        ("Replay", [0, 0, 0], [0, 0, 0], PAPER_TARGETS["Replay"]),
+        "scenario: Replay\n"
+        "  counts    tp=0 fp=0 tn=3 fn=0 total=3\n"
+        "  metric          ours     paper     delta\n"
+        "  accuracy      1.0000 undefined undefined\n"
+        "  precision  undefined    0.9900 undefined\n"
+        "  recall     undefined    0.8800 undefined\n"
+        "  f1         undefined    0.9300 undefined",
+        '{\n  "scenario": "Replay",\n'
+        '  "confusion": {\n    "tp": 0,\n    "fp": 0,\n    "tn": 3,\n    "fn": 0\n  },\n'
+        '  "metrics": {\n    "accuracy": 1.0,\n    "precision": null,\n'
+        '    "recall": null,\n    "f1": null\n  },\n'
+        '  "paper": {\n    "precision": 0.99,\n    "recall": 0.88,\n    "f1": 0.93\n  },\n'
+        '  "delta": {\n    "precision": null,\n    "recall": null,\n    "f1": null\n  }\n}',
+        {"precision": None, "recall": None, "f1": None},
+    ),
+}
+
+
+@pytest.mark.parametrize("case", sorted(GOLDEN_REPORTS))
+def test_report_renderings_match_golden_strings(case):
+    args, table, payload, deltas = GOLDEN_REPORTS[case]
+    report = scenario_report(*args)
+    assert report.format_table() == table
+    assert report.to_json() == payload
+    assert report.deltas() == deltas
+
+
+def test_confusion_counts_numpy_arrays_and_bools():
+    """0/1 numpy arrays and bool sequences count as the int lists do."""
+    preds = [1, 1, 0, 0, 1, 0, 1]
+    labels = [1, 0, 0, 1, 1, 0, 1]
+    expected = ConfusionMatrix(tp=3, fp=1, tn=2, fn=1)
+    assert confusion(preds, labels) == expected
+    assert confusion(np.array(preds), np.array(labels)) == expected
+    assert confusion(np.array(preds, dtype=np.int8), labels) == expected
+    assert confusion([bool(p) for p in preds], [bool(y) for y in labels]) == expected
+    assert confusion(np.array(preds, dtype=bool), np.array(labels, dtype=bool)) == expected
+    with pytest.raises(LengthMismatch):
+        confusion(np.zeros(3, dtype=int), np.zeros(2, dtype=int))
+    with pytest.raises(EmptyInput):
+        confusion(np.array([], dtype=bool), np.array([], dtype=bool))

@@ -197,6 +197,25 @@ def test_checked_stride():
         checked_stride(1, None)
 
 
+@pytest.mark.parametrize("window_size", [None, 1, 200.0, "200"])
+def test_window_loops_refuse_a_window_size_that_is_not_an_int_of_at_least_2(window_size):
+    """SlidingGraph, build_windows and sliding_windows take no unknown (None)
+    window size, unlike checked_stride, and refuse a bad one with a
+    GraphError before any record is read."""
+
+    def unread():
+        raise AssertionError("a record was read")
+        yield
+
+    with pytest.raises(GraphError, match="window_size"):
+        SlidingGraph(window_size)
+    with pytest.raises(GraphError, match="window_size"):
+        build_windows(frames_for([1, 2, 3, 4]), window_size)
+    for stride in (None, 1, 5):
+        with pytest.raises(GraphError, match="window_size"):
+            next(sliding_windows(unread(), window_size, stride))
+
+
 def test_label_rule():
     clean = build_graph(frames_for([1, 2, 3]))
     assert clean.label == ATTACK_FREE

@@ -883,6 +883,18 @@ def test_train_options_are_checked_before_any_input(tmp_path, capsys, flag, valu
     assert capsys.readouterr().err == f"error: {message}\n"
 
 
+@pytest.mark.parametrize("flag,field", [
+    ("learning_rate", "learning_rate"), ("epochs", "epochs"),
+    ("batch_size", "batch_size"), ("dropout", "dropout_p"), ("patience", "patience"),
+    ("allow_single_class", "allow_single_class"),
+])
+def test_train_flag_defaults_are_the_train_config_defaults(flag, field):
+    """Each training flag defaults to its TrainConfig field, so a change to a
+    TrainConfig default reaches `canids train` with no second edit."""
+    defaults = build_parser().parse_args(["train"])
+    assert getattr(defaults, flag) == getattr(gcn.TrainConfig(), field)
+
+
 def test_detect_skips_malformed_lines(tmp_path, capsys):
     log = tmp_path / "dirty.log"
     lines = ["bogus"] + [f"{i} 100 0" for i in range(120)]

@@ -453,6 +453,51 @@ def test_train_config_validation():
     assert TrainConfig(patience=0).patience == 0
 
 
+@pytest.mark.parametrize("field,value", [
+    ("epochs", 2.5), ("epochs", True), ("epochs", "3"), ("batch_size", 2.0),
+    ("batch_size", False), ("seed", 1.5), ("seed", -1), ("seed", True),
+    ("patience", 1.5), ("patience", True),
+])
+def test_train_config_refuses_what_train_cannot_use(field, value):
+    """Non-integer, bool or negative counts are a ModelError at construction,
+    not a TypeError or ValueError deep in train."""
+    with pytest.raises(ModelError, match=field):
+        TrainConfig(**{field: value})
+
+
+def test_train_config_takes_numpy_integers():
+    config = TrainConfig(epochs=np.int64(2), batch_size=np.int32(8), seed=np.uint8(3),
+                         patience=np.int16(0))
+    assert (config.epochs, config.batch_size, config.seed, config.patience) == (2, 8, 3, 0)
+    rng = make_rng(14)
+    train(random_graphs(rng, 12), config)
+
+
+def test_adam_step_in_place_equals_the_out_of_place_formula():
+    """The in-place moment updates give the same bits as the textbook
+    out-of-place Adam step, over several steps of random gradients."""
+    rng = make_rng(15)
+    shapes = [a.shape for a in init_params(0).arrays()]
+    opt = gcn._Adam(shapes, 0.05)
+    params = [rng.normal(size=s) for s in shapes]
+    want = [p.copy() for p in params]
+    m = [np.zeros(s) for s in shapes]
+    v = [np.zeros(s) for s in shapes]
+    for t in range(1, 6):
+        grads = [rng.normal(scale=10.0 ** rng.integers(-6, 2), size=s) for s in shapes]
+        opt.step(params, grads)
+        for i, g in enumerate(grads):
+            m[i] = gcn.ADAM_BETA1 * m[i] + (1 - gcn.ADAM_BETA1) * g
+            v[i] = gcn.ADAM_BETA2 * v[i] + (1 - gcn.ADAM_BETA2) * g * g
+            m_hat = m[i] / (1 - gcn.ADAM_BETA1 ** t)
+            v_hat = v[i] / (1 - gcn.ADAM_BETA2 ** t)
+            want[i] -= 0.05 * m_hat / (np.sqrt(v_hat) + gcn.ADAM_EPS)
+    for got, ref, got_m, ref_m, got_v, ref_v in zip(params, want, opt.m, m, opt.v, v):
+        assert got.tobytes() == ref.tobytes()
+        assert got_m.tobytes() == ref_m.tobytes()
+        assert got_v.tobytes() == ref_v.tobytes()
+
+
 def test_predict_zero_params_ties_to_attacked():
     g = graph_from_ids([1, 2, 3, 1], attacked=False)
     params = GcnParams(np.zeros((2, 8)), np.zeros((8, 8)), np.zeros((8, 2)), np.zeros(2))

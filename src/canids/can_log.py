@@ -17,12 +17,21 @@ whitespace-separated tokens. A canonical line whose id exceeds 29 bits, the
 one check a match can still fail, goes there too. Both give the same frame
 or the same error kind; the token walk alone names the error.
 
+A match's timestamp is one int() call over the seconds digits followed by the
+fraction padded to 6 digits, the integer seconds * 10**6 + fraction. The
+match takes at most 634 seconds digits, so that string has at most 640, the
+lowest int-string limit Python allows (sys.set_int_max_str_digits), and int()
+on a match never raises. A longer seconds run goes to the token walk, which
+converts seconds and fraction apart and reports a run past the limit as
+MalformedLine.
+
 Two parsers share that match. parse_line gives a validated CanFrame with its
 payload bytes; parse_record gives only the (timestamp_us, arbitration_id,
 label) record the graph pipeline reads, decoding no bytes. read_frames and
 read_records run one line loop (blank and comment lines, strict mode,
 rejects, backwards-timestamp warnings) over either parser; as_records turns a
-stream of frames into records.
+stream of frames into records, and passes a stream of records through, with
+no Python frame run per item.
 
 Canonical serialization: timestamps print as integer seconds when the
 microsecond remainder is zero, otherwise with the fractional part trailing-zero
@@ -167,8 +176,8 @@ def _parse_hex(token: str, what: str) -> int:
     return int(token, 16)
 
 
-# label text of a canonical match -> AttackKind; no label group -> None
-_LABELS = {None: None, **{kind.value: kind for kind in AttackKind}}
+# label text of a canonical match -> AttackKind; no label group ("") -> None
+_LABELS = {"": None, **{kind.value: kind for kind in AttackKind}}
 
 # The dlc and payload of a canonical line as one group, one alternative per
 # dlc ("0|1 XX|2 XX XX|..."), so a match holds exactly dlc payload bytes: the
@@ -179,10 +188,11 @@ _DLC_PAYLOAD = "|".join(f"{dlc}{' [0-9a-fA-F][0-9a-fA-F]' * dlc}"
                         for dlc in range(MAX_DLC + 1))
 
 # The canonical line: single spaces, a known lower-case label, at most one
-# trailing newline. The seconds run stops at 640 digits, the lowest
-# int-string limit Python allows, so int() on a match cannot raise.
+# trailing newline. The seconds run stops at 634 digits, so the seconds and
+# the padded fraction make at most 640, the lowest int-string limit Python
+# allows (see the module docstring).
 _match_canonical = re.compile(
-    rf"([0-9]{{1,640}})(?:\.([0-9]{{1,6}}))? ([0-9a-fA-F]{{1,8}}) ({_DLC_PAYLOAD})"
+    rf"([0-9]{{1,634}})(?:\.([0-9]{{1,6}}))? ([0-9a-fA-F]{{1,8}}) ({_DLC_PAYLOAD})"
     rf"(?: {LABEL_PREFIX}({'|'.join(kind.value for kind in AttackKind)}))?\n?"
 ).fullmatch
 
@@ -198,14 +208,11 @@ def parse_line(text: str) -> CanFrame:
     """
     match = _match_canonical(text)
     if match is not None:
-        seconds, frac, id_text, dlc_payload, label_text = match.groups()
+        seconds, frac, id_text, dlc_payload, label_text = match.groups("")
         arb_id = int(id_text, 16)
         if arb_id <= EXTENDED_ID_MAX:
-            timestamp_us = int(seconds) * US_PER_SECOND
-            if frac:
-                timestamp_us += int(frac.ljust(6, "0"))
             return CanFrame(
-                timestamp_us, arb_id, len(dlc_payload) // 3,
+                int(seconds + frac.ljust(6, "0")), arb_id, len(dlc_payload) // 3,
                 bytes.fromhex(dlc_payload[1:]), _LABELS[label_text],
                 len(id_text) == 8 or arb_id > STANDARD_ID_MAX,
             )
@@ -224,28 +231,32 @@ def parse_record(text: str) -> Record:
     parse_line's values or raises parse_line's error."""
     match = _match_canonical(text)
     if match is not None:
-        seconds, frac, id_text, _, label_text = match.groups()
+        seconds, frac, id_text, _, label_text = match.groups("")
         arb_id = int(id_text, 16)
         if arb_id <= EXTENDED_ID_MAX:
-            timestamp_us = int(seconds) * US_PER_SECOND
-            if frac:
-                timestamp_us += int(frac.ljust(6, "0"))
-            return timestamp_us, arb_id, _LABELS[label_text]
+            return int(seconds + frac.ljust(6, "0")), arb_id, _LABELS[label_text]
     frame = _parse_tokens(text)
     return frame.timestamp_us, frame.arbitration_id, frame.label
 
 
+_frame_record = attrgetter("timestamp_us", "arbitration_id", "label")
+
+
 def as_records(stream: Iterable[CanFrame] | Iterable[Record]) -> Iterator[Record]:
     """The records of a stream of frames; a stream of records passes
-    through. The first item tells which the stream holds."""
-    items = iter(stream)
+    through. The first item, read on the first next(), tells which the
+    stream holds. The iterator is built of C-level chain and map objects, so
+    no Python frame runs per item."""
+    return itertools.chain.from_iterable(_typed_records(iter(stream)))
+
+
+def _typed_records(items: Iterator) -> Iterator[Iterator[Record]]:
+    """as_records' one iterator, made when the first item is read: the
+    frames mapped to records, or the records as they are."""
     for first in items:
-        if isinstance(first, CanFrame):
-            for frame in itertools.chain((first,), items):
-                yield frame.timestamp_us, frame.arbitration_id, frame.label
-        else:
-            yield first
-            yield from items
+        rest = itertools.chain((first,), items)
+        yield map(_frame_record, rest) if isinstance(first, CanFrame) else rest
+        return
 
 
 def _parse_tokens(text: str) -> CanFrame:

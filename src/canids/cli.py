@@ -447,14 +447,15 @@ def cmd_detect(args: argparse.Namespace) -> int:
     if not args.model:
         raise ConfigError("detect needs --model")
     params = gcn.load_params(args.model)
+    write = sys.stdout.write  # one write per verdict line, its line end included
     with _log_records(args) as records:
         for verdict in verdicts(records, params, args.window_size, args.stride,
                                 args.threshold):
-            print(
+            write(
                 f"{verdict.window_index} "
                 f"{format_timestamp(verdict.first_timestamp_us)} "
                 f"{format_timestamp(verdict.last_timestamp_us)} "
-                f"{LABEL_TEXT[verdict.label]} {verdict.probability:.6f}"
+                f"{LABEL_TEXT[verdict.label]} {verdict.probability:.6f}\n"
             )
     return EXIT_OK
 

@@ -41,6 +41,7 @@ spawned from the config seed.
 from __future__ import annotations
 
 import math
+import numbers
 import operator
 import struct
 import warnings
@@ -179,7 +180,8 @@ class TrainConfig:
 
     epochs and batch_size are integers >= 1, seed an integer >= 0 and
     patience None or an integer >= 0; any value operator.index accepts
-    counts as an integer, except a bool.
+    counts as an integer, except a bool. learning_rate and dropout_p are
+    real numbers (numbers.Real), not bools; allow_single_class is a bool.
     """
 
     learning_rate: float = 0.05
@@ -191,6 +193,13 @@ class TrainConfig:
     allow_single_class: bool = False
 
     def __post_init__(self):
+        for name in ("learning_rate", "dropout_p"):
+            value = getattr(self, name)
+            if isinstance(value, bool) or not isinstance(value, numbers.Real):
+                raise ModelError(f"{name} must be a real number, got {value!r}")
+        if not isinstance(self.allow_single_class, bool):
+            raise ModelError(
+                f"allow_single_class must be a bool, got {self.allow_single_class!r}")
         if not (math.isfinite(self.learning_rate) and self.learning_rate > 0):
             raise ModelError("learning_rate must be finite and > 0")
         if not 0.0 <= self.dropout_p < 1.0:

@@ -12,10 +12,10 @@ A window is labeled attacked iff it contains at least one injected frame.
 
 The graph pipeline reads (timestamp_us, arbitration_id, label) records
 (can_log.Record); a stream of CanFrames is turned into records on the way in.
-sliding_windows is the one window loop: graphs_from_frames snapshots each
-window it yields and detect.verdicts scores each from its conv_inputs, so both
-cost O(frames) at any stride. It builds graphs in one of two ways, with the
-same results:
+sliding_windows is the one windowing routine: graphs_from_frames snapshots
+each window it yields and detect.verdicts scores each from its conv_inputs, so
+both cost O(frames) at any stride. It picks one of two loops by the stride
+before it reads a record, and they build graphs with the same results:
 
 - Overlapping windows (stride < window_size) go through one SlidingGraph. It
   keeps the last window_size ids, the edge multiset and a slot with an
@@ -28,10 +28,12 @@ same results:
   arithmetic of a full rebuild and so to the same bits. It rebuilds them in
   full when the slot count grows or the slots are renumbered.
 - Windows that share no frame (stride == window_size) are built whole: the
-  loop numbers a window's ids in a dict as its frames arrive, and on the
-  window's last frame WindowGraph(node_ids, pos) takes the degrees from
-  bincount and counts the edges over consecutive pairs. graph_from_ids
-  numbers an id sequence the same way and builds the same WindowGraph.
+  loop takes a window's first timestamp from its first record and numbers
+  its ids in a dict as its records arrive, with no per-record window
+  arithmetic, and on the window's last record WindowGraph(node_ids, pos)
+  takes the degrees from bincount and counts the edges over consecutive
+  pairs. graph_from_ids numbers an id sequence the same way and builds the
+  same WindowGraph.
 
 Every window loop refuses a window size that is not an int >= 2 with a
 GraphError before it reads a record, then checks its stride with
@@ -61,7 +63,7 @@ import operator
 import re
 from collections import Counter, deque
 from dataclasses import dataclass
-from itertools import chain
+from itertools import chain, islice
 from pathlib import Path
 from typing import Iterable, Iterator, Sequence
 
@@ -471,37 +473,55 @@ def sliding_windows(
     """Yield (graph, window_index, attacked, first_timestamp_us,
     last_timestamp_us) for each window of build_windows as soon as its last
     frame arrives, in one pass over the records of frames (as_records; a
-    stream of records is read as is). When windows overlap, each id is
-    pushed once into one SlidingGraph and graph is that live graph, holding
-    the window until the next item is requested: take its snapshot or
-    conv_inputs before then. When stride equals window_size, windows share
-    no frame, so each window's ids are numbered as they arrive and graph is
-    a WindowGraph built from them on the window's last frame. Indices are
+    stream of records is read as is), reading no record past it. Indices are
     consecutive, a window is attacked iff any of its frames is injected, and
     no partial window is yielded. A bad window_size or stride raises on the
-    first next(), before any frame is read."""
+    first next(), before any frame is read.
+
+    The stride picks one of two loops before any record is read. When
+    stride equals window_size, windows share no frame: each window's first
+    record gives its first timestamp, the next window_size - 1 (an islice)
+    are numbered in a dict as they arrive, and graph is a WindowGraph built
+    from them on the window's last record. When windows overlap, each id is
+    pushed once into one SlidingGraph, a deque keeps the window's
+    timestamps, a countdown marks each window's last record, and graph is
+    that live graph, holding the window until the next item is requested:
+    take its snapshot or conv_inputs before then."""
     window_size = _window_size(window_size)
     stride = checked_stride(window_size, stride)
-    whole = stride == window_size
-    graph = None if whole else SlidingGraph(window_size)
-    index: dict[int, int] = {}  # whole windows: id -> node, in first-position order
-    pos: list[int] = []  # whole windows: each frame's node
+    records = as_records(frames)
+    window_index = 0
+    if stride == window_size:
+        for first_us, arb_id, label in records:
+            index = {arb_id: 0}  # id -> node, in first-position order
+            pos = [0]  # each record's node
+            append = pos.append
+            attacked = label is not None
+            for last_us, arb_id, label in islice(records, window_size - 1):
+                append(index.setdefault(arb_id, len(index)))
+                if label is not None:
+                    attacked = True
+            if len(pos) < window_size:
+                return
+            yield WindowGraph(list(index), pos), window_index, attacked, first_us, last_us
+            window_index += 1
+        return
+    graph = SlidingGraph(window_size)
+    push = graph.push
     times: deque[int] = deque(maxlen=window_size)
-    last_injected = -window_size  # position of the latest injected frame
-    for position, (timestamp_us, arb_id, label) in enumerate(as_records(frames)):
+    left = window_size  # records until the next window's last one
+    last_injected = -window_size  # position of the latest injected record
+    for position, (timestamp_us, arb_id, label) in enumerate(records):
         times.append(timestamp_us)
-        if whole:
-            pos.append(index.setdefault(arb_id, len(index)))
-        else:
-            graph.push(arb_id)
+        push(arb_id)
         if label is not None:
             last_injected = position
-        start = position + 1 - window_size
-        if start >= 0 and start % stride == 0:
-            if whole:
-                graph = WindowGraph(list(index), pos)
-                index, pos = {}, []
-            yield graph, start // stride, last_injected >= start, times[0], timestamp_us
+        left -= 1
+        if not left:
+            yield (graph, window_index, position - last_injected < window_size,
+                   times[0], timestamp_us)
+            window_index += 1
+            left = stride
 
 
 def graphs_from_frames(

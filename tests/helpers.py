@@ -180,7 +180,7 @@ def rebuilt_conv_inputs(sliding: SlidingGraph):
 # match, which must succeed where this one does with 3 * dlc payload
 # characters, and give the same timestamp, id and label.
 repeated_byte_match = re.compile(
-    r"([0-9]{1,640})(?:\.([0-9]{1,6}))? ([0-9a-fA-F]{1,8}) ([0-8])"
+    r"([0-9]{1,634})(?:\.([0-9]{1,6}))? ([0-9a-fA-F]{1,8}) ([0-8])"
     r"((?: [0-9a-fA-F]{2})*)"
     rf"(?: {LABEL_PREFIX}({'|'.join(kind.value for kind in AttackKind)}))?\n?"
 ).fullmatch

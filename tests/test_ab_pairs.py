@@ -1,0 +1,56 @@
+import importlib.util
+import json
+import shutil
+import subprocess
+from pathlib import Path
+
+import pytest
+
+REPO = Path(__file__).resolve().parent.parent
+SCRIPT = REPO / "scripts" / "ab_pairs.py"
+
+
+def _load_script():
+    spec = importlib.util.spec_from_file_location("ab_pairs", SCRIPT)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+def _has_head() -> bool:
+    return shutil.which("git") is not None and subprocess.run(
+        ["git", "-C", str(REPO), "rev-parse", "--verify", "HEAD"],
+        capture_output=True).returncode == 0
+
+
+def _run(metrics):
+    return {"correct": True, "metrics": {k: {"value": v} for k, v in metrics.items()}}
+
+
+def test_summary_counts_wins_in_each_metric_direction():
+    """A win is a pair where the change is strictly better in the metric's
+    own direction; ties count for neither side."""
+    script = _load_script()
+    gated = [{"name": "frames_per_s", "unit": "frames/s", "better": "higher"},
+             {"name": "setup_s", "unit": "s", "better": "lower"}]
+    results = [{"parent": _run({"frames_per_s": p, "setup_s": 1.0}),
+                "change": _run({"frames_per_s": c, "setup_s": s})}
+               for p, c, s in [(100, 120, 0.9), (100, 100, 1.0), (110, 90, 1.1)]]
+    rates, setup = script.summarize(gated, results)
+    assert "change wins 1/3" in rates and "parent 100 [100, 105]" in rates
+    assert "change wins 1/3" in setup and "median gap exceeds parent IQR: no" in setup
+
+
+@pytest.mark.skipif(not _has_head(), reason="needs a git checkout with a HEAD commit")
+def test_one_head_pair_reports_every_gated_metric(capsys):
+    """One HEAD-vs-HEAD pair of a short detect-stride1 run exports both
+    sides, prints a summary row per gated metric and exits 0."""
+    script = _load_script()
+    assert script.main(["HEAD", "HEAD", "--workload", "detect-stride1", "--pairs", "1",
+                        "--seconds", "1"]) == 0
+    out = capsys.readouterr().out.splitlines()
+    gated = json.loads((REPO / "BENCHMARK.json").read_text())["end_to_end"]
+    for metric in gated:
+        assert any(line.strip().startswith(f"{metric['name']} (") and "change wins" in line
+                   for line in out), metric["name"]
+    assert out[-1] == "correct: true"

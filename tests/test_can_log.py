@@ -1,5 +1,6 @@
 import io
 import random
+import sys
 
 import pytest
 
@@ -214,6 +215,29 @@ def test_numbers_past_the_int_digit_limit_are_typed_errors(line, error):
     frames, report = parse_log([line, "2 100 0"])
     assert len(frames) == 1
     assert [(no, kind) for no, kind, _ in report.errors] == [(1, error.__name__)]
+
+
+@pytest.mark.parametrize("fraction", ["5", "123456"])
+@pytest.mark.parametrize("digits", [634, 640])
+def test_timestamps_convert_under_the_lowest_int_digit_limit(digits, fraction):
+    """A canonical match converts its seconds and 6-digit padded fraction in
+    one int() call, so its seconds stop at 634 digits: under the lowest
+    int-string limit Python allows (640), no parser raises a plain
+    ValueError, and all three give the same record."""
+    if not hasattr(sys, "set_int_max_str_digits"):
+        pytest.skip("this Python has no int-string digit limit")
+    line = f"{'9' * digits}.{fraction} 100 0"
+    record = (int("9" * digits) * 1_000_000 + int(fraction.ljust(6, "0")), 0x100, None)
+    old_limit = sys.get_int_max_str_digits()
+    sys.set_int_max_str_digits(640)
+    try:
+        assert (can_log._match_canonical(line) is not None) == (digits <= 634)
+        assert _record_outcome(_frame_record, line) == record
+        assert _record_outcome(parse_record, line) == record
+        frame = can_log._parse_tokens(line)
+    finally:
+        sys.set_int_max_str_digits(old_limit)
+    assert (frame.timestamp_us, frame.arbitration_id, frame.label) == record
 
 
 def _outcome(parse, line):
@@ -516,6 +540,31 @@ def test_read_records_matches_read_frames():
         "MalformedLine", "BadHex", "DlcOutOfRange", "PayloadLengthMismatch",
         "IdOutOfRange"}
     assert len(report.warnings) == 3 and report.frames_ok == len(frames) == 303
+
+
+@pytest.mark.parametrize("records", [False, True], ids=["frames", "records"])
+def test_as_records_reads_nothing_ahead(records):
+    """as_records reads its first item on the first next(), and each item
+    only when its record is asked for; records pass through as they are."""
+    frames = random_frames(make_rng(5), 4)
+    items = list(as_records(frames)) if records else frames
+    read = []
+
+    def source():
+        for k, item in enumerate(items):
+            read.append(k)
+            yield item
+
+    stream = as_records(source())
+    assert read == []
+    for k, frame in enumerate(frames):
+        record = next(stream)
+        assert record == (frame.timestamp_us, frame.arbitration_id, frame.label)
+        assert read == list(range(k + 1))
+        if records:
+            assert record is items[k]
+    assert next(stream, None) is None
+    assert list(as_records([])) == []
 
 
 def test_parse_log_strict_aborts_with_line_number():

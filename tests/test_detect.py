@@ -1,6 +1,7 @@
 import pytest
 
 from canids import gcn
+from canids.can_log import as_records
 from canids.detect import verdicts
 from canids.graph_builder import (
     GraphError,
@@ -101,6 +102,28 @@ def test_no_verdict_before_the_window_fills(dos_stream):
 
     stream = verdicts(source(), gcn.init_params(0), window_size=10, stride=3)
     assert [read[-1] for _ in stream] == [9, 12, 15]
+
+
+@pytest.mark.parametrize("stride", [10, 1], ids=["whole", "stride-1"])
+@pytest.mark.parametrize("records", [False, True], ids=["frames", "records"])
+def test_each_verdict_comes_before_the_next_record_is_read(dos_stream, stride, records):
+    """Whole windows and stride 1, fed CanFrames or their records: nothing
+    is read before the first next(), and each verdict is yielded before the
+    record after its window's last one is pulled. Window latency is
+    measured from that last record, so it depends on this."""
+    items = dos_stream[:35]
+    if records:
+        items = list(as_records(items))
+    read = []
+
+    def source():
+        for k, item in enumerate(items):
+            read.append(k)
+            yield item
+
+    stream = verdicts(source(), gcn.init_params(0), window_size=10, stride=stride)
+    assert read == []
+    assert [read[-1] for _ in stream] == list(range(9, 35, stride))
 
 
 def test_window_and_stride_validation():

@@ -465,6 +465,26 @@ def test_train_config_refuses_what_train_cannot_use(field, value):
         TrainConfig(**{field: value})
 
 
+@pytest.mark.parametrize("field,value", [
+    ("learning_rate", True), ("learning_rate", "0.05"), ("learning_rate", None),
+    ("dropout_p", False), ("dropout_p", "0.1"), ("dropout_p", 1j),
+    ("allow_single_class", "no"), ("allow_single_class", 1),
+    ("allow_single_class", None),
+])
+def test_train_config_refuses_bools_and_non_numbers(field, value):
+    """A bool rate or dropout (which Adam would take as 1.0 or 0.0), a rate
+    or dropout that is not a real number, and a flag that is not a bool are
+    a ModelError at construction, not an untyped TypeError or a silent
+    setting."""
+    with pytest.raises(ModelError, match=field):
+        TrainConfig(**{field: value})
+
+
+def test_train_config_takes_numpy_reals():
+    config = TrainConfig(learning_rate=np.float32(0.01), dropout_p=np.float64(0.2))
+    assert (config.learning_rate, config.dropout_p) == (np.float32(0.01), 0.2)
+
+
 def test_train_config_takes_numpy_integers():
     config = TrainConfig(epochs=np.int64(2), batch_size=np.int32(8), seed=np.uint8(3),
                          patience=np.int16(0))

@@ -2,10 +2,10 @@
 
     python scripts/artifact_digests.py [--seed 7] [--normal 20000]
 
-The run synthesizes a log holding all four attack kinds, dumps its graphs
-at strides 200, 37 and 1, trains a model on the stride-200 dump with the
-default training settings, evaluates that model on the dump (Mixed-DFSR
-report) and runs detect over the log at strides 1, 7 and 200. Every step
+The run synthesizes a log holding all four attack kinds, with its manifest,
+dumps its graphs at strides 200, 37 and 1, trains a model on the stride-200
+dump with the default training settings, evaluates that model on the dump
+(Mixed-DFSR report) and runs detect over the log at strides 1, 7 and 200. Every step
 goes through canids.cli.main in this process, with one BLAS thread, inside
 a temporary directory. Each artifact prints as one line:
 
@@ -59,7 +59,8 @@ def digests(seed: int, normal: int) -> list[tuple[str, str]]:
         history, report = work / "history.jsonl", work / "report.json"
         _run("synth", "--out", log, "--normal", str(normal), "--seed", str(seed),
              "--dos", "0.5", "--fuzzy", "0.5", "--spoofing", "0.5", "--replay", "0.5")
-        files = [("synth.log", Path(log))]
+        files = [("synth.log", Path(log)),
+                 ("synth.log.manifest.json", Path(log + ".manifest.json"))]
         for stride in GRAPH_STRIDES:
             dump = work / f"graphs-stride{stride}.jsonl"
             _run("graphs", "--log", log, "--out", str(dump), "--stride", str(stride))

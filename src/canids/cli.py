@@ -23,7 +23,8 @@ the stride (graph_builder.checked_stride). Options are checked before any
 input is read. Every --log takes - for stdin. eval --log scores windows
 with detect.verdicts, as detect does, and eval --graphs scores each dump
 record with gcn.predict as it is read. Every output is written whole or not
-at all, and a bad output path fails before any input is read.
+at all; a bad output path, or two outputs that resolve to one file, fails
+before any input is read.
 
 Exit codes: 0 success, 2 configuration or parse error, 3 I/O error,
 4 data error (e.g. single-class training set), 5 model file error.
@@ -107,6 +108,10 @@ def _from_file(action: argparse.Action, raw: str):
                           f"{convert.__name__}") from None
 
 
+# The subcommands that write two files, and the flags naming them.
+_OUTPUT_PAIRS = {"synth": ("out", "manifest"), "train": ("model", "history")}
+
+
 def parse_options(argv=None) -> argparse.Namespace:
     """Resolve every option of one run: command-line flag, then --config file,
     then CANIDS_SEED (for the seed), then the flag's
@@ -140,6 +145,11 @@ def parse_options(argv=None) -> argparse.Namespace:
             raise ConfigError(f"{name} must be >= 0, got {getattr(args, name)}")
     if getattr(args, "graphs", None) and args.log:
         raise ConfigError("--graphs and --log exclude each other")
+    if args.command in _OUTPUT_PAIRS:
+        first, second = _OUTPUT_PAIRS[args.command]
+        path, other = getattr(args, first), getattr(args, second)
+        if path and other and Path(path).resolve() == Path(other).resolve():
+            raise ConfigError(f"--{first} and --{second} name one file: {other}")
     if "window_size" in args:
         if args.window_size is None and not getattr(args, "graphs", None):
             args.window_size = graph_builder.DEFAULT_WINDOW_SIZE
@@ -194,54 +204,39 @@ def stratified_split(graphs, train_fraction: float, seed: int):
 
 # ---------------------------------------------------------------- synth ----
 
-_ATTACK_ORDER = (AttackKind.DOS, AttackKind.FUZZY, AttackKind.SPOOFING, AttackKind.REPLAY)
+def plan_attack_specs(duration_us: int, intensities: dict[AttackKind, float],
+                      target_ids: tuple[int, ...]) -> list[AttackSpec]:
+    """Finished specs of the requested attacks, on disjoint timeline slots.
 
-
-def plan_attack_specs(
-    duration_us: int,
-    intensities: dict[AttackKind, float],
-) -> list[AttackSpec]:
-    """Lay the requested attacks out over disjoint slots of the timeline.
-
-    Attacks run in the fixed order dos, fuzzy, spoofing, replay inside
-    [0.1, 0.9] of the stream duration, one equal slot each with a 10% gap.
-    The replay source is an equal-length slice taken from the leading 10%
-    margin (so it always precedes its injection window).
+    Attacks run in AttackKind's order inside [0.1, 0.9] of the stream
+    duration, one equal slot each with a 10% gap, each at its intensity.
+    Spoofing sends from target_ids. The replay source is an equal-length
+    slice of the leading 10% margin, so it precedes its injection window.
     """
-    kinds = [k for k in _ATTACK_ORDER if k in intensities]
+    kinds = [k for k in AttackKind if k in intensities]
     if not kinds:
         return []
     margin = 0.1
-    usable = duration_us * (1.0 - 2 * margin)
-    slot = usable / len(kinds)
+    slot = duration_us * (1.0 - 2 * margin) / len(kinds)
     specs = []
     for i, kind in enumerate(kinds):
         start = int(duration_us * margin + i * slot)
         end = int(start + slot * 0.9)
+        src_start = src_end = None
         if kind is AttackKind.REPLAY:
-            src_len = min(end - start, int(duration_us * margin * 0.8))
+            end = start + min(end - start, int(duration_us * margin * 0.8))
             src_start = int(duration_us * margin * 0.1)
-            specs.append(
-                AttackSpec(
-                    kind=kind,
-                    start_us=start,
-                    end_us=start + src_len,
-                    intensity=intensities[kind],
-                    src_start_us=src_start,
-                    src_end_us=src_start + src_len,
-                )
-            )
-        else:
-            specs.append(
-                AttackSpec(kind=kind, start_us=start, end_us=end,
-                           intensity=intensities[kind])
-            )
+            src_end = src_start + (end - start)
+        specs.append(AttackSpec(
+            kind, start, end, intensities[kind],
+            target_ids=target_ids if kind is AttackKind.SPOOFING else (),
+            src_start_us=src_start, src_end_us=src_end))
     return specs
 
 
 def cmd_synth(args: argparse.Namespace) -> int:
-    for kind in _ATTACK_ORDER:
-        intensity = getattr(args, kind.value)
+    intensities = {kind: getattr(args, kind.value) for kind in AttackKind}
+    for kind, intensity in intensities.items():
         if not (math.isfinite(intensity) and intensity >= 0):
             raise ConfigError(f"--{kind.value} intensity must be finite and >= 0, "
                               f"got {intensity}")
@@ -249,26 +244,19 @@ def cmd_synth(args: argparse.Namespace) -> int:
     with (_replaced_on_success(args.out) as log_part,
           _replaced_on_success(manifest_path) as manifest_part):
         pool = traffic_synth.default_id_pool(args.ids, args.base_period_us, args.jitter)
-        spec = NormalTrafficSpec(id_pool=pool, message_count=args.normal, seed=args.seed)
-        stream = traffic_synth.generate_normal(spec)
-        intensities = {kind: getattr(args, kind.value) for kind in _ATTACK_ORDER
-                       if getattr(args, kind.value) > 0}
-        if intensities and stream.frames:
-            duration = stream.frames[-1].timestamp_us + 1
-            target_pool = [spec.id_pool[i][0] for i in range(min(3, len(spec.id_pool)))]
-            specs = plan_attack_specs(duration, intensities)
-            for aspec in specs:
-                if aspec.kind is AttackKind.SPOOFING:
-                    aspec.target_ids = tuple(target_pool)
+        stream = traffic_synth.generate_normal(
+            NormalTrafficSpec(id_pool=pool, message_count=args.normal, seed=args.seed))
+        planned = {kind: x for kind, x in intensities.items() if x > 0}
+        if planned and stream.frames:
+            specs = plan_attack_specs(stream.frames[-1].timestamp_us + 1, planned,
+                                      tuple(arb_id for arb_id, _, _ in pool[:3]))
             stream = traffic_synth.mix_attacks(stream, specs, seed=args.seed)
         can_log.save_log(log_part, stream.frames)
         stream.manifest.save(manifest_part)
-    counts = stream.manifest.counts_by_kind()
     print(f"wrote {len(stream.frames)} frames to {args.out}")
     print(f"normal: {stream.manifest.normal_frames}")
-    for kind in _ATTACK_ORDER:
-        if kind.value in counts:
-            print(f"{kind.value}: {counts[kind.value]}")
+    for kind, count in stream.manifest.counts_by_kind().items():
+        print(f"{kind}: {count}")
     print(f"manifest: {manifest_path}")
     return EXIT_OK
 
@@ -489,7 +477,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--ids", type=int, default=16, help="size of the arbitration id pool")
     p.add_argument("--base-period-us", dest="base_period_us", type=int, default=1000)
     p.add_argument("--jitter", type=float, default=0.05)
-    for kind in _ATTACK_ORDER:
+    for kind in AttackKind:
         p.add_argument(f"--{kind.value}", type=float, default=0.0, metavar="INTENSITY")
     p.set_defaults(func=cmd_synth)
 

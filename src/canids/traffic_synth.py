@@ -24,7 +24,7 @@ from __future__ import annotations
 import json
 import math
 from bisect import bisect_left
-from dataclasses import dataclass, field, replace
+from dataclasses import asdict, dataclass, field, replace
 from pathlib import Path
 from typing import Callable, Sequence
 
@@ -134,7 +134,11 @@ class AttackRecord:
 
 @dataclass
 class StreamManifest:
-    """Ground truth for one synthetic stream: seed, counts, attack windows."""
+    """Ground truth for one synthetic stream: seed, counts, attack windows.
+
+    Its JSON form is an object of these fields, in this order, with each
+    attack record an object of AttackRecord's fields.
+    """
 
     seed: int
     normal_frames: int
@@ -148,25 +152,12 @@ class StreamManifest:
         return counts
 
     def to_json(self) -> str:
-        return json.dumps(
-            {
-                "seed": self.seed,
-                "normal_frames": self.normal_frames,
-                "total_frames": self.total_frames,
-                "attacks": [vars(rec) for rec in self.attacks],
-            },
-            indent=2,
-        )
+        return json.dumps(asdict(self), indent=2)
 
     @classmethod
     def from_json(cls, text: str) -> "StreamManifest":
         raw = json.loads(text)
-        return cls(
-            seed=raw["seed"],
-            normal_frames=raw["normal_frames"],
-            total_frames=raw["total_frames"],
-            attacks=[AttackRecord(**rec) for rec in raw["attacks"]],
-        )
+        return cls(**{**raw, "attacks": [AttackRecord(**rec) for rec in raw["attacks"]]})
 
     def save(self, path: str | Path) -> None:
         Path(path).write_text(self.to_json() + "\n", encoding="utf-8")
@@ -256,13 +247,9 @@ def _window_frame_count(stream: LabeledStream, spec: AttackSpec) -> int:
 def _merged(stream: LabeledStream, injected: list[CanFrame], spec: AttackSpec) -> LabeledStream:
     """Stable merge: existing frames win timestamp ties against injected ones."""
     frames = sorted(stream.frames + injected, key=lambda f: f.timestamp_us)
-    manifest = StreamManifest(
-        seed=stream.manifest.seed,
-        normal_frames=stream.manifest.normal_frames,
-        total_frames=stream.manifest.total_frames + len(injected),
-        attacks=stream.manifest.attacks
-        + [AttackRecord(spec.kind.value, spec.start_us, spec.end_us, len(injected))],
-    )
+    record = AttackRecord(spec.kind.value, spec.start_us, spec.end_us, len(injected))
+    manifest = replace(stream.manifest, attacks=stream.manifest.attacks + [record],
+                       total_frames=stream.manifest.total_frames + len(injected))
     return LabeledStream(frames=frames, manifest=manifest)
 
 

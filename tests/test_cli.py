@@ -1,5 +1,6 @@
 import argparse
 import hashlib
+import itertools
 import json
 import tracemalloc
 
@@ -7,6 +8,7 @@ import numpy as np
 import pytest
 
 from canids import can_log, gcn, graph_builder
+from canids.can_log import AttackKind
 from canids.cli import (
     EXIT_CONFIG,
     EXIT_DATA,
@@ -17,6 +19,7 @@ from canids.cli import (
     load_config_file,
     main,
     parse_options,
+    plan_attack_specs,
     stratified_split,
 )
 from canids.graph_builder import graph_from_ids
@@ -94,6 +97,68 @@ def test_synth_with_a_bad_output_path_leaves_no_output(tmp_path, capsys):
     assert out.read_text() == "old log\n"
     assert list(tmp_path.iterdir()) == [out]
     assert capsys.readouterr().out == ""
+
+
+def test_synth_refuses_a_manifest_on_its_log(tmp_path, monkeypatch, capsys):
+    """--out and --manifest that resolve to one file are a config error
+    raised before any file is opened: nothing is created, and an existing
+    file keeps its bytes."""
+    monkeypatch.chdir(tmp_path)
+    out = tmp_path / "x.log"
+    argv = ["synth", "--normal", "300", "--dos", "1.0", "--out", "x.log",
+            "--manifest", str(out)]
+    assert main(argv) == EXIT_CONFIG
+    assert capsys.readouterr().err == f"error: --out and --manifest name one file: {out}\n"
+    assert list(tmp_path.iterdir()) == []
+    out.write_text("old log\n")
+    assert main(argv) == EXIT_CONFIG
+    assert out.read_text() == "old log\n"
+    assert list(tmp_path.iterdir()) == [out]
+
+
+SUBSETS = [kinds for n in range(1, 5) for kinds in itertools.combinations(AttackKind, n)]
+
+
+@pytest.mark.parametrize("duration", [1_000, 123_457, 20_000_001, 10**9 + 7])
+@pytest.mark.parametrize("kinds", SUBSETS, ids=lambda kinds: "+".join(k.value for k in kinds))
+def test_plan_attack_specs_lays_out_finished_specs(kinds, duration):
+    """One spec per requested kind in AttackKind order, each at its own
+    intensity, on disjoint windows inside [0.1, 0.9] of the duration; the
+    replay source sits in the leading 10%, ends before its injection starts
+    and has the injection's length; only spoofing carries target ids."""
+    # keyed in reverse, so the specs' order can only come from AttackKind
+    intensities = {kind: 0.25 * (i + 1) for i, kind in enumerate(reversed(kinds))}
+    targets = (0x100, 0x110, 0x120)
+    specs = plan_attack_specs(duration, intensities, targets)
+    assert [spec.kind for spec in specs] == list(kinds)
+    assert [spec.intensity for spec in specs] == [intensities[kind] for kind in kinds]
+    assert duration // 10 <= specs[0].start_us
+    assert 10 * specs[-1].end_us <= 9 * duration
+    for spec, after in zip(specs, specs[1:]):
+        assert spec.start_us < spec.end_us <= after.start_us
+    for spec in specs:
+        assert spec.target_ids == (targets if spec.kind is AttackKind.SPOOFING else ())
+        if spec.kind is AttackKind.REPLAY:
+            assert 0 <= spec.src_start_us < spec.src_end_us <= duration // 10
+            assert spec.src_end_us <= spec.start_us
+            assert spec.src_end_us - spec.src_start_us == spec.end_us - spec.start_us
+        else:
+            assert spec.src_start_us is None and spec.src_end_us is None
+
+
+def test_plan_attack_specs_with_no_kinds_is_empty():
+    assert plan_attack_specs(1_000_000, {}, (0x100,)) == []
+
+
+def test_synth_spoofs_only_the_pool_ids(tmp_path):
+    """With a two-id pool, spoofing injects from those two ids and no other."""
+    out = tmp_path / "s.log"
+    assert main(["synth", "--normal", "2000", "--ids", "2", "--spoofing", "1",
+                 "--out", str(out), "--seed", "4"]) == EXIT_OK
+    frames, _ = can_log.load_log(out)
+    spoofed = [f for f in frames if f.label is AttackKind.SPOOFING]
+    assert spoofed and all(f.label in (None, AttackKind.SPOOFING) for f in frames)
+    assert {f.arbitration_id for f in spoofed} == {0x100, 0x110}
 
 
 def test_synth_mixed_kinds(tmp_path):
@@ -468,6 +533,24 @@ def test_train_with_a_bad_history_path_leaves_no_model(tmp_path, capsys):
     assert main(["train", "--log", str(tmp_path / "missing.log"), *argv[3:]]) == EXIT_IO
     captured = capsys.readouterr()
     assert "nodir" in captured.err and captured.out == ""
+
+
+def test_train_refuses_a_history_on_its_model(tmp_path, monkeypatch, capsys):
+    """--model and --history that resolve to one file are a config error
+    raised before any file is opened: nothing is created, and an existing
+    model keeps its bytes."""
+    dump = _make_training_dump(tmp_path)
+    monkeypatch.chdir(tmp_path)
+    model = tmp_path / "m.bin"
+    argv = ["train", "--graphs", str(dump), "--model", "m.bin", "--epochs", "2",
+            "--history", str(model)]
+    assert main(argv) == EXIT_CONFIG
+    assert capsys.readouterr().err == f"error: --model and --history name one file: {model}\n"
+    assert list(tmp_path.iterdir()) == [dump]
+    model.write_bytes(b"old model")
+    assert main(argv) == EXIT_CONFIG
+    assert model.read_bytes() == b"old model"
+    assert sorted(tmp_path.iterdir()) == [model, dump]
 
 
 def test_train_deterministic_model_bytes(tmp_path):

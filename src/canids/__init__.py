@@ -12,11 +12,9 @@ from .can_log import (
     AttackKind,
     CanFrame,
     ParseReport,
-    load_log,
     parse_line,
     parse_log,
     parse_record,
-    read_frames,
     read_records,
     save_log,
     serialize_frame,

@@ -27,11 +27,11 @@ MalformedLine.
 
 Two parsers share that match. parse_line gives a validated CanFrame with its
 payload bytes; parse_record gives only the (timestamp_us, arbitration_id,
-label) record the graph pipeline reads, decoding no bytes. read_frames and
-read_records run one line loop (blank and comment lines, strict mode,
-rejects, backwards-timestamp warnings) over either parser; as_records turns a
-stream of frames into records, and passes a stream of records through, with
-no Python frame run per item.
+label) record the graph pipeline reads, decoding no bytes. Log text enters
+the package only through parse_log (frames) and read_records (records),
+which run one line loop over either parser; as_records turns a stream of
+frames into records, and passes a stream of records through, with no
+Python frame run per item.
 
 Canonical serialization: timestamps print as integer seconds when the
 microsecond remainder is zero, otherwise with the fractional part trailing-zero
@@ -235,8 +235,7 @@ def parse_record(text: str) -> Record:
         arb_id = int(id_text, 16)
         if arb_id <= EXTENDED_ID_MAX:
             return int(seconds + frac.ljust(6, "0")), arb_id, _LABELS[label_text]
-    frame = _parse_tokens(text)
-    return frame.timestamp_us, frame.arbitration_id, frame.label
+    return _frame_record(_parse_tokens(text))
 
 
 _frame_record = attrgetter("timestamp_us", "arbitration_id", "label")
@@ -308,14 +307,7 @@ def _parse_tokens(text: str) -> CanFrame:
     if len(payload) != dlc:
         raise BadHex(f"payload {' '.join(byte_tokens)!r} is not {dlc} 2-digit hex bytes")
 
-    return CanFrame(
-        timestamp_us=timestamp_us,
-        arbitration_id=arb_id,
-        dlc=dlc,
-        payload=payload,
-        label=label,
-        extended=extended,
-    )
+    return CanFrame(timestamp_us, arb_id, dlc, payload, label, extended)
 
 
 def serialize_frame(frame: CanFrame) -> str:
@@ -335,7 +327,7 @@ def _read(
     strict: bool,
     on_reject: Callable[[int, str], None] | None,
 ) -> Iterator[CanFrame | Record]:
-    """The line loop of read_frames and read_records: yield parse(line) for
+    """The line loop of parse_log and read_records: yield parse(line) for
     each line that parses, timestamp_of giving its time."""
     last_ts: int | None = None
     for line_no, line in enumerate(source, start=1):
@@ -368,52 +360,28 @@ def _read(
         yield item
 
 
-def read_frames(
-    source: Iterable[str] | IO[str],
-    report: ParseReport | None = None,
-    strict: bool = False,
-    on_reject: Callable[[int, str], None] | None = None,
-) -> Iterator[CanFrame]:
-    """Yield the frames of a log stream as its lines are consumed.
-
-    Blank lines and comment lines are skipped. In lenient mode (default), a
-    malformed line is recorded in the report, handed to on_reject as (line
-    number, error kind) and skipped; in strict mode the first error aborts
-    with its line number. A timestamp running backwards relative to the
-    previous frame is reported as a warning, not an error. Without a report
-    nothing is recorded, so memory does not grow with the stream.
-    """
-    return _read(source, parse_line, attrgetter("timestamp_us"), report, strict,
-                 on_reject)
-
-
 def read_records(
     source: Iterable[str] | IO[str],
     report: ParseReport | None = None,
     strict: bool = False,
     on_reject: Callable[[int, str], None] | None = None,
 ) -> Iterator[Record]:
-    """read_frames through parse_record: the same skips, rejects, errors and
-    report, yielding (timestamp_us, arbitration_id, label) records."""
+    """Yield the records of a log stream as its lines are consumed, with
+    parse_log's skips, report and strict mode, and each rejected line handed
+    to on_reject as (line number, error kind). Without a report, memory does
+    not grow with the stream."""
     return _read(source, parse_record, itemgetter(0), report, strict, on_reject)
 
 
-def parse_log(
-    source: Iterable[str] | IO[str],
-    strict: bool = False,
-) -> tuple[list[CanFrame], ParseReport]:
-    """Parse a whole log stream with read_frames; returns the frames and the
-    report."""
+def parse_log(source: Iterable[str] | IO[str],
+              strict: bool = False) -> tuple[list[CanFrame], ParseReport]:
+    """The frames of a whole log stream and its report. Blank and comment
+    lines are skipped; a malformed line is recorded in the report and
+    skipped, or with strict aborts with its line number; a timestamp running
+    backwards is a warning, not an error."""
     report = ParseReport()
-    frames = list(read_frames(source, report, strict))
+    frames = list(_read(source, parse_line, attrgetter("timestamp_us"), report, strict, None))
     return frames, report
-
-
-def load_log(path: str | Path, strict: bool = False) -> tuple[list[CanFrame], ParseReport]:
-    """parse_log over a file on disk; undecodable bytes read as U+FFFD, so
-    their line fails like any other malformed line."""
-    with open(path, "r", encoding="utf-8", errors="replace") as fh:
-        return parse_log(fh, strict=strict)
 
 
 def save_log(path: str | Path, frames: Iterable[CanFrame]) -> int:

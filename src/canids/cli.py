@@ -291,20 +291,27 @@ def _log_records(args: argparse.Namespace):
 def _replaced_on_success(path: str | None):
     """A temporary sibling of path to write, moved onto path when the block
     ends and removed when it raises, so a failed command leaves path as it
-    was; with no path, None, and nothing is written."""
+    was; an error making or moving the sibling names path. With no path,
+    None, and nothing is written."""
     if not path:
         yield None
         return
     target = Path(path)
-    fd, part = tempfile.mkstemp(prefix=f".{target.name}.", suffix=".part",
-                                dir=target.parent)
+    try:
+        fd, part = tempfile.mkstemp(prefix=f".{target.name}.", suffix=".part",
+                                    dir=target.parent)
+    except OSError as err:
+        raise OSError(err.errno, err.strerror, path) from None
     os.close(fd)
     try:
         yield part
         umask = os.umask(0)
         os.umask(umask)
         os.chmod(part, 0o666 & ~umask)  # the mode open() gives a new file
-        os.replace(part, target)
+        try:
+            os.replace(part, target)
+        except OSError as err:
+            raise OSError(err.errno, err.strerror, path) from None
     except BaseException:
         os.unlink(part)
         raise
@@ -337,8 +344,6 @@ def _dump_graphs(args: argparse.Namespace):
     """Yield the graphs of the --graphs dump as its records are read, each
     checked against the set window_size, else against the first record's,
     which must also bound the stride."""
-    if not args.graphs:
-        raise ConfigError("need --graphs or --log")
     window_size = args.window_size
     for g in graph_builder.read_graphs(args.graphs):
         if window_size is None:
@@ -354,6 +359,8 @@ def _dump_graphs(args: argparse.Namespace):
 def cmd_train(args: argparse.Namespace) -> int:
     if not args.model:
         raise ConfigError("train needs --model")
+    if not (args.graphs or args.log):
+        raise ConfigError("need --graphs or --log")
     with (_replaced_on_success(args.model) as model_part,
           _replaced_on_success(args.history) as history_part):
         if args.log:
@@ -389,6 +396,8 @@ def cmd_eval(args: argparse.Namespace) -> int:
         raise ConfigError("eval needs --model and --scenario")
     if args.scenario not in SCENARIOS:
         raise ConfigError(f"scenario must be one of {', '.join(SCENARIOS)}")
+    if not (args.graphs or args.log):
+        raise ConfigError("need --graphs or --log")
     with _replaced_on_success(args.report) as report_part:
         predicted, labels = _scored_labels(args)
         if not labels:

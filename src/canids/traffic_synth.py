@@ -24,7 +24,7 @@ from __future__ import annotations
 import json
 import math
 from bisect import bisect_left
-from dataclasses import asdict, dataclass, field, replace
+from dataclasses import asdict, dataclass, field, fields, replace
 from pathlib import Path
 from typing import Callable, Sequence
 
@@ -132,6 +132,13 @@ class AttackRecord:
     injected: int
 
 
+def _fields_of(cls, raw, what: str) -> dict:
+    names = [f.name for f in fields(cls)]
+    if not isinstance(raw, dict) or raw.keys() != set(names):
+        raise SynthError(f"{what} must be an object of {', '.join(names)}: {raw!r:.80}")
+    return raw
+
+
 @dataclass
 class StreamManifest:
     """Ground truth for one synthetic stream: seed, counts, attack windows.
@@ -156,8 +163,16 @@ class StreamManifest:
 
     @classmethod
     def from_json(cls, text: str) -> "StreamManifest":
-        raw = json.loads(text)
-        return cls(**{**raw, "attacks": [AttackRecord(**rec) for rec in raw["attacks"]]})
+        """The manifest to_json wrote; any other text is a SynthError."""
+        try:
+            raw = _fields_of(cls, json.loads(text), "manifest")
+        except json.JSONDecodeError as err:
+            raise SynthError(f"manifest is not JSON: {err}") from None
+        if not isinstance(raw["attacks"], list):
+            raise SynthError("manifest attacks must be a list")
+        return cls(**{**raw, "attacks": [
+            AttackRecord(**_fields_of(AttackRecord, rec, "manifest attack"))
+            for rec in raw["attacks"]]})
 
     def save(self, path: str | Path) -> None:
         Path(path).write_text(self.to_json() + "\n", encoding="utf-8")

@@ -21,11 +21,14 @@ near-identical. Attack scenarios:
 
 from __future__ import annotations
 
+import importlib.util
 import re
+import tracemalloc
+from pathlib import Path
 
 import numpy as np
 
-from canids.can_log import LABEL_PREFIX, AttackKind, CanFrame
+from canids.can_log import LABEL_PREFIX, AttackKind, CanFrame, ParseReport, parse_log
 from canids.graph_builder import SlidingGraph, _adjacency, _degrees, _features
 from canids.traffic_synth import (
     AttackSpec,
@@ -211,3 +214,30 @@ def random_frames(rng: np.random.Generator, count: int) -> list[CanFrame]:
             extended=extended,
         ))
     return frames
+
+
+def parse_log_file(path) -> tuple[list[CanFrame], ParseReport]:
+    """parse_log over a log file opened as the CLI opens --log: UTF-8 with
+    undecodable bytes read as U+FFFD, so their line fails like any other
+    malformed line."""
+    with open(path, "r", encoding="utf-8", errors="replace") as fh:
+        return parse_log(fh)
+
+
+def traced_peak(call, *args):
+    """(call(*args), the peak bytes tracemalloc traced while it ran)."""
+    tracemalloc.start()
+    try:
+        result = call(*args)
+        return result, tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+def load_script(name: str):
+    """The module of scripts/<name>.py, loaded from its file."""
+    path = Path(__file__).resolve().parent.parent / "scripts" / f"{name}.py"
+    spec = importlib.util.spec_from_file_location(name, path)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module

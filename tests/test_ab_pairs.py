@@ -1,4 +1,3 @@
-import importlib.util
 import json
 import shutil
 import subprocess
@@ -6,15 +5,9 @@ from pathlib import Path
 
 import pytest
 
+from helpers import load_script
+
 REPO = Path(__file__).resolve().parent.parent
-SCRIPT = REPO / "scripts" / "ab_pairs.py"
-
-
-def _load_script():
-    spec = importlib.util.spec_from_file_location("ab_pairs", SCRIPT)
-    module = importlib.util.module_from_spec(spec)
-    spec.loader.exec_module(module)
-    return module
 
 
 def _has_head() -> bool:
@@ -30,7 +23,7 @@ def _run(metrics):
 def test_summary_counts_wins_in_each_metric_direction():
     """A win is a pair where the change is strictly better in the metric's
     own direction; ties count for neither side."""
-    script = _load_script()
+    script = load_script("ab_pairs")
     gated = [{"name": "frames_per_s", "unit": "frames/s", "better": "higher"},
              {"name": "setup_s", "unit": "s", "better": "lower"}]
     results = [{"parent": _run({"frames_per_s": p, "setup_s": 1.0}),
@@ -45,7 +38,7 @@ def test_summary_counts_wins_in_each_metric_direction():
 def test_one_head_pair_reports_every_gated_metric(capsys):
     """One HEAD-vs-HEAD pair of a short detect-stride1 run exports both
     sides, prints a summary row per gated metric and exits 0."""
-    script = _load_script()
+    script = load_script("ab_pairs")
     assert script.main(["HEAD", "HEAD", "--workload", "detect-stride1", "--pairs", "1",
                         "--seconds", "1"]) == 0
     out = capsys.readouterr().out.splitlines()

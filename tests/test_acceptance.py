@@ -14,7 +14,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from canids.can_log import load_log, parse_line, serialize_frame
+from canids.can_log import parse_line, serialize_frame
 from canids.cli import stratified_split
 from canids.evaluate import confusion, metrics
 from canids.gcn import (
@@ -40,6 +40,7 @@ from helpers import (
     brute_force_graph,
     make_base_stream,
     make_scenario_stream,
+    parse_log_file,
     random_frames,
     random_id_window,
 )
@@ -234,7 +235,7 @@ def run_dataset_scenarios(root: Path, floors: dict[str, float]) -> dict[str, flo
     """
 
     def graphs_of(name):
-        frames, _ = load_log(root / name)
+        frames, _ = parse_log_file(root / name)
         return graphs_from_frames(frames)
 
     clean = graphs_of("attack_free.log")

@@ -1,24 +1,13 @@
-import importlib.util
 import itertools
-from pathlib import Path
 
 from canids.gcn import TrainConfig
-from helpers import SCENARIO_KINDS
-
-SCRIPT = Path(__file__).resolve().parent.parent / "scripts" / "accuracy_table.py"
-
-
-def _load_script():
-    spec = importlib.util.spec_from_file_location("accuracy_table", SCRIPT)
-    module = importlib.util.module_from_spec(spec)
-    spec.loader.exec_module(module)
-    return module
+from helpers import SCENARIO_KINDS, load_script
 
 
 def test_accuracy_table_prints_one_row_per_scenario_and_base_and_repeats(capsys):
     """With one seed on a small capture the script prints a header and one
     row per (base, scenario), and a second run prints the same text."""
-    script = _load_script()
+    script = load_script("accuracy_table")
     argv = ["--seeds", "0", "--frames", "20000"]
     assert script.main(argv) == 0
     first = capsys.readouterr().out

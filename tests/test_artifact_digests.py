@@ -1,21 +1,12 @@
-import importlib.util
 import re
-from pathlib import Path
 
-SCRIPT = Path(__file__).resolve().parent.parent / "scripts" / "artifact_digests.py"
-
-
-def _load_script():
-    spec = importlib.util.spec_from_file_location("artifact_digests", SCRIPT)
-    module = importlib.util.module_from_spec(spec)
-    spec.loader.exec_module(module)
-    return module
+from helpers import load_script
 
 
 def test_artifact_digests_name_each_artifact_and_repeat(capsys):
     """On a tiny log the script prints one sha256 per artifact, in a fixed
     order, and a second run with the same seed prints the same lines."""
-    script = _load_script()
+    script = load_script("artifact_digests")
     assert script.main(["--seed", "3", "--normal", "3000"]) == 0
     first = capsys.readouterr().out.splitlines()
     assert [line.split("  ")[1] for line in first] == [
@@ -44,7 +35,7 @@ PINNED_DIGESTS = {
 def test_synth_log_and_graph_dumps_keep_their_pinned_digests(capsys):
     """The seeded synth log, its manifest and its three graph dumps stay
     byte-identical."""
-    script = _load_script()
+    script = load_script("artifact_digests")
     assert script.main(["--seed", "3", "--normal", "3000"]) == 0
     printed = dict(reversed(line.split("  ")) for line in capsys.readouterr().out.splitlines())
     assert {name: printed[name] for name in PINNED_DIGESTS} == PINNED_DIGESTS

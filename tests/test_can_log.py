@@ -13,22 +13,22 @@ from canids.can_log import (
     DlcOutOfRange,
     EXTENDED_ID_MAX,
     IdOutOfRange,
+    LABEL_PREFIX,
     MAX_DLC,
     MalformedLine,
+    ParseReport,
     PayloadLengthMismatch,
     as_records,
     format_timestamp,
-    load_log,
     parse_line,
     parse_log,
     parse_record,
     read_records,
-    read_frames,
     save_log,
     serialize_frame,
 )
 from canids.kernel import make_rng
-from helpers import random_frames, repeated_byte_match
+from helpers import parse_log_file, random_frames, repeated_byte_match
 
 RAW_TABLE_ROWS = [
     "1478198376 0316 8 05 21 68 09 21 21 00 6f",
@@ -499,11 +499,11 @@ def test_parse_log_lenient_records_errors():
     assert report.frames_ok + len(report.errors) == 3
 
 
-def test_read_frames_without_report_still_rejects_per_line():
+def test_read_records_without_report_still_rejects_per_line():
     rejected = []
     lines = ["10 100 0", "bogus", "9 100 0", "# comment", "", "11 1g0 0"]
-    frames = read_frames(lines, on_reject=lambda n, kind: rejected.append((n, kind)))
-    assert [f.timestamp_us for f in frames] == [10_000_000, 9_000_000]
+    records = read_records(lines, on_reject=lambda n, kind: rejected.append((n, kind)))
+    assert [timestamp_us for timestamp_us, _, _ in records] == [10_000_000, 9_000_000]
     assert rejected == [(2, "MalformedLine"), (6, "BadHex")]
 
 
@@ -520,26 +520,96 @@ def _benchmark_style_log():
     return lines
 
 
-def test_read_records_matches_read_frames():
-    """read_records runs read_frames' line loop: the same report, rejects and
-    strict-mode error, and records that are the frames' own."""
-    lines = _benchmark_style_log()
-    outcomes = []
-    for read in (read_frames, read_records):
-        report, rejected = can_log.ParseReport(), []
-        items = list(read(lines, report, on_reject=lambda n, k: rejected.append((n, k))))
-        with pytest.raises(CanLogError) as strict_error:
-            list(read(lines, strict=True))
-        outcomes.append((items, report, rejected,
-                         (strict_error.type, str(strict_error.value))))
-    (frames, *frame_rest), (records, *record_rest) = outcomes
+def _assert_one_line_loop(lines):
+    """read_records runs parse_log's line loop: records that are the
+    frames' own, the same report, the report's errors handed to on_reject,
+    and the same strict-mode error. Returns parse_log's frames and report."""
+    frames, report = parse_log(lines)
+    records_report, rejected = ParseReport(), []
+    records = list(read_records(lines, records_report,
+                                on_reject=lambda n, k: rejected.append((n, k))))
     assert records == list(as_records(frames))
-    assert record_rest == frame_rest
-    report, rejected, _ = frame_rest
-    assert {kind for _, kind in rejected} == {
+    assert records_report == report
+    assert rejected == [(n, kind) for n, kind, _ in report.errors]
+    strict_errors = []
+    for read in (parse_log, read_records):
+        try:
+            list(read(lines, strict=True))
+        except CanLogError as err:
+            strict_errors.append((type(err), str(err)))
+        else:
+            strict_errors.append(None)
+    assert strict_errors[0] == strict_errors[1]
+    assert (strict_errors[0] is None) == (not report.errors)
+    return frames, report
+
+
+def test_read_records_matches_parse_log():
+    frames, report = _assert_one_line_loop(_benchmark_style_log())
+    assert {kind for _, kind, _ in report.errors} == {
         "MalformedLine", "BadHex", "DlcOutOfRange", "PayloadLengthMismatch",
         "IdOutOfRange"}
     assert len(report.warnings) == 3 and report.frames_ok == len(frames) == 303
+
+
+# One line of each CanLogError kind, as its error is named in a report.
+_REJECTED_LINES = {
+    "MalformedLine": "12 1f0\n",
+    "BadHex": "12 1g0 2 00 11\n",
+    "DlcOutOfRange": "12 100 9 00 11 22 33 44 55 66 77 88\n",
+    "PayloadLengthMismatch": "12 100 4 00 11\n",
+    "IdOutOfRange": "12 3fffffff 1 00\n",
+}
+
+
+def _respelled(body: str, spelling: str) -> str:
+    """A canonical line, given without its line end, in another spelling
+    that parses to the same frame."""
+    if spelling == "tabs":
+        return body.replace(" ", "\t") + "\n"
+    if spelling == "spaces":
+        return body.replace(" ", "   ") + "\n"
+    if spelling == "crlf":
+        return body + "\r\n"
+    if spelling == "upper_label":
+        head, prefix, kind = body.partition(LABEL_PREFIX)
+        return (head + prefix + kind.upper() if prefix else body) + "\n"
+    if spelling == "padded_dlc":
+        timestamp, arb_id, dlc, *rest = body.split(" ")
+        return " ".join([timestamp, arb_id, "0" + dlc, *rest]) + "\n"
+    return body + "\n"
+
+
+def test_read_records_matches_parse_log_on_generated_logs():
+    """The parity above over generated logs that mix canonical lines and
+    other spellings of them, rejected lines of every kind, comments, blank
+    lines and timestamps that run backwards."""
+    hypothesis = pytest.importorskip("hypothesis")
+    st = hypothesis.strategies
+
+    frames = st.builds(
+        lambda seed: random_frames(make_rng(seed), 1)[0],
+        st.integers(min_value=0, max_value=2**32 - 1))
+    spellings = st.sampled_from(
+        ["canonical", "tabs", "spaces", "crlf", "upper_label", "padded_dlc"])
+    frame_lines = st.builds(lambda frame, spelling: _respelled(
+        serialize_frame(frame), spelling), frames, spellings)
+    other_lines = st.sampled_from(
+        [*_REJECTED_LINES.values(), "# capture note\n", "\n", "   \n", "#label=dos\n"])
+    logs = st.lists(st.one_of(frame_lines, other_lines), max_size=30)
+
+    @hypothesis.settings(max_examples=300, deadline=None, derandomize=True,
+                         database=None)
+    @hypothesis.given(logs)
+    def check(lines):
+        frames, report = _assert_one_line_loop(lines)
+        kind_of = {line: kind for kind, line in _REJECTED_LINES.items()}
+        assert [kind for _, kind, _ in report.errors] == [
+            kind_of[line] for line in lines if line in kind_of]
+        assert len(frames) == sum(line.strip()[:1] not in ("", "#")
+                                  and line not in kind_of for line in lines)
+
+    check()
 
 
 @pytest.mark.parametrize("records", [False, True], ids=["frames", "records"])
@@ -621,5 +691,5 @@ def test_file_round_trip(tmp_path):
     frames = random_frames(rng, 200)
     path = tmp_path / "frames.log"
     assert save_log(path, frames) == 200
-    loaded, report = load_log(path)
+    loaded, report = parse_log_file(path)
     assert loaded == frames and not report.errors

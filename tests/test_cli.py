@@ -2,7 +2,6 @@ import argparse
 import hashlib
 import itertools
 import json
-import tracemalloc
 
 import numpy as np
 import pytest
@@ -24,7 +23,7 @@ from canids.cli import (
 )
 from canids.graph_builder import graph_from_ids
 from canids.kernel import make_rng
-from helpers import random_id_window
+from helpers import parse_log_file, random_id_window, traced_peak
 
 
 def run(argv, capsys=None):
@@ -76,7 +75,7 @@ def test_synth_refuses_a_bad_intensity(tmp_path, capsys, flag, value):
 def test_synth_no_attacks(tmp_path):
     out = tmp_path / "clean.log"
     assert main(["synth", "--normal", "1000", "--out", str(out), "--seed", "1"]) == EXIT_OK
-    frames, _ = can_log.load_log(out)
+    frames, _ = parse_log_file(out)
     assert len(frames) == 1000
     assert all(f.label is None for f in frames)
     manifest = json.loads((tmp_path / "clean.log.manifest.json").read_text())
@@ -155,7 +154,7 @@ def test_synth_spoofs_only_the_pool_ids(tmp_path):
     out = tmp_path / "s.log"
     assert main(["synth", "--normal", "2000", "--ids", "2", "--spoofing", "1",
                  "--out", str(out), "--seed", "4"]) == EXIT_OK
-    frames, _ = can_log.load_log(out)
+    frames, _ = parse_log_file(out)
     spoofed = [f for f in frames if f.label is AttackKind.SPOOFING]
     assert spoofed and all(f.label in (None, AttackKind.SPOOFING) for f in frames)
     assert {f.arbitration_id for f in spoofed} == {0x100, 0x110}
@@ -180,13 +179,13 @@ def test_graphs_command(tmp_path, capsys):
                  "--window-size", "100"]) == EXIT_OK
     captured = capsys.readouterr()
     graphs = list(graph_builder.read_graphs(out))
-    frames, _ = can_log.load_log(log)
+    frames, _ = parse_log_file(log)
     assert len(graphs) == len(frames) // 100
     assert f"windows: {len(graphs)}" in captured.out
 
 
 def test_graphs_dump_equals_the_frame_path(tmp_path, capsys):
-    """graphs --log reads records, and dumps the bytes that load_log's
+    """graphs --log reads records, and dumps the bytes that parse_log's
     frames give through graphs_from_frames, with malformed, comment, blank,
     CRLF and backwards-timestamp lines in the log, at whole and overlapping
     strides."""
@@ -197,7 +196,7 @@ def test_graphs_dump_equals_the_frame_path(tmp_path, capsys):
                                "0.5 100 0\r\n", "1\t100 1 aa\n", "12 3fffffff 1 00\n"]):
         lines.insert(400 * k + 3, extra)
     log.write_text("".join(lines))
-    frames, _ = can_log.load_log(log)
+    frames, _ = parse_log_file(log)
     for window_size, stride in ((200, 200), (50, 13), (30, 1)):
         out, want = tmp_path / "cli.jsonl", tmp_path / "lib.jsonl"
         assert main(["graphs", "--log", str(log), "--out", str(out), "--window-size",
@@ -262,13 +261,10 @@ def test_graphs_memory_does_not_grow_with_the_window_count(tmp_path, capsys):
     def peak_bytes(lines: int) -> int:
         log = tmp_path / f"{lines}.log"
         log.write_text("".join(f"{i} {0x100 + i * 7 % 31:x} 0\n" for i in range(lines)))
-        tracemalloc.start()
-        try:
-            assert main(["graphs", "--log", str(log), "--out", str(tmp_path / "g.jsonl"),
-                         "--window-size", "50", "--stride", "1"]) == EXIT_OK
-            peak = tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
+        code, peak = traced_peak(main, ["graphs", "--log", str(log),
+                                        "--out", str(tmp_path / "g.jsonl"),
+                                        "--window-size", "50", "--stride", "1"])
+        assert code == EXIT_OK
         assert capsys.readouterr().out.startswith(f"windows: {lines - 49}\n")
         return peak
 
@@ -287,14 +283,11 @@ def test_eval_log_memory_does_not_grow_with_the_window_count(tmp_path, capsys):
     def peak_bytes(lines: int) -> int:
         log = tmp_path / f"{lines}.log"
         log.write_text("".join(f"{i} {0x100 + i * 7 % 31:x} 0\n" for i in range(lines)))
-        tracemalloc.start()
-        try:
-            assert main(["eval", "--log", str(log), "--model", str(model),
-                         "--scenario", "DoS", "--window-size", "50",
-                         "--stride", "1"]) == EXIT_OK
-            peak = tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
+        code, peak = traced_peak(main, ["eval", "--log", str(log),
+                                        "--model", str(model),
+                                        "--scenario", "DoS", "--window-size", "50",
+                                        "--stride", "1"])
+        assert code == EXIT_OK
         assert f" total={lines - 49}\n" in capsys.readouterr().out
         return peak
 
@@ -316,13 +309,10 @@ def test_eval_graphs_memory_does_not_grow_with_the_dump(tmp_path, capsys):
         assert main(["graphs", "--log", str(log), "--out", str(dump),
                      "--window-size", "50", "--stride", "1"]) == EXIT_OK
         capsys.readouterr()
-        tracemalloc.start()
-        try:
-            assert main(["eval", "--graphs", str(dump), "--model", str(model),
-                         "--scenario", "DoS", "--stride", "1"]) == EXIT_OK
-            peak = tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
+        code, peak = traced_peak(main, ["eval", "--graphs", str(dump),
+                                        "--model", str(model),
+                                        "--scenario", "DoS", "--stride", "1"])
+        assert code == EXIT_OK
         assert f" total={lines - 49}\n" in capsys.readouterr().out
         return peak
 
@@ -535,6 +525,54 @@ def test_train_with_a_bad_history_path_leaves_no_model(tmp_path, capsys):
     assert "nodir" in captured.err and captured.out == ""
 
 
+@pytest.mark.parametrize("where", ["missing-directory", "directory"])
+@pytest.mark.parametrize("command", ["synth", "graphs", "train", "eval"])
+def test_a_bad_output_path_is_reported_under_its_own_name(tmp_path, capsys, command,
+                                                          where):
+    """An output that cannot be made (its directory is missing) or moved into
+    place (a directory is there) is an I/O error that names the path given,
+    not the temporary sibling written first, and leaves no sibling behind."""
+    dump = _make_training_dump(tmp_path)
+    model = tmp_path / "m.bin"
+    gcn.save_params(gcn.init_params(0), model)
+    log = tmp_path / "s.log"
+    log.write_text("".join(f"{i} 100 0\n" for i in range(400)))
+    if where == "directory":
+        out = tmp_path / "taken"
+        out.mkdir()
+        problem = "[Errno 21] Is a directory"
+    else:
+        out = tmp_path / "nodir" / "out"
+        problem = "[Errno 2] No such file or directory"
+    argv = {"synth": ["synth", "--normal", "300", "--out", str(out),
+                      "--manifest", str(tmp_path / "s.json")],
+            "graphs": ["graphs", "--log", str(log), "--out", str(out)],
+            "train": ["train", "--graphs", str(dump), "--model", str(out),
+                      "--epochs", "2"],
+            "eval": ["eval", "--graphs", str(dump), "--model", str(model),
+                     "--scenario", "DoS", "--report", str(out)]}[command]
+    assert main(argv) == EXIT_IO
+    assert capsys.readouterr().err == f"error: {problem}: '{out}'\n"
+    assert not [p for p in tmp_path.rglob("*") if p.name.endswith(".part")]
+
+
+@pytest.mark.parametrize("where", ["missing-directory", "directory"])
+@pytest.mark.parametrize("command", ["train", "eval"])
+def test_train_and_eval_need_an_input_before_any_output(tmp_path, capsys, command,
+                                                        where):
+    """train and eval given neither --graphs nor --log fail with a config
+    error before any output is staged, so none is created, and a missing
+    output directory is not what they report."""
+    out_dir = tmp_path / "nodir" if where == "missing-directory" else tmp_path
+    argv = {"train": ["train", "--model", str(out_dir / "m.bin"),
+                      "--history", str(out_dir / "h.jsonl")],
+            "eval": ["eval", "--model", str(tmp_path / "m.bin"), "--scenario", "DoS",
+                     "--report", str(out_dir / "r.json")]}[command]
+    assert main(argv) == EXIT_CONFIG
+    assert capsys.readouterr().err == "error: need --graphs or --log\n"
+    assert list(tmp_path.iterdir()) == []
+
+
 def test_train_refuses_a_history_on_its_model(tmp_path, monkeypatch, capsys):
     """--model and --history that resolve to one file are a config error
     raised before any file is opened: nothing is created, and an existing
@@ -666,7 +704,7 @@ def test_detect_stream(tmp_path, capsys, monkeypatch):
                  "--window-size", "100"])
     assert code == EXIT_OK
     lines = capsys.readouterr().out.strip().splitlines()
-    frames, _ = can_log.load_log(log)
+    frames, _ = parse_log_file(log)
     assert len(lines) == (len(frames) - 100) // 100 + 1
     first = lines[0].split()
     assert first[0] == "0"
@@ -906,12 +944,8 @@ def test_detect_memory_does_not_grow_with_rejected_lines(tmp_path, monkeypatch):
         sink = _CountingSink()
         monkeypatch.setattr("sys.stderr", sink)
         monkeypatch.setattr("sys.stdin", (f"{i} 1g0 1 00\n" for i in range(rejects)))
-        tracemalloc.start()
-        try:
-            assert main(["detect", "--model", str(model)]) == EXIT_OK
-            peak = tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
+        code, peak = traced_peak(main, ["detect", "--model", str(model)])
+        assert code == EXIT_OK
         assert sink.lines == rejects
         return peak
 
@@ -932,13 +966,10 @@ def test_graphs_memory_does_not_hold_every_line_of_the_log(tmp_path, monkeypatch
                                for i in range(lines)))
         sink = _CountingSink()
         monkeypatch.setattr("sys.stderr", sink)
-        tracemalloc.start()
-        try:
-            assert main(["graphs", "--log", str(log), "--out", str(tmp_path / "g.jsonl"),
-                         "--window-size", "1000"]) == EXIT_OK
-            peak = tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
+        code, peak = traced_peak(main, ["graphs", "--log", str(log),
+                                        "--out", str(tmp_path / "g.jsonl"),
+                                        "--window-size", "1000"])
+        assert code == EXIT_OK
         assert sink.lines == lines // 10
         return peak
 
@@ -1034,7 +1065,7 @@ def test_detect_matches_library(tmp_path, capsys, stride):
     """Every detect line equals graphs_from_frames + predict_many on the same
     window; every rejected line gives one stable warning line."""
     log = _dirty_log(tmp_path)
-    frames, report = can_log.load_log(log)
+    frames, report = parse_log_file(log)
     assert len(report.errors) == 7
     params, _ = gcn.train(graph_builder.graphs_from_frames(frames, 20),
                           gcn.TrainConfig(epochs=5, seed=0))
@@ -1073,7 +1104,7 @@ def test_eval_log_confusion_equals_detect_labels(tmp_path, capsys, window_size, 
     """eval --log scores each window as detect does: its tp/fp/tn/fn equal
     those of detect's printed labels against the windows' true labels."""
     log = _dirty_log(tmp_path, normal=2000)
-    frames, _ = can_log.load_log(log)
+    frames, _ = parse_log_file(log)
     truth = [g.label for g in graph_builder.graphs_from_frames(frames, window_size, stride)]
     model = tmp_path / "model.bin"
     gcn.save_params(gcn.init_params(0), model)
@@ -1169,14 +1200,14 @@ def test_config_file_and_env_seed(tmp_path, capsys, monkeypatch):
     config.write_text("# experiment\nnormal=1500\nseed=5\n")
     out = tmp_path / "from_config.log"
     assert main(["synth", "--config", str(config), "--out", str(out)]) == EXIT_OK
-    frames, _ = can_log.load_log(out)
+    frames, _ = parse_log_file(out)
     assert len(frames) == 1500
 
     # flag overrides config
     out2 = tmp_path / "override.log"
     assert main(["synth", "--config", str(config), "--normal", "500",
                  "--out", str(out2)]) == EXIT_OK
-    frames2, _ = can_log.load_log(out2)
+    frames2, _ = parse_log_file(out2)
     assert len(frames2) == 500
 
     # env seed used when neither flag nor config provides one

@@ -273,6 +273,42 @@ def test_manifest_json_round_trip(tmp_path):
     assert loaded == out.manifest
 
 
+_MANIFEST_FIELDS = "seed, normal_frames, total_frames, attacks"
+_ATTACK_FIELDS = "kind, start_us, end_us, injected"
+_COUNTS = '"seed": 1, "normal_frames": 2, "total_frames": 3'
+
+
+@pytest.mark.parametrize("text,problem", [
+    ("{}", f"manifest must be an object of {_MANIFEST_FIELDS}: {{}}"),
+    ("[]", f"manifest must be an object of {_MANIFEST_FIELDS}: []"),
+    ("not json", "manifest is not JSON: Expecting value: line 1 column 1 (char 0)"),
+    (f'{{{_COUNTS}, "attacks": [], "extra": 0}}',
+     f"manifest must be an object of {_MANIFEST_FIELDS}: {{'seed': 1, "
+     "'normal_frames': 2, 'total_frames': 3, 'attacks': [], 'extra': 0}"),
+    (f'{{{_COUNTS}, "attacks": 5}}', "manifest attacks must be a list"),
+    (f'{{{_COUNTS}, "attacks": [{{"kind": "dos"}}]}}',
+     f"manifest attack must be an object of {_ATTACK_FIELDS}: {{'kind': 'dos'}}"),
+    (f'{{{_COUNTS}, "attacks": [{{"kind": "dos", "start_us": 0, "end_us": 1, '
+     '"injected": 1, "extra": 0}]}',
+     f"manifest attack must be an object of {_ATTACK_FIELDS}: {{'kind': 'dos', "
+     "'start_us': 0, 'end_us': 1, 'injected': 1, 'extra': 0}"),
+    (f'{{{_COUNTS}, "attacks": [[]]}}',
+     f"manifest attack must be an object of {_ATTACK_FIELDS}: []"),
+], ids=["empty-object", "list", "not-json", "unknown-key", "attacks-not-a-list",
+        "attack-missing-fields", "attack-unknown-key", "attack-not-an-object"])
+def test_a_malformed_manifest_is_a_synth_error(tmp_path, text, problem):
+    """from_json and load take only the form to_json writes; anything else is
+    a SynthError that names the problem, not a KeyError or TypeError."""
+    with pytest.raises(SynthError) as err:
+        StreamManifest.from_json(text)
+    assert str(err.value) == problem
+    path = tmp_path / "manifest.json"
+    path.write_text(text)
+    with pytest.raises(SynthError) as err:
+        StreamManifest.load(path)
+    assert str(err.value) == problem
+
+
 def test_attack_spec_validation():
     with pytest.raises(SynthError):
         AttackSpec(AttackKind.DOS, 100, 100)

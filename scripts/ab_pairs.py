@@ -10,8 +10,11 @@ repository's own ``.git`` and working tree are never touched. Each pair runs
 side, from that side's directory; the parent goes first in odd-numbered
 pairs and the change in even ones. For each end-to-end metric that the
 change's ``BENCHMARK.json`` gates, the script prints each side's median and
-quartiles, the change's median over the parent's, and how many pairs the
-change won (ties count for neither side). It exits 1 if any run printed
+quartiles, the change's median over the parent's, the median of the per-pair
+change/parent ratios, how many pairs the change won (ties count for neither
+side), and whether the claim rule is met: the change wins at least 9 of
+every 10 pairs and its median is better than the parent's by more than the
+parent's interquartile range. It exits 1 if any run printed
 ``correct: false`` or no result line, and 0 otherwise.
 """
 
@@ -74,15 +77,21 @@ def summarize(gated: list[dict], results: list[dict[str, dict]]) -> list[str]:
         if len(values["parent"]) != len(results) or len(values["change"]) != len(results):
             rows.append(f"{name}: missing from some runs")
             continue
-        wins = sum(sign * (c - p) > 0 for p, c in zip(values["parent"], values["change"]))
+        pairs = list(zip(values["parent"], values["change"]))
+        wins = sum(sign * (c - p) > 0 for p, c in pairs)
         (p1, pm, p3), (c1, cm, c3) = quartiles(values["parent"]), quartiles(values["change"])
         ratio = f"{cm / pm:.3f}x" if pm else "n/a"
+        pair_ratio = (f"{statistics.median(c / p for p, c in pairs):.3f}x"
+                      if all(p for p, _ in pairs) else "n/a")
         clears = "yes" if abs(cm - pm) > p3 - p1 else "no"
+        met = "yes" if 10 * wins >= 9 * len(pairs) and sign * (cm - pm) > p3 - p1 else "no"
         rows.append(f"{name} ({metric['unit']}, {metric['better']} is better): "
                     f"parent {pm:.6g} [{p1:.6g}, {p3:.6g}]  "
                     f"change {cm:.6g} [{c1:.6g}, {c3:.6g}]  {ratio}  "
+                    f"median pair ratio {pair_ratio}  "
                     f"change wins {wins}/{len(results)}  "
-                    f"median gap exceeds parent IQR: {clears}")
+                    f"median gap exceeds parent IQR: {clears}  "
+                    f"claim rule met: {met}")
     return rows
 
 

@@ -33,6 +33,7 @@ Exit codes: 0 success, 2 configuration or parse error, 3 I/O error,
 from __future__ import annotations
 
 import argparse
+import errno
 import io
 import json
 import math
@@ -291,12 +292,15 @@ def _log_records(args: argparse.Namespace):
 def _replaced_on_success(path: str | None):
     """A temporary sibling of path to write, moved onto path when the block
     ends and removed when it raises, so a failed command leaves path as it
-    was; an error making or moving the sibling names path. With no path,
-    None, and nothing is written."""
+    was; an error making or moving the sibling names path, and a directory
+    at path is refused on entry, before another output is moved. With no
+    path, None, and nothing is written."""
     if not path:
         yield None
         return
     target = Path(path)
+    if target.is_dir():
+        raise OSError(errno.EISDIR, os.strerror(errno.EISDIR), path)
     try:
         fd, part = tempfile.mkstemp(prefix=f".{target.name}.", suffix=".part",
                                     dir=target.parent)

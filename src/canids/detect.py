@@ -7,11 +7,11 @@ and `canids eval --log` counts them, both from can_log.read_records'
 (timestamp_us, arbitration_id, label) records; CanFrames are turned into
 records on the way in. It takes no graph snapshot: the window's conv_inputs
 go straight through gcn.probability, the fused single-graph forward pass.
-At overlapping strides they come from the live SlidingGraph (an adjacency
-updated in place in the rows and columns of the nodes whose edges changed,
-and features from per-id counts); at stride == window_size from
+At overlapping strides they come from the live SlidingGraph (a binary
+adjacency updated in place, renormalized when a push changed it, and
+features from per-id counts); at stride == window_size from
 WindowGraph(node_ids, pos), built on the window's last line from its ids as
-numbered on arrival. Both give the bits of the same adjacency routine.
+numbered on arrival. Both give the bits of the same normalization routine.
 Nothing waits for later windows, and memory stays at one window. Verdicts
 equal graphs_from_frames at the same stride followed by gcn.predict_many,
 which runs the same gcn.probability: bit-equal at stride == window_size, and

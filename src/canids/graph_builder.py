@@ -22,11 +22,11 @@ before it reads a record, and they build graphs with the same results:
   occurrence count per in-window id, and updates them in O(1) per pushed id
   with Python int and dict operations. Its conv_inputs give the window's
   convolution inputs in slot order without a snapshot. Once called, it keeps
-  the binary adjacency, the degrees, the normalized adjacency and the counts
-  in slot order and updates them in place: a push changes at most two
-  edges, so only the rows and columns of their slots are rewritten, with the
-  arithmetic of a full rebuild and so to the same bits. It rebuilds them in
-  full when the slot count grows or the slots are renumbered.
+  the binary adjacency (A_bin + I) and the counts in slot order and flips
+  the binary entries in place where a push changes the edge support; the
+  next conv_inputs renormalizes the matrix if any entry changed. It rebuilds
+  the binary matrix in full when the slot count grows or the slots are
+  renumbered.
 - Windows that share no frame (stride == window_size) are built whole: the
   loop takes a window's first timestamp from its first record and numbers
   its ids in a dict as its records arrive, with no per-record window
@@ -40,10 +40,11 @@ GraphError before it reads a record, then checks its stride with
 checked_stride, which also admits the CLI's not-yet-known window size (None).
 Both builders share one counts-to-degrees rule (_degrees, also behind
 _message_graph) and one featurization (_features, also behind
-node_features). One routine, _adjacency, computes every convolution
-adjacency: WindowGraph's, SlidingGraph's (whose in-place updates are tested
-against it bit for bit) and conv_adjacency's, which prepare_graph takes for
-training, inference and dumped graphs. build_windows and build_graph slice
+node_features). One routine, _normalized, normalizes every convolution
+adjacency: _adjacency (_normalized of _binary) gives WindowGraph's and
+conv_adjacency's, which prepare_graph takes for training, inference and
+dumped graphs, and SlidingGraph renormalizes its in-place binary matrix with
+it, so the two agree bit for bit. build_windows and build_graph slice
 and build from scratch: the reference the loop is tested against.
 
 The convolution sees one adjacency form: the edges symmetrized and binarized,
@@ -58,7 +59,6 @@ are then not padded to the ~80 of attacked ones.
 from __future__ import annotations
 
 import json
-import math
 import operator
 import re
 from collections import Counter, deque
@@ -70,7 +70,7 @@ from typing import Iterable, Iterator, Sequence
 import numpy as np
 
 from .can_log import EXTENDED_ID_MAX, CanFrame, Record, as_records
-from .kernel import FiniteViolation, Matrix, check_finite
+from .kernel import Matrix, check_finite
 
 DEFAULT_WINDOW_SIZE = 200
 
@@ -192,13 +192,13 @@ class SlidingGraph:
     snapshot renders the window as a MessageGraph; conv_inputs gives the
     convolution inputs in slot order without one. Its first call builds
     slot-indexed convolution state: the binary symmetric matrix with
-    self-loops (A_bin + I), the integer degrees, D^-1/2, the normalized
-    adjacency and the counts as floats. From then on push updates that
-    state where an edge's multiplicity goes 0 <-> 1 or a slot is freed or
-    reused, and records the slots it touched; conv_inputs rewrites only
-    their rows and columns. A push that adds a slot drops the state, and
-    the next conv_inputs builds it again, so a stream that is never scored
-    (graphs_from_frames) pays nothing for it.
+    self-loops (A_bin + I) and the counts as floats. From then on push
+    flips the matrix's entries where an edge's multiplicity goes 0 <-> 1 or
+    a slot is freed or reused, and marks it changed; conv_inputs
+    renormalizes a changed matrix with _normalized, the routine behind
+    _adjacency, and reuses the last adjacency otherwise. A push that adds
+    a slot drops the state, and the next conv_inputs builds it again, so a
+    stream that is never scored (graphs_from_frames) pays nothing for it.
     """
 
     def __init__(self, window_size: int = DEFAULT_WINDOW_SIZE):
@@ -210,11 +210,9 @@ class SlidingGraph:
         self.free: list[int] = []
         # convolution state in slot order, None until conv_inputs builds it
         self._sym: Matrix | None = None
-        self._deg: list[int] = []
-        self._inv_sqrt: Matrix | None = None
         self._adj: Matrix | None = None
         self._fcounts: Matrix | None = None
-        self._dirty: set[int] = set()  # slots whose row and column changed
+        self._changed = False  # _sym differs from what _adj was normalized from
 
     def push(self, arb_id: int) -> None:
         ids, edges, slots, counts = self.ids, self.edges, self.slots, self.counts
@@ -271,21 +269,16 @@ class SlidingGraph:
         if src_id != dst_id and (dst_id, src_id) in self.edges:
             return
         a, b = self.slots[src_id], self.slots[dst_id]
-        step = 1 if bit else -1
-        self._deg[a] += step
         if a == b:
             self._sym[a, a] = 1 + bit
         else:
             self._sym[a, b] = self._sym[b, a] = bit
-            self._deg[b] += step
-            self._dirty.add(b)
-        self._dirty.add(a)
+        self._changed = True
 
     def _self_loop(self, slot: int, bit: int) -> None:
         """A slot is freed (bit 0, its edges already gone) or reused (1)."""
         self._sym[slot, slot] = bit
-        self._deg[slot] = bit
-        self._dirty.add(slot)
+        self._changed = True
 
     def snapshot(self, attacked: bool, window_index: int = 0) -> MessageGraph:
         """The ids now in the ring as a MessageGraph: nodes in order of first
@@ -305,16 +298,17 @@ class SlidingGraph:
         row s is the id in slot s, and a free slot's rows are all zero. Under
         the slot permutation they equal conv_adjacency and node_features of
         the snapshot, and they are bit-equal to _adjacency and
-        _features(_degrees(...)) of the slots. The adjacency is updated in
-        place, only in the rows and columns of the slots pushes touched; both
-        arrays are valid until the next push."""
+        _features(_degrees(...)) of the slots. The adjacency is renormalized
+        from the binary matrix only when a push since the last call changed
+        it; both arrays are valid until the next push."""
         _check_filled(len(self.ids))
         if 2 * len(self.slots) < len(self.counts):
             self._renumber()
         if self._sym is None:
             self._rebuild()
-        elif self._dirty:
-            self._update()
+        if self._changed:
+            self._adj = _normalized(self._sym)
+            self._changed = False
         ids, slots = self.ids, self.slots
         return (self._adj,
                 _features(_degrees(self._fcounts, slots[ids[0]], slots[ids[-1]],
@@ -332,60 +326,43 @@ class SlidingGraph:
         self._sym = None
 
     def _rebuild(self) -> None:
-        """Build the convolution state from the edges and slots with
-        _adjacency's arithmetic: free slots get no self-loop."""
+        """Build the binary matrix from the edges and slots as _adjacency
+        does, free slots with no self-loop, and the counts as floats."""
         slots, counts = self.slots, self.counts
-        src = [slots[arb_id] for arb_id, _ in self.edges]
-        dst = [slots[arb_id] for _, arb_id in self.edges]
-        self._sym, self._inv_sqrt, self._adj = _adjacency_parts(
-            src, dst, len(counts), list(slots.values()))
-        self._deg = self._sym.sum(axis=1).astype(np.int64).tolist()
+        self._sym = _binary([slots[arb_id] for arb_id, _ in self.edges],
+                            [slots[arb_id] for _, arb_id in self.edges],
+                            len(counts), list(slots.values()))
         self._fcounts = np.array(counts, dtype=np.float64)
-        self._dirty.clear()
-
-    def _update(self) -> None:
-        """Rewrite the rows and columns of the touched slots with the
-        elementwise products _adjacency computes, so the bits match a
-        rebuild. Only the rewritten entries are checked for finiteness: every
-        other entry was checked when it was last written."""
-        sym, inv_sqrt, adj, deg = self._sym, self._inv_sqrt, self._adj, self._deg
-        dirty = self._dirty
-        for s in dirty:
-            inv_sqrt[s] = 1.0 / math.sqrt(deg[s]) if deg[s] else 0.0
-        for s in dirty:
-            row = adj[s]
-            np.multiply(sym[s], inv_sqrt[s], out=row)
-            np.multiply(row, inv_sqrt, out=row)
-            col = adj[:, s]
-            np.multiply(sym[:, s], inv_sqrt, out=col)
-            np.multiply(col, inv_sqrt[s], out=col)
-            # A NaN or Inf in either vector makes their dot product NaN or
-            # Inf (Inf times 0 is NaN): one call checks both, where two
-            # check_finite calls cost more than checking all of adj.
-            if not math.isfinite(row @ col):
-                raise FiniteViolation("adjacency contains NaN or Inf")
-        dirty.clear()
+        self._changed = True
 
 
 def _adjacency(src, dst, size: int, live=slice(None)) -> Matrix:
     """The one adjacency routine: D^-1/2 (A_bin + I) D^-1/2 over size nodes
     of the edges src[k] -> dst[k], given as node indices, with self-loops on
     the live nodes only, so rows not in live stay zero."""
-    return _adjacency_parts(src, dst, size, live)[2]
+    return _normalized(_binary(src, dst, size, live))
 
 
-def _adjacency_parts(src, dst, size: int,
-                     live=slice(None)) -> tuple[Matrix, Matrix, Matrix]:
-    """(A_bin + I, D^-1/2 as a vector, adjacency) of _adjacency."""
+def _binary(src, dst, size: int, live=slice(None)) -> Matrix:
+    """A_bin + I of _adjacency: the edges symmetrized and binarized, then a
+    self-loop on each live node."""
     sym = np.zeros((size, size), dtype=np.float64)
     sym[src, dst] = 1.0
     sym[dst, src] = 1.0
     sym.reshape(-1)[::size + 1][live] += 1.0  # self-loops, on the diagonal's view
-    inv_sqrt = np.zeros(size, dtype=np.float64)
-    inv_sqrt[live] = 1.0 / np.sqrt(sym.sum(axis=1)[live])
-    adjacency = sym * inv_sqrt[:, None] * inv_sqrt[None, :]
+    return sym
+
+
+def _normalized(sym: Matrix) -> Matrix:
+    """D^-1/2 sym D^-1/2, D the row sums of sym, entry (i, j) computed as
+    (sym[i, j] * d_i) * d_j; a zero row (a free slot's) gets d_i = 0."""
+    deg = sym.sum(axis=1)
+    deg[deg == 0] = np.inf  # 1 / sqrt(inf) is 0
+    inv_sqrt = 1.0 / np.sqrt(deg)
+    adjacency = sym * inv_sqrt[:, None]
+    adjacency *= inv_sqrt
     check_finite(adjacency, "adjacency")
-    return sym, inv_sqrt, adjacency
+    return adjacency
 
 
 def _degrees(counts, first: int, last: int, dtype) -> np.ndarray:

@@ -30,7 +30,7 @@ from typing import Callable, Sequence
 
 import numpy as np
 
-from .can_log import AttackKind, CanFrame
+from .can_log import STANDARD_ID_MAX, AttackKind, CanFrame
 from .kernel import make_rng
 
 DEFAULT_FLOOD_ID = 0x000
@@ -195,7 +195,11 @@ def default_id_pool(
     base_period_us: int = 1000,
     jitter: float = 0.05,
 ) -> list[tuple[int, int, float]]:
-    """A plausible ECU schedule: harmonic periods over distinct ids."""
+    """A plausible ECU schedule: harmonic periods over the distinct 11-bit
+    ids 0x100 + 0x10 * i, of which there are 112."""
+    limit = (STANDARD_ID_MAX - 0x100) // 0x10 + 1
+    if not 1 <= num_ids <= limit:
+        raise SynthError(f"id pool size {num_ids} must be in 1..{limit}")
     multipliers = [1, 2, 3, 4, 6, 8, 12, 16]
     pool = []
     for i in range(num_ids):

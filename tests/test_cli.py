@@ -160,6 +160,34 @@ def test_synth_spoofs_only_the_pool_ids(tmp_path):
     assert {f.arbitration_id for f in spoofed} == {0x100, 0x110}
 
 
+# The bytes of `canids synth --ids 112 --normal 3000 --seed 0`: the largest
+# default pool, whose last id is 0x7f0.
+SYNTH_IDS112_SHA256 = {
+    "p.log": "dc67fd6f10d475d8b09db991344fd1ed48a1c8437fb9453868ed3b22ec443a60",
+    "p.log.manifest.json":
+        "4a4c917da3194a3041617b0e93896dc26267d7a8acb8ebbdecafd9606fda00ea",
+}
+
+
+def test_synth_pool_sizes_are_bounded_by_the_11_bit_ids(tmp_path, capsys):
+    """The default pool holds at most 112 ids, the 11-bit ids 0x100 +
+    0x10 * i: 112 writes the same bytes as before the bound, and 113 or 0
+    is a config error naming the range, with no output written."""
+    out = tmp_path / "p.log"
+    assert main(["synth", "--ids", "112", "--normal", "3000", "--seed", "0",
+                 "--out", str(out)]) == EXIT_OK
+    assert {name: hashlib.sha256((tmp_path / name).read_bytes()).hexdigest()
+            for name in SYNTH_IDS112_SHA256} == SYNTH_IDS112_SHA256
+    frames, _ = parse_log_file(out)
+    assert max(f.arbitration_id for f in frames) == 0x7F0
+    capsys.readouterr()
+    for ids in ("113", "0"):
+        assert main(["synth", "--ids", ids, "--normal", "300",
+                     "--out", str(tmp_path / "q.log")]) == EXIT_CONFIG
+        assert capsys.readouterr().err == f"error: id pool size {ids} must be in 1..112\n"
+    assert sorted(p.name for p in tmp_path.iterdir()) == sorted(SYNTH_IDS112_SHA256)
+
+
 def test_synth_mixed_kinds(tmp_path):
     out = tmp_path / "mix.log"
     assert main([
@@ -554,6 +582,29 @@ def test_a_bad_output_path_is_reported_under_its_own_name(tmp_path, capsys, comm
     assert main(argv) == EXIT_IO
     assert capsys.readouterr().err == f"error: {problem}: '{out}'\n"
     assert not [p for p in tmp_path.rglob("*") if p.name.endswith(".part")]
+
+
+@pytest.mark.parametrize("command", ["synth", "train"])
+def test_a_directory_first_output_leaves_the_second_unwritten(tmp_path, capsys,
+                                                              command):
+    """synth and train write two outputs, and a directory where the first
+    goes is refused before either is staged, so the second (the manifest,
+    the history) is not left behind."""
+    log = tmp_path / "s.log"
+    assert main(["synth", "--normal", "2000", "--dos", "0.5",
+                 "--out", str(log)]) == EXIT_OK
+    before = sorted(tmp_path.iterdir())
+    out = tmp_path / "taken"
+    out.mkdir()
+    argv = {"synth": ["synth", "--normal", "300", "--out", "taken"],
+            "train": ["train", "--log", str(log), "--window-size", "50", "--model",
+                      "taken", "--history", str(tmp_path / "h.jsonl"),
+                      "--epochs", "2"]}[command]
+    with pytest.MonkeyPatch.context() as mp:
+        mp.chdir(tmp_path)
+        assert main(argv) == EXIT_IO
+    assert capsys.readouterr().err == "error: [Errno 21] Is a directory: 'taken'\n"
+    assert sorted(tmp_path.rglob("*")) == sorted([*before, out])
 
 
 @pytest.mark.parametrize("where", ["missing-directory", "directory"])

@@ -435,30 +435,35 @@ def test_conv_inputs_match_a_rebuild_when_called_every_7th_push(window_size, poo
 
 
 def test_conv_inputs_property():
-    """The same invariants on arbitrary id streams."""
+    """The same invariants on arbitrary id streams over pools of 1 to 16
+    ids, called every k-th push so that the changes of k pushes pile up
+    between calls."""
     hypothesis = pytest.importorskip("hypothesis")
     st = pytest.importorskip("hypothesis.strategies")
 
     @hypothesis.settings(max_examples=60, deadline=None)
     @hypothesis.given(st.integers(2, 12),
-                      st.lists(st.integers(0, 15), min_size=1, max_size=80),
-                      st.integers(0, 2**32 - 1))
-    def check(window_size, ids, seed):
-        _check_conv_inputs_at_every_push(ids, window_size, gcn.init_params(seed))
+                      st.integers(0, 15).flatmap(lambda top: st.lists(
+                          st.integers(0, top), min_size=1, max_size=80)),
+                      st.integers(0, 2**32 - 1), st.integers(1, 9))
+    def check(window_size, ids, seed, every):
+        _check_conv_inputs_at_every_push(ids, window_size, gcn.init_params(seed),
+                                         every)
 
     check()
 
 
 def test_in_place_update_checks_the_rewritten_entries():
-    """conv_inputs checks the rows and columns it rewrites in place: a NaN
-    scale of an untouched slot enters every rewritten entry."""
+    """conv_inputs checks the adjacency it renormalizes from the binary
+    matrix that pushes change in place: a NaN in an entry that no push
+    touched reaches the check once a support change marks the matrix."""
     sliding = SlidingGraph(window_size=5)
     for arb_id in (1, 2, 3, 4, 1):
         sliding.push(arb_id)
     sliding.conv_inputs()
     sliding.push(3)  # drops the edge 1 -> 2 and adds 1 -> 3; no slot is added
-    assert sliding._sym is not None and sliding._dirty
-    sliding._inv_sqrt[:] = np.nan
+    assert sliding._sym is not None and sliding._changed
+    sliding._sym[sliding.slots[4], sliding.slots[4]] = np.nan
     with pytest.raises(FiniteViolation, match="adjacency"):
         sliding.conv_inputs()
 
@@ -493,7 +498,7 @@ def test_graphs_from_frames_builds_no_convolution_state(monkeypatch):
     graphs = []
     for graph, index, attacked, _, _ in sliding_windows(frames, 200, 1):
         graphs.append(graph.snapshot(attacked, index))
-        assert graph._sym is None and not graph._dirty
+        assert graph._sym is None
     assert len(graphs) == len(graphs_from_frames(frames, 200, 1)) == 701
 
 

@@ -20,11 +20,16 @@ negative seed or split_seed is a config error, and so is setting both
 --graphs and --log. With --graphs, every record of the dump must have the
 window_size that is set, or else its first record's, and that size bounds
 the stride (graph_builder.checked_stride). Options are checked before any
-input is read. Every --log takes - for stdin. eval --log scores windows
-with detect.verdicts, as detect does, and eval --graphs scores each dump
-record with gcn.predict as it is read. Every output is written whole or not
-at all; a bad output path, or two outputs that resolve to one file, fails
-before any input is read.
+input is read. Every --log takes - for stdin. eval and detect read the
+model before any input: eval --log then scores windows with
+detect.verdicts, as detect does, and eval --graphs scores each dump record
+with gcn.predict as it is read. Every eval report carries its scenario's
+published reference (evaluate.PAPER_TARGETS). Every output is written whole
+or not at all, and a bad output path fails before any input is read. No
+output (out, manifest, train's model, history, report) may resolve to the
+file of another file flag of its command (log other than -, graphs, eval's
+model, config, or another output; synth's default manifest included): that
+is a config error raised before any file is opened.
 
 Exit codes: 0 success, 2 configuration or parse error, 3 I/O error,
 4 data error (e.g. single-class training set), 5 model file error.
@@ -35,6 +40,7 @@ from __future__ import annotations
 import argparse
 import errno
 import io
+import itertools
 import json
 import math
 import os
@@ -48,7 +54,7 @@ import numpy as np
 from . import can_log, gcn, graph_builder, traffic_synth
 from .can_log import AttackKind, CanLogError, format_timestamp
 from .detect import verdicts
-from .evaluate import PAPER_TARGETS, SCENARIOS, EvalError, scenario_report
+from .evaluate import SCENARIOS, EvalError, scenario_report
 from .gcn import (
     EmptyDataset,
     ModelError,
@@ -109,8 +115,22 @@ def _from_file(action: argparse.Action, raw: str):
                           f"{convert.__name__}") from None
 
 
-# The subcommands that write two files, and the flags naming them.
-_OUTPUT_PAIRS = {"synth": ("out", "manifest"), "train": ("model", "history")}
+# Every flag naming a file, and the ones naming each subcommand's outputs.
+_FILE_FLAGS = ("log", "graphs", "config", "out", "manifest", "model", "history", "report")
+_OUTPUTS = {"synth": ("out", "manifest"), "graphs": ("out",), "train": ("model", "history"),
+            "eval": ("report",)}
+
+
+def _check_distinct_files(args: argparse.Namespace) -> None:
+    """No output may resolve to the file of another file flag of its command
+    (a --log of - names no file)."""
+    outputs = _OUTPUTS.get(args.command, ())
+    named = [(flag, path) for flag in _FILE_FLAGS
+             if (path := getattr(args, flag, None)) and path != "-"]
+    for (flag, path), (other, other_path) in itertools.combinations(named, 2):
+        if ((flag in outputs or other in outputs)
+                and Path(path).resolve() == Path(other_path).resolve()):
+            raise ConfigError(f"--{flag} and --{other} name one file: {other_path}")
 
 
 def parse_options(argv=None) -> argparse.Namespace:
@@ -146,11 +166,9 @@ def parse_options(argv=None) -> argparse.Namespace:
             raise ConfigError(f"{name} must be >= 0, got {getattr(args, name)}")
     if getattr(args, "graphs", None) and args.log:
         raise ConfigError("--graphs and --log exclude each other")
-    if args.command in _OUTPUT_PAIRS:
-        first, second = _OUTPUT_PAIRS[args.command]
-        path, other = getattr(args, first), getattr(args, second)
-        if path and other and Path(path).resolve() == Path(other).resolve():
-            raise ConfigError(f"--{first} and --{second} name one file: {other}")
+    if args.command == "synth" and not args.manifest:
+        args.manifest = args.out + ".manifest.json"
+    _check_distinct_files(args)
     if "window_size" in args:
         if args.window_size is None and not getattr(args, "graphs", None):
             args.window_size = graph_builder.DEFAULT_WINDOW_SIZE
@@ -241,9 +259,8 @@ def cmd_synth(args: argparse.Namespace) -> int:
         if not (math.isfinite(intensity) and intensity >= 0):
             raise ConfigError(f"--{kind.value} intensity must be finite and >= 0, "
                               f"got {intensity}")
-    manifest_path = args.manifest or args.out + ".manifest.json"
     with (_replaced_on_success(args.out) as log_part,
-          _replaced_on_success(manifest_path) as manifest_part):
+          _replaced_on_success(args.manifest) as manifest_part):
         pool = traffic_synth.default_id_pool(args.ids, args.base_period_us, args.jitter)
         stream = traffic_synth.generate_normal(
             NormalTrafficSpec(id_pool=pool, message_count=args.normal, seed=args.seed))
@@ -258,7 +275,7 @@ def cmd_synth(args: argparse.Namespace) -> int:
     print(f"normal: {stream.manifest.normal_frames}")
     for kind, count in stream.manifest.counts_by_kind().items():
         print(f"{kind}: {count}")
-    print(f"manifest: {manifest_path}")
+    print(f"manifest: {args.manifest}")
     return EXIT_OK
 
 
@@ -406,8 +423,7 @@ def cmd_eval(args: argparse.Namespace) -> int:
         predicted, labels = _scored_labels(args)
         if not labels:
             raise EmptyDataset("no graphs in the input")
-        report = scenario_report(args.scenario, predicted, labels,
-                                 PAPER_TARGETS.get(args.scenario))
+        report = scenario_report(args.scenario, predicted, labels)
         print(report.format_table())
         if report_part:
             Path(report_part).write_text(report.to_json() + "\n", encoding="utf-8")
@@ -417,25 +433,20 @@ def cmd_eval(args: argparse.Namespace) -> int:
 
 
 def _scored_labels(args: argparse.Namespace) -> tuple[list[int], list[int]]:
-    """(predicted, true) labels of the input's windows, and nothing else kept:
-    each --graphs record is scored by gcn.predict where its label is read, and
-    each window of the --log capture by detect.verdicts, as detect scores it."""
+    """(predicted, true) labels of the input's windows, and nothing else kept.
+    The model is read first; then each --graphs record is scored by
+    gcn.predict where its label is read, and each window of the --log capture
+    by detect.verdicts, as detect scores it."""
+    params = gcn.load_params(args.model)
     predicted, labels = [], []
     with ExitStack() as stack:
         if args.log:
-            params = gcn.load_params(args.model)
             records = stack.enter_context(_log_records(args))
             scored = ((verdict.label, int(verdict.injected)) for verdict in verdicts(
                 records, params, args.window_size, args.stride, args.threshold))
         else:
-            graphs = _dump_graphs(args)
-            try:
-                params = gcn.load_params(args.model)
-            except (ModelError, OSError):
-                for _ in graphs:  # a bad dump is reported before a bad model
-                    pass
-                raise
-            scored = ((gcn.predict(g, params, args.threshold)[0], g.label) for g in graphs)
+            scored = ((gcn.predict(g, params, args.threshold)[0], g.label)
+                      for g in _dump_graphs(args))
         for label, truth in scored:
             predicted.append(label)
             labels.append(truth)

@@ -1,22 +1,16 @@
 """Streaming detection: one verdict per completed window, as frames arrive.
 
 verdicts scores each window of graph_builder.sliding_windows, the loop that
-also builds training graphs, as soon as its last frame arrives. It is the one
-route from a log window to its score: `canids detect` prints its verdicts
-and `canids eval --log` counts them, both from can_log.read_records'
+also builds training graphs, as soon as its last frame arrives: the window's
+conv_inputs go straight through gcn.probability, with no graph snapshot. It
+is the one route from a log window to its score: `canids detect` prints its
+verdicts and `canids eval --log` counts them, both from can_log.read_records'
 (timestamp_us, arbitration_id, label) records; CanFrames are turned into
-records on the way in. It takes no graph snapshot: the window's conv_inputs
-go straight through gcn.probability, the fused single-graph forward pass.
-At overlapping strides they come from the live SlidingGraph (a binary
-adjacency updated in place, renormalized when a push changed it, and
-features from per-id counts); at stride == window_size from
-WindowGraph(node_ids, pos), built on the window's last line from its ids as
-numbered on arrival. Both give the bits of the same normalization routine.
-Nothing waits for later windows, and memory stays at one window. Verdicts
-equal graphs_from_frames at the same stride followed by gcn.predict_many,
-which runs the same gcn.probability: bit-equal at stride == window_size, and
-within 1e-12 at overlapping strides, where slot order sums in another order
-than node order.
+records on the way in. Nothing waits for later windows, and memory stays at
+one window; graph_builder's module docstring says how each window's graph is
+kept. Verdicts equal graphs_from_frames at the same stride followed by
+gcn.predict_many: bit-equal at stride == window_size, and within 1e-12 at
+overlapping strides, where slot order sums in another order than node order.
 """
 
 from __future__ import annotations

@@ -6,10 +6,12 @@ silently reporting 0 would distort attack-scarce scenarios.
 
 confusion counts the (prediction, truth) pairs in one pass, and metrics turns
 the counts into a Metrics. A scenario's MetricsReport is that Metrics plus the
-scenario name, the counts and, optionally, the reference precision/recall/F1
-triple published for the scenario, in which case per-metric deltas (ours minus
-reference) are included. The references are reporting aids only and are never
-asserted against.
+scenario name, the counts, the reference precision/recall/F1 triple of the
+scenario (PAPER_TARGETS[name] unless another triple is given) and per-metric
+deltas (ours minus reference). Every report carries a reference; the
+scenarios are the keys of PAPER_TARGETS. The references are reporting aids
+only and are never asserted against. `canids eval` reads its model before
+its input and prints scenario_report against the published triple.
 
 Two name tuples drive every rendering (format_table, to_json and deltas):
 METRIC_NAMES, read from the fields of Metrics, and REFERENCE_NAMES, the order
@@ -24,8 +26,6 @@ from collections import Counter
 from dataclasses import dataclass, fields
 from typing import Sequence
 
-SCENARIOS = ("DoS", "Fuzzy", "Spoofing", "Replay", "Mixed-DFS", "Mixed-DFSR")
-
 # Published GCN results per scenario: (precision, recall, f1).
 PAPER_TARGETS: dict[str, tuple[float, float, float]] = {
     "DoS": (0.99, 1.00, 1.00),
@@ -35,6 +35,7 @@ PAPER_TARGETS: dict[str, tuple[float, float, float]] = {
     "Mixed-DFS": (1.00, 0.99, 0.99),
     "Mixed-DFSR": (0.98, 1.00, 0.99),
 }
+SCENARIOS = tuple(PAPER_TARGETS)
 
 
 class EvalError(ValueError):
@@ -85,45 +86,41 @@ def _fmt(value: float | None) -> str:
 
 @dataclass
 class MetricsReport(Metrics):
-    """One scenario's metrics with its confusion counts and optional reference."""
+    """One scenario's metrics with its confusion counts and reference."""
 
     scenario: str
     confusion: ConfusionMatrix
-    paper_precision: float | None = None
-    paper_recall: float | None = None
-    paper_f1: float | None = None
+    paper_precision: float
+    paper_recall: float
+    paper_f1: float
 
     def deltas(self) -> dict[str, float | None]:
-        """ours - paper per metric; None when either side is undefined."""
+        """ours - paper per metric; None where ours is undefined."""
         deltas = {}
         for name in REFERENCE_NAMES:
-            ours, ref = getattr(self, name), getattr(self, f"paper_{name}")
-            deltas[name] = None if ours is None or ref is None else ours - ref
+            ours = getattr(self, name)
+            deltas[name] = None if ours is None else ours - getattr(self, f"paper_{name}")
         return deltas
 
     def _columns(self) -> dict[str, dict[str, float | None]]:
-        """Our metrics by name, then the reference triple and deltas() when
-        the report has a reference: the one place that decides it has one."""
-        columns = {"metrics": {name: getattr(self, name) for name in METRIC_NAMES}}
-        paper = {name: getattr(self, f"paper_{name}") for name in REFERENCE_NAMES}
-        if any(value is not None for value in paper.values()):
-            columns.update(paper=paper, delta=self.deltas())
-        return columns
+        """Our metrics, the reference triple and deltas(), each by name."""
+        return {"metrics": {name: getattr(self, name) for name in METRIC_NAMES},
+                "paper": {name: getattr(self, f"paper_{name}") for name in REFERENCE_NAMES},
+                "delta": self.deltas()}
 
     def to_json(self) -> str:
         return json.dumps({"scenario": self.scenario, "confusion": vars(self.confusion),
                            **self._columns()}, indent=2)
 
     def format_table(self) -> str:
-        """Aligned plain-text rendering: our metrics, then the reference and
-        delta columns when the report has a reference."""
+        """Aligned plain-text rendering: our metrics, the reference and the
+        deltas."""
         columns = list(self._columns().values())
-        titles = ("ours", "paper", "delta")[:len(columns)]
         cm = self.confusion
         lines = [
             f"scenario: {self.scenario}",
             f"  counts    tp={cm.tp} fp={cm.fp} tn={cm.tn} fn={cm.fn} total={cm.total}",
-            f"  {'metric':<10}" + "".join(f"{title:>10}" for title in titles),
+            f"  {'metric':<10}{'ours':>10}{'paper':>10}{'delta':>10}",
         ]
         for name in METRIC_NAMES:
             cells = (_fmt(column.get(name)) for column in columns)
@@ -163,15 +160,14 @@ def scenario_report(
     labels: Sequence[int],
     paper_targets: tuple[float, float, float] | None = None,
 ) -> MetricsReport:
-    """Assemble the full report for one named scenario.
-
-    paper_targets is an explicit (precision, recall, f1) triple; use
-    PAPER_TARGETS[name] for the published numbers.
-    """
-    if name not in SCENARIOS:
+    """Assemble the full report for one named scenario, against the
+    (precision, recall, f1) triple paper_targets, by default the published
+    PAPER_TARGETS[name]."""
+    if name not in PAPER_TARGETS:
         raise EvalError(f"unknown scenario {name!r}; expected one of {SCENARIOS}")
     cm = confusion(predictions, labels)
-    paper = {} if paper_targets is None else {
-        f"paper_{metric}": value
-        for metric, value in zip(REFERENCE_NAMES, paper_targets, strict=True)}
+    if paper_targets is None:
+        paper_targets = PAPER_TARGETS[name]
+    paper = {f"paper_{metric}": value
+             for metric, value in zip(REFERENCE_NAMES, paper_targets, strict=True)}
     return MetricsReport(**vars(metrics(cm)), scenario=name, confusion=cm, **paper)

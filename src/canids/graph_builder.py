@@ -455,15 +455,10 @@ def sliding_windows(
     no partial window is yielded. A bad window_size or stride raises on the
     first next(), before any frame is read.
 
-    The stride picks one of two loops before any record is read. When
-    stride equals window_size, windows share no frame: each window's first
-    record gives its first timestamp, the next window_size - 1 (an islice)
-    are numbered in a dict as they arrive, and graph is a WindowGraph built
-    from them on the window's last record. When windows overlap, each id is
-    pushed once into one SlidingGraph, a deque keeps the window's
-    timestamps, a countdown marks each window's last record, and graph is
-    that live graph, holding the window until the next item is requested:
-    take its snapshot or conv_inputs before then."""
+    graph is a WindowGraph when stride equals window_size, and otherwise one
+    live SlidingGraph that holds the window only until the next item is
+    requested: take its snapshot or conv_inputs before then. The module
+    docstring describes the two loops."""
     window_size = _window_size(window_size)
     stride = checked_stride(window_size, stride)
     records = as_records(frames)

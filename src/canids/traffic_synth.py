@@ -109,6 +109,8 @@ class AttackSpec:
     src_end_us: int | None = None
 
     def __post_init__(self):
+        if self.start_us < 0:  # a manifest records only times >= 0
+            raise SynthError(f"attack window starts at {self.start_us} < 0")
         if self.start_us >= self.end_us:
             raise SynthError(f"attack window [{self.start_us}, {self.end_us}) is empty")
         if not (math.isfinite(self.intensity) and self.intensity >= 0):
@@ -139,6 +141,12 @@ def _fields_of(cls, raw, what: str) -> dict:
     return raw
 
 
+def _check_counts(raw: dict, names: tuple[str, ...], what: str) -> None:
+    for name in names:
+        if type(raw[name]) is not int or raw[name] < 0:  # bools are refused too
+            raise SynthError(f"{what} {name} must be an int >= 0, got {raw[name]!r:.80}")
+
+
 @dataclass
 class StreamManifest:
     """Ground truth for one synthetic stream: seed, counts, attack windows.
@@ -163,16 +171,35 @@ class StreamManifest:
 
     @classmethod
     def from_json(cls, text: str) -> "StreamManifest":
-        """The manifest to_json wrote; any other text is a SynthError."""
+        """The manifest to_json wrote; any other text is a SynthError naming
+        the problem: not JSON, a missing or unknown field, a count or time
+        that is not an int >= 0, an attack kind outside AttackKind, an empty
+        attack window, or a total_frames other than normal_frames plus every
+        attack's injected frames."""
         try:
             raw = _fields_of(cls, json.loads(text), "manifest")
         except json.JSONDecodeError as err:
             raise SynthError(f"manifest is not JSON: {err}") from None
         if not isinstance(raw["attacks"], list):
             raise SynthError("manifest attacks must be a list")
-        return cls(**{**raw, "attacks": [
-            AttackRecord(**_fields_of(AttackRecord, rec, "manifest attack"))
-            for rec in raw["attacks"]]})
+        attacks = [AttackRecord(**_fields_of(AttackRecord, rec, "manifest attack"))
+                   for rec in raw["attacks"]]
+        _check_counts(raw, ("seed", "normal_frames", "total_frames"), "manifest")
+        kinds = [kind.value for kind in AttackKind]
+        for i, rec in enumerate(attacks):
+            what = f"manifest attack {i}"
+            _check_counts(vars(rec), ("start_us", "end_us", "injected"), what)
+            if rec.kind not in kinds:
+                raise SynthError(f"{what} kind must be one of {', '.join(kinds)}, "
+                                 f"got {rec.kind!r:.80}")
+            if rec.start_us >= rec.end_us:
+                raise SynthError(f"{what} start_us {rec.start_us} must be < "
+                                 f"end_us {rec.end_us}")
+        injected = sum(rec.injected for rec in attacks)
+        if raw["total_frames"] != raw["normal_frames"] + injected:
+            raise SynthError(f"manifest total_frames {raw['total_frames']} must equal "
+                             f"normal_frames {raw['normal_frames']} + injected {injected}")
+        return cls(**{**raw, "attacks": attacks})
 
     def save(self, path: str | Path) -> None:
         Path(path).write_text(self.to_json() + "\n", encoding="utf-8")

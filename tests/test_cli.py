@@ -23,6 +23,7 @@ from canids.cli import (
 )
 from canids.graph_builder import graph_from_ids
 from canids.kernel import make_rng
+from canids.traffic_synth import StreamManifest
 from helpers import parse_log_file, random_id_window, traced_peak
 
 
@@ -58,6 +59,8 @@ def test_synth_bytes_are_pinned(tmp_path):
                  "--seed", "7"]) == EXIT_OK
     assert {name: hashlib.sha256((tmp_path / name).read_bytes()).hexdigest()
             for name in SYNTH_SEED7_SHA256} == SYNTH_SEED7_SHA256
+    manifest = StreamManifest.load(tmp_path / "s7.log.manifest.json")  # it loads back
+    assert [rec.kind for rec in manifest.attacks] == [kind.value for kind in AttackKind]
 
 
 @pytest.mark.parametrize("flag, value", [("--dos", "-1"), ("--fuzzy", "nan"),
@@ -364,12 +367,35 @@ def test_eval_graphs_checks_each_record(tmp_path):
     assert main(source + [str(mixed)]) == EXIT_CONFIG
     assert main(source + [str(dump), "--stride", "4"]) == EXIT_CONFIG
     assert main(source + [str(dump), "--stride", "3"]) == EXIT_OK
-    # an error in the dump is reported before one in the model
+    # the model is read before the dump, so its error is the one reported
     missing = ["eval", "--model", str(tmp_path / "no.bin"), "--scenario", "DoS",
                "--graphs"]
-    assert main(missing + [str(mixed), "--window-size", "3"]) == EXIT_CONFIG
-    assert main(missing + [str(mixed)]) == EXIT_CONFIG
+    assert main(missing + [str(mixed), "--window-size", "3"]) == EXIT_IO
+    assert main(missing + [str(mixed)]) == EXIT_IO
     assert main(missing + [str(dump)]) == EXIT_IO
+
+
+@pytest.mark.parametrize("model", ["missing", "invalid"])
+def test_eval_reads_its_model_before_any_dump_record(tmp_path, monkeypatch, capsys,
+                                                     model):
+    """A missing (exit 3) or invalid (exit 5) model fails eval --graphs before
+    a record of the dump is read: a dump of malformed lines is not reported,
+    and a read_graphs that fails if called is never called."""
+    path = tmp_path / "m.bin"
+    if model == "invalid":
+        path.write_bytes(b"not a model file")
+    dump = tmp_path / "bad.jsonl"
+    dump.write_text("not json\n" * 3)
+    argv = ["eval", "--graphs", str(dump), "--model", str(path), "--scenario", "DoS"]
+    code = {"missing": EXIT_IO, "invalid": EXIT_MODEL}[model]
+    assert main(argv) == code
+    assert "graph dump" not in capsys.readouterr().err
+
+    def unread(*args, **kwargs):
+        raise AssertionError("read_graphs called")
+
+    monkeypatch.setattr(graph_builder, "read_graphs", unread)
+    assert main(argv) == code
 
 
 def test_graphs_warns_on_non_ascii_digits(tmp_path, capsys):
@@ -642,6 +668,73 @@ def test_train_refuses_a_history_on_its_model(tmp_path, monkeypatch, capsys):
     assert sorted(tmp_path.iterdir()) == [model, dump]
 
 
+# Commands one of whose outputs names the file of another of their file
+# flags, each with the error it fails with.
+_SAME_FILE_RUNS = {
+    "graphs-log": (["graphs", "--log", "t.log", "--out", "t.log"], "--log and --out"),
+    "graphs-config": (["graphs", "--config", "c.conf", "--log", "t.log",
+                       "--out", "c.conf"], "--config and --out"),
+    "train-log": (["train", "--log", "t.log", "--model", "t.log"], "--log and --model"),
+    "train-graphs": (["train", "--graphs", "g.jsonl", "--model", "m.bin",
+                      "--history", "g.jsonl"], "--graphs and --history"),
+    "train-config": (["train", "--config", "c.conf", "--graphs", "g.jsonl",
+                      "--model", "c.conf"], "--config and --model"),
+    "eval-model": (["eval", "--graphs", "g.jsonl", "--model", "m.bin", "--scenario",
+                    "DoS", "--report", "m.bin"], "--model and --report"),
+    "eval-log": (["eval", "--log", "t.log", "--model", "m.bin", "--scenario", "DoS",
+                  "--report", "t.log"], "--log and --report"),
+    "synth-config": (["synth", "--config", "c.conf", "--out", "c.conf"],
+                     "--config and --out"),
+    "synth-default-manifest": (["synth", "--config", "t.log.manifest.json",
+                                "--out", "t.log"], "--config and --manifest"),
+}
+
+
+@pytest.mark.parametrize("case", sorted(_SAME_FILE_RUNS))
+def test_an_output_on_another_file_flag_is_refused(tmp_path, monkeypatch, capsys, case):
+    """An output that resolves to the file of another file flag of its
+    command, --config and synth's default manifest included, is a config
+    error raised before any file is opened: every file keeps its bytes and
+    none is added."""
+    argv, flags = _SAME_FILE_RUNS[case]
+    monkeypatch.chdir(tmp_path)
+    assert main(["synth", "--normal", "2000", "--dos", "1.0", "--out", "t.log"]) == EXIT_OK
+    assert main(["graphs", "--log", "t.log", "--out", "g.jsonl",
+                 "--window-size", "50"]) == EXIT_OK
+    gcn.save_params(gcn.init_params(0), tmp_path / "m.bin")
+    for config in ("c.conf", "t.log.manifest.json"):
+        (tmp_path / config).write_text("# no option set\n")
+    before = {path: path.read_bytes() for path in tmp_path.iterdir()}
+    capsys.readouterr()
+    assert main(argv) == EXIT_CONFIG
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: {flags} name one file: ") and err.count("\n") == 1
+    assert {path: path.read_bytes() for path in tmp_path.iterdir()} == before
+
+
+@pytest.mark.parametrize("stride", [200, 37])
+def test_a_log_and_its_dump_give_the_same_model_and_report(tmp_path, stride):
+    """train --log L and train --graphs on the dump of graphs --log L write
+    the same model bytes, and eval --log and eval --graphs the same report
+    bytes, at the default stride and at an overlapping one."""
+    log, dump = tmp_path / "L.log", tmp_path / "g.jsonl"
+    assert main(["synth", "--out", str(log), "--normal", "20000", "--dos", "0.5",
+                 "--fuzzy", "0.3", "--seed", "7"]) == EXIT_OK
+    assert main(["graphs", "--log", str(log), "--out", str(dump),
+                 "--stride", str(stride)]) == EXIT_OK
+    outputs = {}
+    for source in (["--log", str(log)], ["--graphs", str(dump)]):
+        model = tmp_path / f"{source[0][2:]}.bin"
+        report = tmp_path / f"{source[0][2:]}.json"
+        assert main(["train", *source, "--stride", str(stride),
+                     "--model", str(model)]) == EXIT_OK
+        assert main(["eval", *source, "--stride", str(stride), "--model",
+                     str(tmp_path / "log.bin"), "--scenario", "Mixed-DFS",
+                     "--report", str(report)]) == EXIT_OK
+        outputs[source[0]] = model.read_bytes(), report.read_bytes()
+    assert outputs["--log"] == outputs["--graphs"]
+
+
 def test_train_deterministic_model_bytes(tmp_path):
     dump = _make_training_dump(tmp_path)
     model_a, model_b = tmp_path / "a.bin", tmp_path / "b.bin"
@@ -661,9 +754,10 @@ def test_train_malformed_graph_dump_is_config_error(tmp_path, capsys):
     dump = _make_training_dump(tmp_path)
     lines = dump.read_text().splitlines()
     dump.write_text("\n".join(lines[:4] + [lines[4][:20]]) + "\n")
+    model = tmp_path / "m.bin"
+    gcn.save_params(gcn.init_params(0), model)  # eval reads its model first
     for cmd in (["train"], ["eval", "--scenario", "DoS"]):
-        assert main([*cmd, "--graphs", str(dump),
-                     "--model", str(tmp_path / "m.bin")]) == EXIT_CONFIG
+        assert main([*cmd, "--graphs", str(dump), "--model", str(model)]) == EXIT_CONFIG
         err = capsys.readouterr().err
         assert err.startswith("error: graph dump line 5: JSONDecodeError")
         assert err.count("\n") == 1

@@ -1,3 +1,4 @@
+import json
 from collections import Counter
 
 import numpy as np
@@ -273,6 +274,15 @@ def test_manifest_json_round_trip(tmp_path):
     assert loaded == out.manifest
 
 
+def _manifest_text(attack=None, **counts) -> str:
+    """A valid manifest's JSON with one dos attack of 2 frames, with the given
+    fields replaced."""
+    raw = {"seed": 1, "normal_frames": 2, "total_frames": 4,
+           "attacks": [{"kind": "dos", "start_us": 5, "end_us": 9, "injected": 2,
+                        **(attack or {})}]}
+    return json.dumps({**raw, **counts})
+
+
 _MANIFEST_FIELDS = "seed, normal_frames, total_frames, attacks"
 _ATTACK_FIELDS = "kind, start_us, end_us, injected"
 _COUNTS = '"seed": 1, "normal_frames": 2, "total_frames": 3'
@@ -294,11 +304,40 @@ _COUNTS = '"seed": 1, "normal_frames": 2, "total_frames": 3'
      "'start_us': 0, 'end_us': 1, 'injected': 1, 'extra': 0}"),
     (f'{{{_COUNTS}, "attacks": [[]]}}',
      f"manifest attack must be an object of {_ATTACK_FIELDS}: []"),
+    ('{"seed": "x", "normal_frames": -5, "total_frames": true, "attacks": [{"kind": '
+     '"nope", "start_us": "a", "end_us": null, "injected": 1.5}]}',
+     "manifest seed must be an int >= 0, got 'x'"),
+    (_manifest_text(seed=True), "manifest seed must be an int >= 0, got True"),
+    (_manifest_text(normal_frames=-1),
+     "manifest normal_frames must be an int >= 0, got -1"),
+    (_manifest_text(total_frames=4.0),
+     "manifest total_frames must be an int >= 0, got 4.0"),
+    (_manifest_text({"start_us": None}),
+     "manifest attack 0 start_us must be an int >= 0, got None"),
+    (_manifest_text({"end_us": "9"}),
+     "manifest attack 0 end_us must be an int >= 0, got '9'"),
+    (_manifest_text({"injected": False}),
+     "manifest attack 0 injected must be an int >= 0, got False"),
+    (_manifest_text({"kind": "nope"}),
+     "manifest attack 0 kind must be one of dos, fuzzy, spoofing, replay, got 'nope'"),
+    (_manifest_text({"kind": "DoS"}),
+     "manifest attack 0 kind must be one of dos, fuzzy, spoofing, replay, got 'DoS'"),
+    (_manifest_text({"start_us": 9}), "manifest attack 0 start_us 9 must be < end_us 9"),
+    (_manifest_text({"start_us": 10}),
+     "manifest attack 0 start_us 10 must be < end_us 9"),
+    (_manifest_text(total_frames=5),
+     "manifest total_frames 5 must equal normal_frames 2 + injected 2"),
 ], ids=["empty-object", "list", "not-json", "unknown-key", "attacks-not-a-list",
-        "attack-missing-fields", "attack-unknown-key", "attack-not-an-object"])
+        "attack-missing-fields", "attack-unknown-key", "attack-not-an-object",
+        "bad-values", "bool-seed", "negative-count", "float-count", "null-time",
+        "string-time", "bool-injected", "unknown-kind", "kind-case", "empty-window",
+        "reversed-window", "total-mismatch"])
 def test_a_malformed_manifest_is_a_synth_error(tmp_path, text, problem):
-    """from_json and load take only the form to_json writes; anything else is
-    a SynthError that names the problem, not a KeyError or TypeError."""
+    """from_json and load take only the form to_json writes; anything else,
+    a count or time that is not an int >= 0, an unknown attack kind, an empty
+    attack window or a total other than the normal plus the injected frames
+    included, is a SynthError that names the problem, not a KeyError or
+    TypeError."""
     with pytest.raises(SynthError) as err:
         StreamManifest.from_json(text)
     assert str(err.value) == problem
@@ -314,5 +353,7 @@ def test_attack_spec_validation():
         AttackSpec(AttackKind.DOS, 100, 100)
     with pytest.raises(SynthError):
         AttackSpec(AttackKind.DOS, 0, 100, intensity=-1.0)
+    with pytest.raises(SynthError, match=r"^attack window starts at -1 < 0$"):
+        AttackSpec(AttackKind.DOS, -1, 100)  # its manifest would not load
     with pytest.raises(SynthError):
         inject_dos(small_stream(), AttackSpec(AttackKind.FUZZY, 0, 100), rng=0)

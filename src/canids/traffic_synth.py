@@ -13,20 +13,27 @@ The flood id and the spoof payload are fixed (DEFAULT_FLOOD_ID,
 DEFAULT_SPOOF_PAYLOAD). dos, fuzzy and spoofing share one path: intensity x
 (frames in the window) frames at sorted uniform times in the window, then
 the kind's own draws. All generation is deterministic per seed (PCG64
-streams). Streams are sorted by timestamp; a merge is stable: frames already
-in the stream precede newly injected ones, and injected frames keep their
-insertion order. Every injected frame carries its attack kind as an inline
-label, so window labels can be derived without side tables.
+streams). A LabeledStream's frames are in timestamp order, and the injectors
+rely on it. An injection touches only its window [start_us, end_us): every
+injected frame lies inside it (a replay source may be no longer than the
+window), so only the window's frames are merged and the head and tail of the
+stream are kept as they are. The merge is stable: frames already in the
+stream precede newly injected ones, and injected frames keep their insertion
+order. Every injected frame carries its attack kind as an inline label, so
+window labels can be derived without side tables.
 """
 
 from __future__ import annotations
 
 import json
 import math
+import numbers
+import operator
 from bisect import bisect_left
 from dataclasses import asdict, dataclass, field, fields, replace
+from itertools import repeat
 from pathlib import Path
-from typing import Callable, Sequence
+from typing import Callable, Iterable, Sequence
 
 import numpy as np
 
@@ -62,6 +69,17 @@ class EmptySourceSegment(SynthError):
     pass
 
 
+def _is_int(value) -> bool:
+    """An int or any other type operator.index accepts, but not a bool."""
+    if isinstance(value, bool):
+        return False
+    try:
+        operator.index(value)
+    except TypeError:
+        return False
+    return True
+
+
 @dataclass
 class NormalTrafficSpec:
     """Periodic broadcast schedule for attack-free traffic.
@@ -69,7 +87,9 @@ class NormalTrafficSpec:
     id_pool entries are (arbitration_id, period_us, jitter_fraction); each id
     emits at offsets k * period + U[0, jitter * period). message_count, the
     required length, is the total number of frames across all ids; every
-    frame carries 8 random payload bytes.
+    frame carries 8 random payload bytes. Ids are ints in 0..STANDARD_ID_MAX,
+    periods ints > 0, jitters real numbers in [0, 1) and message_count an int
+    >= 0 (bools are refused); anything else is a SynthError.
     """
 
     id_pool: Sequence[tuple[int, int, float]]
@@ -80,12 +100,17 @@ class NormalTrafficSpec:
         if not self.id_pool:
             raise EmptyIdPool("id_pool must not be empty")
         for arb_id, period, jitter in self.id_pool:
-            if period <= 0:
-                raise SynthError(f"period {period} for id 0x{arb_id:x} must be > 0")
-            if not 0.0 <= jitter < 1.0:
-                raise SynthError(f"jitter {jitter} for id 0x{arb_id:x} not in [0, 1)")
-        if self.message_count < 0:
-            raise SynthError("message_count must be >= 0")
+            if not (_is_int(arb_id) and 0 <= arb_id <= STANDARD_ID_MAX):
+                raise SynthError(f"id {arb_id!r:.80} must be an int in 0..{STANDARD_ID_MAX}")
+            if not (_is_int(period) and period > 0):
+                raise SynthError(f"period {period!r:.80} for id 0x{arb_id:x} "
+                                 "must be an int > 0")
+            if not (isinstance(jitter, numbers.Real) and not isinstance(jitter, bool)
+                    and 0.0 <= jitter < 1.0):
+                raise SynthError(f"jitter {jitter!r:.80} for id 0x{arb_id:x} "
+                                 "must be a real number in [0, 1)")
+        if not (_is_int(self.message_count) and self.message_count >= 0):
+            raise SynthError(f"message_count {self.message_count!r:.80} must be an int >= 0")
 
 
 @dataclass
@@ -97,7 +122,8 @@ class AttackSpec:
     DEFAULT_FLOOD_ID; spoofing always sends DEFAULT_SPOOF_PAYLOAD from
     target_ids. Replay copies the source segment [src_start_us, src_end_us)
     once (intensity is not used) and requires it to end before the
-    injection starts.
+    injection starts and to be no longer than the window, so that every
+    replayed frame lands inside [start_us, end_us).
     """
 
     kind: AttackKind
@@ -124,6 +150,11 @@ class AttackSpec:
                 raise SourceAfterInjection(
                     "replay source segment must end before the injection starts"
                 )
+            src_len = self.src_end_us - self.src_start_us
+            window_len = self.end_us - self.start_us
+            if src_len > window_len:
+                raise SynthError(f"replay source of {src_len} us is longer than "
+                                 f"its window of {window_len} us")
 
 
 @dataclass
@@ -259,13 +290,18 @@ def generate_normal(spec: NormalTrafficSpec) -> LabeledStream:
     order = np.argsort(ts, kind="stable")[: spec.message_count]
     ts, ids = ts[order], ids[order]
 
-    payloads = rng.integers(0, 256, size=(len(ts), 8), dtype=np.uint8)
-    frames = [CanFrame(t, arb_id, 8, bytes(row))
-              for t, arb_id, row in zip(ts.tolist(), ids.tolist(), payloads)]
+    payloads = _cut(rng.integers(0, 256, size=(len(ts), 8), dtype=np.uint8), repeat(8))
+    frames = list(map(CanFrame, ts.tolist(), ids.tolist(), repeat(8), payloads))
     manifest = StreamManifest(
         seed=spec.seed, normal_frames=len(frames), total_frames=len(frames)
     )
     return LabeledStream(frames=frames, manifest=manifest)
+
+
+def _cut(rows: np.ndarray, dlcs: Iterable[int]) -> list[bytes]:
+    """Row i of a (count, 8) uint8 array, cut to dlcs[i] bytes, for each row."""
+    buf = rows.tobytes()
+    return [buf[i:i + dlc] for i, dlc in zip(range(0, len(buf), 8), dlcs)]
 
 
 def _timestamp(frame: CanFrame) -> int:
@@ -291,8 +327,12 @@ def _window_frame_count(stream: LabeledStream, spec: AttackSpec) -> int:
 
 
 def _merged(stream: LabeledStream, injected: list[CanFrame], spec: AttackSpec) -> LabeledStream:
-    """Stable merge: existing frames win timestamp ties against injected ones."""
-    frames = sorted(stream.frames + injected, key=lambda f: f.timestamp_us)
+    """Stable merge: existing frames win timestamp ties against injected ones.
+    Every injected frame lies in the window, so only the window's frames are
+    sorted with them; the frames before and after it keep their places."""
+    window = _between(stream.frames, spec.start_us, spec.end_us)
+    frames = stream.frames.copy()
+    frames[window] = sorted(stream.frames[window] + injected, key=_timestamp)
     record = AttackRecord(spec.kind.value, spec.start_us, spec.end_us, len(injected))
     manifest = replace(stream.manifest, attacks=stream.manifest.attacks + [record],
                        total_frames=stream.manifest.total_frames + len(injected))
@@ -307,14 +347,12 @@ def _check_kind(spec: AttackSpec, kind: AttackKind) -> None:
 def _inject_drawn(stream: LabeledStream, spec: AttackSpec, rng, draw: Callable) -> LabeledStream:
     """Merge round(intensity x frames in the window) frames of spec.kind at
     sorted uniform times in the window. rng draws the times, then
-    draw(rng, count) returns the frames' ids, dlcs and payload rows (frame i
-    carries row i cut to dlc i)."""
+    draw(rng, count) returns the frames' ids, dlcs and payloads."""
     count = round(spec.intensity * _window_frame_count(stream, spec))
     rng = make_rng(rng)
     ts = np.sort(rng.integers(spec.start_us, spec.end_us, size=count, dtype=np.int64))
     ids, dlcs, payloads = draw(rng, count)
-    injected = [CanFrame(t, arb_id, dlc, bytes(row[:dlc]), spec.kind)
-                for t, arb_id, dlc, row in zip(ts.tolist(), ids, dlcs, payloads)]
+    injected = list(map(CanFrame, ts.tolist(), ids, dlcs, payloads, repeat(spec.kind)))
     return _merged(stream, injected, spec)
 
 
@@ -325,13 +363,16 @@ def inject_dos(stream: LabeledStream, spec: AttackSpec, rng=0) -> LabeledStream:
         [DEFAULT_FLOOD_ID] * count, [8] * count, [bytes(8)] * count))
 
 
+def _fuzzy_draw(rng, count: int):
+    ids = rng.integers(0, STANDARD_ID_SPACE, size=count, dtype=np.int64).tolist()
+    dlcs = rng.integers(0, 9, size=count).tolist()
+    return ids, dlcs, _cut(rng.integers(0, 256, size=(count, 8), dtype=np.uint8), dlcs)
+
+
 def inject_fuzzy(stream: LabeledStream, spec: AttackSpec, rng=0) -> LabeledStream:
     """Inject frames with uniform-random 11-bit ids and random payloads."""
     _check_kind(spec, AttackKind.FUZZY)
-    return _inject_drawn(stream, spec, rng, lambda rng, count: (
-        rng.integers(0, STANDARD_ID_SPACE, size=count, dtype=np.int64).tolist(),
-        rng.integers(0, 9, size=count).tolist(),
-        rng.integers(0, 256, size=(count, 8), dtype=np.uint8)))
+    return _inject_drawn(stream, spec, rng, _fuzzy_draw)
 
 
 def inject_spoofing(stream: LabeledStream, spec: AttackSpec, rng=0) -> LabeledStream:
@@ -339,12 +380,15 @@ def inject_spoofing(stream: LabeledStream, spec: AttackSpec, rng=0) -> LabeledSt
     _check_kind(spec, AttackKind.SPOOFING)
     if not spec.target_ids:
         raise TargetIdAbsent("spoofing needs a non-empty target_ids list")
-    present = {f.arbitration_id for f in stream.frames}
-    missing = [t for t in spec.target_ids if t not in present]
-    if missing:
-        raise TargetIdAbsent(
-            f"target ids {[hex(t) for t in missing]} do not appear in the stream"
-        )
+    missing = set(spec.target_ids)
+    for frame in stream.frames:  # stop at the last target id's first frame
+        if frame.arbitration_id in missing:
+            missing.discard(frame.arbitration_id)
+            if not missing:
+                break
+    else:
+        raise TargetIdAbsent(f"target ids {[hex(t) for t in spec.target_ids if t in missing]}"
+                             " do not appear in the stream")
     targets = np.asarray(spec.target_ids, dtype=np.int64)
     return _inject_drawn(stream, spec, rng, lambda rng, count: (
         rng.choice(targets, size=count).tolist(),
@@ -365,8 +409,8 @@ def inject_replay(stream: LabeledStream, spec: AttackSpec, rng=None) -> LabeledS
             f"no frames in source segment [{spec.src_start_us}, {spec.src_end_us})"
         )
     shift = spec.start_us - spec.src_start_us
-    injected = [replace(f, timestamp_us=f.timestamp_us + shift, label=AttackKind.REPLAY)
-                for f in source]
+    injected = [CanFrame(f.timestamp_us + shift, f.arbitration_id, f.dlc, f.payload,
+                         AttackKind.REPLAY, f.extended) for f in source]
     return _merged(stream, injected, spec)
 
 

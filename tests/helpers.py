@@ -31,6 +31,7 @@ import numpy as np
 from canids.can_log import LABEL_PREFIX, AttackKind, CanFrame, ParseReport, parse_log
 from canids.graph_builder import SlidingGraph, _adjacency, _degrees, _features
 from canids.traffic_synth import (
+    AttackRecord,
     AttackSpec,
     LabeledStream,
     NormalTrafficSpec,
@@ -56,15 +57,17 @@ def mode_pool(mode: str, jitter: float = 0.01):
     return shared + [(dominant, 1000, jitter)]
 
 
-def _staggered(stream: LabeledStream, pool) -> list[CanFrame]:
-    """Offset each id's schedule so emissions spread across the cycle."""
-    stagger = {arb: STAGGER_STEP_US * k for k, (arb, _, _) in enumerate(pool)}
-    return sorted(
-        (CanFrame(f.timestamp_us + stagger[f.arbitration_id],
-                  f.arbitration_id, f.dlc, f.payload)
-         for f in stream.frames),
-        key=lambda f: f.timestamp_us,
-    )
+def _staggered(stream: LabeledStream, pool, shift_us: int = 0) -> list[CanFrame]:
+    """The stream's frames with each id's schedule offset so emissions spread
+    across the cycle, all moved shift_us later, in time order. The frames are
+    generate_normal's own and only move later, so they are moved in place
+    rather than built again."""
+    offset = {arb: shift_us + STAGGER_STEP_US * k for k, (arb, _, _) in enumerate(pool)}
+    frames = stream.frames
+    for f in frames:
+        f.timestamp_us += offset[f.arbitration_id]
+    frames.sort(key=lambda f: f.timestamp_us)
+    return frames
 
 
 def make_base_stream(message_count: int, seed: int = 11,
@@ -78,11 +81,8 @@ def make_base_stream(message_count: int, seed: int = 11,
                                           message_count=message_count - half,
                                           seed=seed + 1))
     frames_a = _staggered(a, pool_a)
-    frames_b = _staggered(b, pool_b)
     switch = frames_a[-1].timestamp_us + 160
-    frames_b = [CanFrame(f.timestamp_us + switch, f.arbitration_id, f.dlc,
-                         f.payload) for f in frames_b]
-    frames = frames_a + frames_b
+    frames = frames_a + _staggered(b, pool_b, shift_us=switch)
     manifest = StreamManifest(seed=seed, normal_frames=len(frames),
                               total_frames=len(frames))
     return LabeledStream(frames, manifest), switch
@@ -127,6 +127,19 @@ def make_scenario_stream(scenario: str, base: LabeledStream, switch_us: int,
     duration = base.frames[-1].timestamp_us + 1
     return mix_attacks(base, scenario_specs(scenario, duration, switch_us),
                        seed=seed)
+
+
+def merged_by_full_sort(stream: LabeledStream, injected: list[CanFrame],
+                        spec: AttackSpec) -> LabeledStream:
+    """stream with injected merged in by one stable sort of every frame, the
+    frames already in the stream first: the oracle for the injectors'
+    windowed merge."""
+    frames = sorted(stream.frames + injected, key=lambda f: f.timestamp_us)
+    record = AttackRecord(spec.kind.value, spec.start_us, spec.end_us, len(injected))
+    manifest = StreamManifest(stream.manifest.seed, stream.manifest.normal_frames,
+                              stream.manifest.total_frames + len(injected),
+                              stream.manifest.attacks + [record])
+    return LabeledStream(frames, manifest)
 
 
 def brute_force_graph(ids):

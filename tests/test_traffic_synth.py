@@ -4,7 +4,9 @@ from collections import Counter
 import numpy as np
 import pytest
 
-from canids.can_log import AttackKind, CanFrame, serialize_frame
+import helpers
+from canids import traffic_synth
+from canids.can_log import STANDARD_ID_MAX, AttackKind, CanFrame, serialize_frame
 from canids.traffic_synth import (
     AttackSpec,
     EmptyIdPool,
@@ -71,6 +73,41 @@ def test_spec_validation():
         NormalTrafficSpec(id_pool=[(1, 100, 1.0)], message_count=10)
     with pytest.raises(SynthError):
         NormalTrafficSpec(id_pool=[(1, 100, 0.0)], message_count=-1)
+
+
+@pytest.mark.parametrize("pool, count, problem", [
+    ([(1, 100, 0.0)], 10.5, "message_count 10.5 must be an int >= 0"),
+    ([(1, 100, 0.0)], "5", "message_count '5' must be an int >= 0"),
+    ([(1, 100, 0.0)], True, "message_count True must be an int >= 0"),
+    ([(1, 100, 0.0)], None, "message_count None must be an int >= 0"),
+    ([(1, 1000.5, 0.0)], 10, "period 1000.5 for id 0x1 must be an int > 0"),
+    ([(1, True, 0.0)], 10, "period True for id 0x1 must be an int > 0"),
+    ([(1, "100", 0.0)], 10, "period '100' for id 0x1 must be an int > 0"),
+    ([(1, -100, 0.0)], 10, "period -100 for id 0x1 must be an int > 0"),
+    ([(-1, 100, 0.0)], 10, f"id -1 must be an int in 0..{STANDARD_ID_MAX}"),
+    ([(0x800, 100, 0.0)], 10, f"id 2048 must be an int in 0..{STANDARD_ID_MAX}"),
+    ([(1.0, 100, 0.0)], 10, f"id 1.0 must be an int in 0..{STANDARD_ID_MAX}"),
+    ([(False, 100, 0.0)], 10, f"id False must be an int in 0..{STANDARD_ID_MAX}"),
+    ([(1, 100, "0.05")], 10, "jitter '0.05' for id 0x1 must be a real number in [0, 1)"),
+    ([(1, 100, None)], 10, "jitter None for id 0x1 must be a real number in [0, 1)"),
+    ([(1, 100, False)], 10, "jitter False for id 0x1 must be a real number in [0, 1)"),
+    ([(1, 100, float("nan"))], 10, "jitter nan for id 0x1 must be a real number in [0, 1)"),
+    ([(1, 100, 0.0), (2, 100, 1.0)], 10,
+     "jitter 1.0 for id 0x2 must be a real number in [0, 1)"),
+], ids=["count-float", "count-str", "count-bool", "count-none", "period-float",
+        "period-bool", "period-str", "period-negative", "id-negative", "id-extended",
+        "id-float", "id-bool", "jitter-str", "jitter-none", "jitter-bool", "jitter-nan",
+        "jitter-one"])
+def test_normal_spec_refuses_what_is_not_its_number(pool, count, problem):
+    with pytest.raises(SynthError) as err:
+        NormalTrafficSpec(id_pool=pool, message_count=count)
+    assert str(err.value) == problem
+
+
+def test_normal_spec_takes_numpy_ints():
+    spec = NormalTrafficSpec(id_pool=[(np.int64(0x10), np.int32(1000), np.float64(0.0))],
+                             message_count=np.int64(3), seed=0)
+    assert [f.timestamp_us for f in generate_normal(spec).frames] == [0, 1000, 2000]
 
 
 def window_spec(stream, kind, lo=0.2, hi=0.8, **kw):
@@ -184,6 +221,22 @@ def test_replay_validation():
         inject_replay(stream, empty_src)
 
 
+def test_a_replay_source_longer_than_its_window_is_refused():
+    """A 3-tenths source replayed into a 1-tenth window used to put two
+    thirds of its frames after the end_us that the manifest records."""
+    stream = generate_normal(NormalTrafficSpec(default_id_pool(8), 5000, seed=1))
+    t = stream.frames[-1].timestamp_us + 1
+    start, end, src_start, src_end = int(.5 * t), int(.6 * t), int(.1 * t), int(.4 * t)
+    with pytest.raises(SynthError) as err:
+        AttackSpec(AttackKind.REPLAY, start, end, src_start_us=src_start, src_end_us=src_end)
+    assert str(err.value) == (f"replay source of {src_end - src_start} us is longer than "
+                              f"its window of {end - start} us")
+    spec = AttackSpec(AttackKind.REPLAY, start, end,
+                      src_start_us=src_end - (end - start), src_end_us=src_end)
+    replayed = [f for f in inject_replay(stream, spec).frames if f.label is AttackKind.REPLAY]
+    assert replayed and all(start <= f.timestamp_us < end for f in replayed)
+
+
 def test_replay_copies_multiset_and_gaps():
     stream = small_stream(count=3000)
     t = stream.frames[-1].timestamp_us + 1
@@ -217,6 +270,116 @@ def test_stream_sorted_after_injection():
     out = inject_dos(stream, spec, rng=3)
     ts = [f.timestamp_us for f in out.frames]
     assert ts == sorted(ts)
+
+
+@pytest.fixture
+def merge_calls(monkeypatch):
+    """Every windowed merge the injectors make, as (merge, its full-sort
+    oracle), the oracle taken before the merge runs."""
+    calls = []
+    merged = traffic_synth._merged
+
+    def spy(stream, injected, spec):
+        expected = helpers.merged_by_full_sort(stream, injected, spec)
+        out = merged(stream, injected, spec)
+        calls.append((out, expected))
+        return out
+
+    monkeypatch.setattr(traffic_synth, "_merged", spy)
+    return calls
+
+
+def assert_merges_match_full_sort(calls):
+    assert calls
+    for out, expected in calls:
+        assert len(out.frames) == len(expected.frames)
+        assert all(a is b for a, b in zip(out.frames, expected.frames))
+        assert out.manifest == expected.manifest
+
+
+def merge_case(pick) -> tuple[LabeledStream, list[AttackSpec]]:
+    """A short stream with repeated timestamps and one to four attacks of any
+    kinds over it; pick(lo, hi) chooses each int in [lo, hi]. Windows may
+    start at or before the first frame and end after the last, intensities
+    include 0, and a replay's source may cover an earlier injection."""
+    n, span = pick(1, 40), pick(0, 30)
+    ts = sorted(pick(0, span) for _ in range(n))
+    frames = [CanFrame(t, 0x100 + pick(0, 3), 0, b"") for t in ts]
+    stream = LabeledStream(frames, StreamManifest(seed=0, normal_frames=n, total_frames=n))
+    specs = []
+    for _ in range(pick(1, 4)):
+        kind = list(AttackKind)[pick(0, 3)]
+        start = pick(0, ts[-1])
+        end = pick(max(start, ts[0]) + 1, ts[-1] + 2)
+        if kind is not AttackKind.REPLAY:
+            specs.append(AttackSpec(kind, start, end, intensity=pick(0, 4) / 2,
+                                    target_ids=(frames[pick(0, n - 1)].arbitration_id,)))
+            continue
+        earlier = [t for t in ts if t < start]
+        if earlier:  # a source segment holding at least the frame at u
+            u = earlier[pick(0, len(earlier) - 1)]
+            src_end = pick(u + 1, min(start, u + end - start))
+            specs.append(AttackSpec(kind, start, end, src_end_us=src_end,
+                                    src_start_us=pick(max(0, src_end - (end - start)), u)))
+    return stream, specs
+
+
+def test_windowed_merge_matches_full_sort(merge_calls):
+    for seed in range(300):
+        rng = np.random.default_rng(seed)
+        stream, specs = merge_case(lambda lo, hi: int(rng.integers(lo, hi + 1)))
+        mix_attacks(stream, specs, seed=seed)
+    assert_merges_match_full_sort(merge_calls)
+
+
+def test_windowed_merge_matches_full_sort_hypothesis(merge_calls):
+    hypothesis = pytest.importorskip("hypothesis")
+    st = pytest.importorskip("hypothesis.strategies")
+
+    @hypothesis.settings(max_examples=300, deadline=None, database=None)
+    @hypothesis.given(st.data(), st.integers(0, 2**32 - 1))
+    def check(data, seed):
+        merge_calls.clear()
+        stream, specs = merge_case(lambda lo, hi: data.draw(st.integers(lo, hi)))
+        mix_attacks(stream, specs, seed=seed)
+        if specs:
+            assert_merges_match_full_sort(merge_calls)
+
+    check()
+
+
+@pytest.mark.parametrize("start, end", [(3, 8), (0, 8), (3, 10), (0, 10)])
+def test_windowed_merge_keeps_existing_frames_first_at_both_window_edges(start, end):
+    """Injected frames at start_us and end_us - 1 go after the frames
+    already at those times and before the frame at end_us."""
+    stream_ts = (0, 0, 3, 3, 5, 7, 7, 8, 9, 9)
+    frames = [CanFrame(t, 0x100, 0, b"") for t in stream_ts]
+    stream = LabeledStream(list(frames), StreamManifest(seed=0, normal_frames=10,
+                                                        total_frames=10))
+    spec = AttackSpec(AttackKind.DOS, start, end)
+    injected = [CanFrame(t, 0, 0, b"", AttackKind.DOS) for t in (start, end - 1, start, 5)]
+    out = traffic_synth._merged(stream, injected, spec)
+    expected = helpers.merged_by_full_sort(stream, injected, spec)
+    assert all(a is b for a, b in zip(out.frames, expected.frames, strict=True))
+    assert out.manifest == expected.manifest
+    for t in (start, end - 1):
+        labels = [f.label for f in out.frames if f.timestamp_us == t]
+        assert labels == sorted(labels, key=lambda label: label is not None)
+    assert all(a is b for a, b in zip(stream.frames, frames, strict=True))  # input kept
+
+
+def test_a_replay_of_an_earlier_injection_merges_like_a_full_sort(merge_calls):
+    stream = small_stream(count=3000)
+    t = stream.frames[-1].timestamp_us + 1
+    dos_start, dos_end, start = int(.1 * t), int(.2 * t), int(.6 * t)
+    out = mix_attacks(stream, [
+        AttackSpec(AttackKind.DOS, dos_start, dos_end, intensity=1.0),
+        AttackSpec(AttackKind.REPLAY, start, start + dos_end - dos_start,
+                   src_start_us=dos_start, src_end_us=dos_end),
+    ], seed=5)
+    assert len(merge_calls) == 2
+    assert_merges_match_full_sort(merge_calls)
+    assert any(f.label is AttackKind.REPLAY and f.arbitration_id == 0 for f in out.frames)
 
 
 def test_mix_attacks_empty_identity():
